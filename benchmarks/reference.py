@@ -107,33 +107,34 @@ def slide_terms(a) -> set[tuple[int, ...]]:
 
     Generated by splitting each nonzero part of a into consecutive
     positive pieces and placing all pieces left to right, rather than by
-    filtering every composition.
+    filtering every composition.  Only refinements into at most len(a)
+    pieces are generated, since no more fit.
     """
     n = len(a)
     parts = [x for x in a if x]
     total = sum(a)
     prefix_a = [sum(a[:k + 1]) for k in range(n)]
 
-    def splits(x):
+    def splits(x, most):
+        """Compositions of x into at most ``most`` positive parts."""
         if x == 0:
             yield ()
             return
-        for first in range(1, x + 1):
-            for rest in splits(x - first):
+        for first in range(1, x + 1) if most > 0 else ():
+            for rest in splits(x - first, most - 1):
                 yield (first,) + rest
 
-    def refinements(idx):
+    def refinements(idx, room):
         if idx == len(parts):
             yield ()
             return
-        for head in splits(parts[idx]):
-            for tail in refinements(idx + 1):
+        later = len(parts) - idx - 1      # each later part takes a piece
+        for head in splits(parts[idx], room - later):
+            for tail in refinements(idx + 1, room - len(head)):
                 yield head + tail
 
     found = set()
-    for pieces in refinements(0):
-        if len(pieces) > n:
-            continue
+    for pieces in refinements(0, n):
         for pos in combinations(range(n), len(pieces)):
             b = [0] * n
             for p, v in zip(pos, pieces):

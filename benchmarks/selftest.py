@@ -49,8 +49,10 @@ def wrong_case_count(res: CliResult) -> CliResult:
 # workload -> (which op of round 0, how to spoil its output)
 INJECTIONS = {
     "closure": [(0, "changed coefficient", bump_coefficient)],
-    "expand": [(0, "dropped key term", lambda terms: terms[:-1]),
-               (1, "dropped slide term", lambda terms: terms[:-1])],
+    "expand": [(lambda label: label.startswith("key_"), "dropped key term",
+                lambda terms: terms[:-1]),
+               (lambda label: label.startswith("slide_"), "dropped slide term",
+                lambda terms: terms[:-1])],
     "crystal": [(1, "missing component", lambda comps: comps[:-1])],
     "cli": [(lambda label: label.startswith("kd "), "wrong member count", wrong_kd_count),
             (lambda label: label.startswith("verify "), "wrong case count", wrong_case_count)],

@@ -3,9 +3,10 @@ the check each output must pass.
 
 A workload is a list of fixed operations (the ROADMAP baselines, run once
 per run) followed by rounds.  A round holds one input per slot, and a
-slot fixes a family and a closure-size band, so every round, whatever
-the seed, has the same make-up; the seed only picks which inputs fill
-the bands.  Inputs are distinct within a run.
+slot is a band (a family, a closure-size range and, for most, a work
+range), so every round, whatever the seed, has the same make-up; the
+seed only picks which inputs fill the bands.  Inputs are distinct
+within a run.
 
 Checks compare against computations made apart from the code path under
 test (operator-built polynomials, the triangular peel that
@@ -221,18 +222,37 @@ INPUTS_FILE = Path(__file__).with_name("inputs.json")
 _TABLE: dict = {}
 
 
-def band_key(family: str, lo: int, hi: int) -> str:
-    return f"{family} {lo}..{hi}"
+@dataclass(frozen=True)
+class Band:
+    """Inputs of one family whose closure has lo..hi members and on which
+    the op named ``work`` makes wlo..whi thousand Python calls.
+
+    The call count, a fixed measure of the op's work, keeps the inputs of
+    a band close in cost, so that a band's ops take about the same time
+    whatever the seed draws; only make_inputs.py counts calls.
+    """
+    family: str
+    lo: int
+    hi: int
+    work: str = ""          # a key of WORK_OPS; "" for no call-count window
+    wlo: int = 0
+    whi: int = 0
+    keep: int = 0           # candidates make_inputs.py lists; 0 for its default
+
+    @property
+    def key(self) -> str:
+        base = f"{self.family} {self.lo}..{self.hi}"
+        return f"{base} {self.work} {self.wlo}..{self.whi}k" if self.work else base
 
 
-def draw(ctx: Context, family: str, lo: int, hi: int) -> Input:
-    """A fresh input of the family whose closure size lies in [lo, hi].
+def draw(ctx: Context, band: Band) -> Input:
+    """A fresh input of the band.
 
     Candidates come from inputs.json (made by make_inputs.py), which lists
-    inputs by closure-size band so that a run need not search for them;
-    the seed orders each band's candidates.
+    the inputs of every band so that a run need not search for them; the
+    seed orders each band's candidates.
     """
-    key = band_key(family, lo, hi)
+    key = band.key
     if not _TABLE:
         _TABLE.update(json.loads(INPUTS_FILE.read_text()))
     queue = ctx.queues.get(key)
@@ -240,10 +260,10 @@ def draw(ctx: Context, family: str, lo: int, hi: int) -> Input:
         queue = ctx.queues[key] = list(_TABLE[key])
         ctx.rng.shuffle(queue)
     while queue:
-        inp = make_input(family, queue.pop())
+        inp = make_input(band.family, queue.pop())
         if inp.key in ctx.used:
             continue
-        if not lo <= inp.size <= hi:
+        if not band.lo <= inp.size <= band.hi:
             raise RuntimeError(f"{inp.tag} has {inp.size} members, outside {key}; "
                                "remake inputs.json")
         ctx.used.add(inp.key)
@@ -264,14 +284,13 @@ class Workload:
         return []
 
     def bands(self) -> set:
-        """The (family, lo, hi) bands this workload draws from."""
-        return {(family, lo, hi) for family, lo, hi, *_ in self.slots}
+        """The bands this workload draws from."""
+        return set(self.slots)
 
     def round_ops(self, ctx: Context, index: int) -> list[Op]:
-        return [self.op(ctx, draw(ctx, family, lo, hi), *extra)
-                for family, lo, hi, *extra in self.slots]
+        return [self.op(ctx, draw(ctx, band), band) for band in self.slots]
 
-    def op(self, ctx: Context, inp: Input, *extra) -> Op:
+    def op(self, ctx: Context, inp: Input, band: Band | None = None) -> Op:
         raise NotImplementedError
 
 
@@ -281,19 +300,25 @@ class Closure(Workload):
     tail_pct = 75
     min_ops = 40
     traced_rounds = 5
-    # classes: 1 small, 4 middle (p50 falls in them), 2 larger (p75), 1 large
-    slots = (("comp:7x11", 1000, 1250),
-             ("rothe:8", 1250, 1600), ("rothe:8", 1250, 1600),
-             ("rothe:8", 1250, 1600), ("rothe:8", 1250, 1600),
-             ("comp:7x11", 2000, 2500), ("comp:7x11", 2000, 2500),
-             ("comp:7x11", 4000, 5000))
+    # four classes of cost, about 1.5 times apart: two small, three middle
+    # (the median falls at two thirds of them), two larger (p75 falls at
+    # their middle) and one large, so neither percentile falls at the edge
+    # of a class, where a sample percentile jumps between classes
+    slots = (Band("comp:7x11", 900, 1100, "poly", 210, 250),
+             Band("rothe:8", 1250, 1650, "poly", 310, 350),
+             Band("comp:7x11", 900, 1100, "poly", 210, 250),
+             Band("rothe:8", 1250, 1650, "poly", 310, 350),
+             Band("comp:7x11", 2100, 2600, "poly", 500, 560),
+             Band("rothe:8", 1250, 1650, "poly", 310, 350),
+             Band("comp:7x11", 2100, 2600, "poly", 500, 560),
+             Band("comp:7x11", 3700, 4600, "poly", 850, 1000))
 
     def fixed_ops(self, ctx):
         inp = composition_input(BASELINE_COMPOSITION)
         ctx.used.add(inp.key)
         return [self.op(ctx, inp)]
 
-    def op(self, ctx, inp):
+    def op(self, ctx, inp, band=None):
         d = inp.diagram
         return Op(f"kohnert_polynomial {inp.tag}",
                   lambda: kohnert_polynomial(d),
@@ -320,21 +345,26 @@ class Expand(Workload):
     tail_pct = 75
     min_ops = 40
     traced_rounds = 5
-    # classes of cost: 1 small, 4 middle (p50 falls in them), 2 larger
-    # (p75), 1 large; a key expansion costs about twice a slide expansion
-    # of the same size, so the bands differ by basis
-    slots = (("box:4x5", 100, 130, "key"),
-             ("rothe:7", 50, 65, "slide"), ("rothe:7", 50, 65, "key"),
-             ("rothe:7", 50, 65, "slide"), ("rothe:7", 50, 65, "key"),
-             ("rothe:8", 100, 130, "slide"), ("rothe:8", 50, 65, "key"),
-             ("rothe:8", 200, 260, "slide"))
+    # four classes of cost, about twice apart, laid out as in Closure:
+    # two small slide expansions, three middle key expansions (two Rothe,
+    # one box diagram), two larger slide expansions and one large key
+    # expansion; the bases alternate
+    slots = (Band("rothe:7", 30, 300, "slide", 80, 120),
+             Band("rothe:7", 30, 300, "key", 180, 220),
+             Band("rothe:7", 30, 300, "slide", 80, 120),
+             Band("box:4x5", 40, 300, "key", 180, 220),
+             Band("rothe:8", 50, 150, "slide", 370, 430),
+             Band("rothe:7", 30, 300, "key", 180, 220),
+             Band("rothe:8", 50, 150, "slide", 370, 430),
+             Band("rothe:8", 80, 160, "key", 650, 1000))
 
     def fixed_ops(self, ctx):
         inp = rothe_input(BASELINE_PERMUTATION)
         ctx.used.add(inp.key)
-        return [self.op(ctx, inp, "key"), self.op(ctx, inp, "slide")]
+        return [self.op(ctx, inp, basis="key"), self.op(ctx, inp, basis="slide")]
 
-    def op(self, ctx, inp, basis):
+    def op(self, ctx, inp, band=None, basis=None):
+        basis = basis or band.work
         d = inp.diagram
         fn = demazure_expansion if basis == "key" else slide_expansion
         return Op(f"{basis}_expansion {inp.tag}", lambda: fn(d),
@@ -367,18 +397,18 @@ class Crystal(Workload):
     min_ops = 40
     traced_rounds = 5
     # classes: 1 small, 4 middle (p50), 2 larger (p75), 1 large
-    slots = (("comp:7x9", 100, 130),
-             ("rothe:7", 100, 130), ("rothe:8", 100, 130),
-             ("rothe:7", 100, 130), ("rothe:8", 100, 130),
-             ("rothe:8", 250, 320), ("rothe:8", 250, 320),
-             ("rothe:8", 320, 400))
+    slots = (Band("comp:7x9", 100, 130),
+             Band("rothe:7", 100, 130), Band("rothe:8", 100, 130),
+             Band("rothe:7", 100, 130), Band("rothe:8", 100, 130),
+             Band("rothe:8", 250, 320), Band("rothe:8", 250, 320),
+             Band("rothe:8", 320, 400))
 
     def fixed_ops(self, ctx):
         inp = rothe_input(BASELINE_PERMUTATION)
         ctx.used.add(inp.key)
         return [self.op(ctx, inp)]
 
-    def op(self, ctx, inp):
+    def op(self, ctx, inp, band=None):
         d = inp.diagram
         return Op(f"crystal {inp.tag}", lambda: crystal_op(d),
                   lambda out: crystal_ok(inp, out))
@@ -490,8 +520,12 @@ def component_count(cols: int, rows: int) -> int:
     return total
 
 
-CLI_BANDS = (("rothe:9", 100, 400), ("rothe:7", 8, 25), ("comp:7x8", 50, 300),
-             ("rothe:7", 10, 80))
+# the second band bounds the work of `expand --basis slide --check`, whose
+# brute-force slide polynomials otherwise range over a hundredfold; each
+# band gives one input a round, so each lists about three times the rounds
+CLI_BANDS = (Band("rothe:9", 100, 400, keep=400),
+             Band("rothe:7", 8, 25, "cli-slide", 30, 120, keep=400),
+             Band("comp:7x8", 50, 300, keep=400), Band("rothe:7", 10, 80, keep=400))
 
 
 class Cli(Workload):
@@ -499,7 +533,8 @@ class Cli(Workload):
     name = "cli"
     tail_pct = 95
     min_ops = 200
-    traced_rounds = 24      # every third round takes the next suite's configuration
+    traced_rounds = 32      # every fourth round takes the next suite's configuration
+    verify_every = 4        # 72 configurations last 288 rounds, 1.6 times a run's most
 
     def __init__(self):
         self._counts: dict = {}
@@ -508,15 +543,18 @@ class Cli(Workload):
         return set(CLI_BANDS)
 
     def fixed_ops(self, ctx):
-        # one configuration of each suite in turn, the same order in every
-        # run, so that the first rounds cover every suite and every run
-        # pays for the same sweeps; popped from the end
+        # one configuration of each suite in turn, largest first, the same
+        # order in every run: the first rounds cover every suite, and every
+        # run pays for the same large sweeps, which set its peak memory and
+        # its slowest verify ops; how far a run gets into the list, which
+        # varies with the machine's speed, decides only how many small
+        # ones it adds; popped from the end
         by_suite: dict[str, list] = {}
         for entry in _verify_pool():
             by_suite.setdefault(entry[0], []).append(entry)
         order = []
         while any(by_suite.values()):
-            order.extend(entries.pop(0) for entries in by_suite.values() if entries)
+            order.extend(entries.pop() for entries in by_suite.values() if entries)
         ctx.verify_pool = order[::-1]
         return []
 
@@ -533,17 +571,21 @@ class Cli(Workload):
 
     def round_ops(self, ctx, index):
         rng = ctx.rng
-        if index % 3 == 0 and not ctx.verify_pool:
+        if index % self.verify_every == 0 and not ctx.verify_pool:
             raise Exhausted("verify configurations")
-        w9 = draw(ctx, *CLI_BANDS[0])
-        w7 = draw(ctx, *CLI_BANDS[1])
-        key = draw(ctx, *CLI_BANDS[2])
-        slide = _fresh_composition(ctx, 8, 8, 10, 10)
-        small = _fresh_composition(ctx, 4, 5, 3, 5)
-        src = draw(ctx, *CLI_BANDS[3])
+        w9 = draw(ctx, CLI_BANDS[0])
+        w7 = draw(ctx, CLI_BANDS[1])
+        key = draw(ctx, CLI_BANDS[2])
+        # every `poly --slide` filters the same 19,448 compositions; bounding
+        # the terms it keeps (1 to 1,001 in a sample of 300 inputs) bounds
+        # its output, whose largest moved peak_rss_mb by 2 MB with the draw
+        slide = _fresh_composition(ctx, 8, 8, 10, 10,
+                                   lambda a: 20 <= len(ref.slide_terms(a)) <= 100)
+        small = _fresh_composition(ctx, 4, 5, 3, 6)
+        src = draw(ctx, CLI_BANDS[3])
         ops = [self.schubert_op(w9)] + self.permutation_ops(w7) + \
             self.composition_ops(key, slide, small) + self.membership_ops(ctx, src, index)
-        if index % 3 == 0:
+        if index % self.verify_every == 0:
             ops.append(self._verify_op(*ctx.verify_pool.pop()))
         else:
             seed = 1000 * index + rng.randrange(1000)
@@ -640,8 +682,9 @@ class Cli(Workload):
 
 
 def _fresh_composition(ctx: Context, min_len: int, max_len: int,
-                       min_size: int, max_size: int) -> tuple:
-    """An unused composition ending in a nonzero part."""
+                       min_size: int, max_size: int,
+                       accept: Callable[[tuple], bool] = lambda a: True) -> tuple:
+    """An unused composition ending in a nonzero part that ``accept`` takes."""
     for _ in range(20000):
         length = ctx.rng.randint(min_len, max_len)
         a = [0] * length
@@ -649,10 +692,18 @@ def _fresh_composition(ctx: Context, min_len: int, max_len: int,
         for _ in range(ctx.rng.randint(min_size, max_size) - 1):
             a[ctx.rng.randrange(length)] += 1
         key = ("A", tuple(a))
-        if key not in ctx.used:
+        if key not in ctx.used and accept(tuple(a)):
             ctx.used.add(key)
             return tuple(a)
     raise Exhausted("compositions")
 
 
 WORKLOADS = {w.name: w for w in (Closure(), Expand(), Crystal(), Cli())}
+
+# the ops whose work make_inputs.py counts to fill a band's work range
+WORK_OPS = {"poly": lambda inp: kohnert_polynomial(inp.diagram),
+            "key": lambda inp: demazure_expansion(inp.diagram),
+            "slide": lambda inp: slide_expansion(inp.diagram),
+            "crystal": lambda inp: crystal_op(inp.diagram),
+            "cli-slide": lambda inp: run_cli(["expand", "--perm", ",".join(map(str, inp.rothe)),
+                                              "--basis", "slide", "--check"])}
