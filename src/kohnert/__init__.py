@@ -17,9 +17,9 @@ from .labeling import (Labeling, column_swap, component_demazure_data,
                        rect_labeling, relabel_rectify, slide_expansion,
                        super_standard, vexillary_theorem_check,
                        yamanouchi_diagrams)
-from .moves import (DEFAULT_MAX_DIAGRAMS, KohnertSet, ResourceBoundError,
-                    generate_kd, kd_to_dot, kd_to_json, kohnert_move,
-                    kohnert_polynomial, reverse_kohnert_moves)
+from .moves import (DEFAULT_MAX_DIAGRAMS, KohnertSet, MaxDiagramsError,
+                    ResourceBoundError, generate_kd, kd_to_dot, kd_to_json,
+                    kohnert_move, kohnert_polynomial, reverse_kohnert_moves)
 from .perms import (Permutation, act, all_permutations, compose,
                     contains_2143, identity, inverse, lehmer_code, length,
                     longest, reduced_word, sort_and_minimal_perm,

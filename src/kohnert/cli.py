@@ -23,8 +23,8 @@ from .diagrams import Diagram, GridParseError, composition_diagram, \
     is_southwest, rothe_diagram
 from .labeling import (component_demazure_data, demazure_expansion,
                        kohnert_labeling, membership_report, slide_expansion)
-from .moves import ResourceBoundError, generate_kd, kd_to_dot, kd_to_json, \
-    kohnert_polynomial
+from .moves import MaxDiagramsError, ResourceBoundError, generate_kd, \
+    kd_to_dot, kd_to_json, kohnert_polynomial
 from .perms import check_permutation
 from .polynomials import IntPolynomial, demazure_character, \
     fundamental_slide, schubert_polynomial
@@ -56,6 +56,16 @@ def _parse_box(text: str) -> tuple[int, int]:
     if not m:
         raise argparse.ArgumentTypeError(f"expected COLSxROWS, got {text!r}")
     return int(m.group(1)), int(m.group(2))
+
+
+def _positive_int(text: str) -> int:
+    try:
+        value = int(text)
+    except ValueError:
+        value = 0
+    if value < 1:
+        raise argparse.ArgumentTypeError(f"expected a positive integer, got {text!r}")
+    return value
 
 
 def _read_diagram_file(path: str) -> Diagram:
@@ -200,7 +210,7 @@ def build_parser() -> argparse.ArgumentParser:
                       help="print members and move edges as JSON")
     p_kd.add_argument("--dot", action="store_true",
                       help="print the move graph in DOT format")
-    p_kd.add_argument("--max-diagrams", type=int, default=None)
+    p_kd.add_argument("--max-diagrams", type=_positive_int, default=None)
     p_kd.set_defaults(func=cmd_kd)
 
     p_poly = sub.add_parser("poly", help="print a polynomial as JSON")
@@ -215,7 +225,7 @@ def build_parser() -> argparse.ArgumentParser:
                        help="fundamental slide polynomial of a composition")
     p_poly.add_argument("--n", type=int, default=None,
                         help="number of variables")
-    p_poly.add_argument("--max-diagrams", type=int, default=None)
+    p_poly.add_argument("--max-diagrams", type=_positive_int, default=None)
     p_poly.set_defaults(func=cmd_poly)
 
     p_expand = sub.add_parser("expand", help="expand a Kohnert polynomial")
@@ -223,13 +233,13 @@ def build_parser() -> argparse.ArgumentParser:
     p_expand.add_argument("--basis", choices=("key", "slide"), default="key")
     p_expand.add_argument("--check", action="store_true",
                           help="re-verify the expansion against the polynomial")
-    p_expand.add_argument("--max-diagrams", type=int, default=None)
+    p_expand.add_argument("--max-diagrams", type=_positive_int, default=None)
     p_expand.set_defaults(func=cmd_expand)
 
     p_crystal = sub.add_parser("crystal",
                                help="crystal graph as annotated DOT")
     _add_diagram_source(p_crystal)
-    p_crystal.add_argument("--max-diagrams", type=int, default=None)
+    p_crystal.add_argument("--max-diagrams", type=_positive_int, default=None)
     p_crystal.set_defaults(func=cmd_crystal)
 
     p_verify = sub.add_parser("verify", help="run verification sweeps")
@@ -263,7 +273,7 @@ def main(argv=None) -> int:
     args = parser.parse_args(argv)
     try:
         return args.func(args)
-    except (GridParseError, UsageError) as exc:
+    except (GridParseError, UsageError, MaxDiagramsError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
     except OSError as exc:

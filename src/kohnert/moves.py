@@ -1,27 +1,55 @@
-"""Kohnert moves and the closure of a diagram under them."""
+"""Kohnert moves and the closure of a diagram under them.
+
+The closure comes from one breadth-first search over packed states.  A
+state is one integer that holds a row bitmask per column: with
+W = max_row + 1, column c owns bits (c - 1) * W up to c * W - 1, and bit r
+of that field is set when (c, r) is a cell.  A move at row r takes the
+rightmost column whose field has bit r, the highest clear bit below r in
+that field, and flips the two bits.  Each state carries its row weight,
+packed the same way with one field per row, and a move updates it by -1
+in row r and +1 in the row it drops to.  ``Diagram`` objects are made only
+at the API boundary, by ``generate_kd``.
+"""
 
 from __future__ import annotations
 
 import json
 import os
-from collections import deque
 from dataclasses import dataclass
+from functools import cached_property
 
-from .diagrams import Diagram, weight
-from .polynomials import IntPolynomial, monomial_generating
+from .diagrams import Diagram
+from .polynomials import IntPolynomial
 
 DEFAULT_MAX_DIAGRAMS = 10 ** 6
 
 
 class ResourceBoundError(RuntimeError):
-    """Raised when a closure would exceed the configured diagram budget."""
+    """Raised when a closure would exceed the configured diagram budget.
+
+    The message gives the member count reached and the BFS depth, the
+    number of moves from the source to the member that broke the budget.
+    """
+
+
+class MaxDiagramsError(ValueError):
+    """Raised when KOHNERT_MAX_DIAGRAMS is set but is not a positive integer."""
 
 
 def _max_diagrams(explicit: int | None) -> int:
     if explicit is not None:
         return explicit
     env = os.environ.get("KOHNERT_MAX_DIAGRAMS")
-    return int(env) if env else DEFAULT_MAX_DIAGRAMS
+    if not env:
+        return DEFAULT_MAX_DIAGRAMS
+    try:
+        limit = int(env)
+    except ValueError:
+        limit = 0
+    if limit < 1:
+        raise MaxDiagramsError(
+            f"KOHNERT_MAX_DIAGRAMS must be a positive integer, got {env!r}")
+    return limit
 
 
 def kohnert_move(diagram: Diagram, r: int) -> Diagram | None:
@@ -65,42 +93,94 @@ def reverse_kohnert_moves(diagram: Diagram, max_row: int | None = None) -> list[
 class KohnertSet:
     source: Diagram
     members: tuple[Diagram, ...]          # sorted canonically
-    edges: frozenset[tuple[Diagram, Diagram, int]]   # (from, to, row moved)
 
     def __contains__(self, diagram: Diagram) -> bool:
         return diagram in self.member_set
 
-    @property
+    @cached_property
     def member_set(self) -> frozenset[Diagram]:
-        value = self.__dict__.get("_member_set")
-        if value is None:
-            value = frozenset(self.members)
-            self.__dict__["_member_set"] = value
-        return value
+        return frozenset(self.members)
+
+    @cached_property
+    def edges(self) -> frozenset[tuple[Diagram, Diagram, int]]:
+        """Every move (from, to, row moved) between members, found on demand."""
+        return frozenset((t, u, r) for t in self.members for r in t.by_row
+                         if (u := kohnert_move(t, r)) is not None)
+
+
+def _closure(diagram: Diagram, limit: int) -> tuple[set[int], dict[tuple[int, ...], int]]:
+    """Packed states of the closure, and the member count of each row weight.
+
+    Weights have one entry per row from 1 to ``diagram.max_row``.
+    """
+    width = diagram.max_row + 1
+    field = (1 << width) - 1
+    wbits = len(diagram).bit_length()      # a row holds at most len(diagram) cells
+    unit = {1 << r: 1 << (wbits * (r - 1)) for r in range(1, width)}
+    delta = {src | dst: unit[dst] - unit[src] for src in unit for dst in unit if dst < src}
+    start = start_weight = 0
+    for c, r in diagram.cells:
+        start |= 1 << ((c - 1) * width + r)
+        start_weight += unit[1 << r]
+    shifts = [c * width for c in range(diagram.max_col - 1, -1, -1)]
+    seen = {start}
+    counts = {start_weight: 1}
+    states, weights = [start], [start_weight]
+    depth = 0
+    while states:
+        depth += 1
+        next_states, next_weights = [], []
+        for state, weight in zip(states, weights):
+            covered = 0                    # rows already met in a column to the right
+            for shift in shifts:
+                mask = (state >> shift) & field
+                rows = mask & ~covered
+                if not rows:
+                    continue
+                covered |= mask
+                while rows:
+                    src = rows & -rows
+                    rows ^= src
+                    free = ~mask & (src - 2)     # clear bits in rows 1 .. r - 1
+                    if not free:
+                        continue
+                    move = src | 1 << (free.bit_length() - 1)
+                    nxt = state ^ (move << shift)
+                    if nxt in seen:
+                        continue
+                    if len(seen) >= limit:
+                        raise ResourceBoundError(
+                            f"closure exceeds {limit} diagrams (KOHNERT_MAX_DIAGRAMS): "
+                            f"reached {len(seen) + 1} members at BFS depth {depth}")
+                    seen.add(nxt)
+                    nxt_weight = weight + delta[move]
+                    counts[nxt_weight] = counts.get(nxt_weight, 0) + 1
+                    next_states.append(nxt)
+                    next_weights.append(nxt_weight)
+        states, weights = next_states, next_weights
+    wmask = (1 << wbits) - 1
+    return seen, {tuple((w >> (wbits * i)) & wmask for i in range(diagram.max_row)): k
+                  for w, k in counts.items()}
+
+
+def _cells(state: int, width: int) -> tuple[tuple[int, int], ...]:
+    """Cells of a packed state in sorted (col, row) order."""
+    cells = []
+    while state:
+        bit = state & -state
+        state ^= bit
+        c, r = divmod(bit.bit_length() - 1, width)
+        cells.append((c + 1, r))
+    return tuple(cells)
 
 
 def generate_kd(diagram: Diagram, max_diagrams: int | None = None) -> KohnertSet:
     """Breadth-first closure of a diagram under Kohnert moves."""
-    limit = _max_diagrams(max_diagrams)
-    seen = {diagram}
-    queue = deque([diagram])
-    edges = []
-    while queue:
-        current = queue.popleft()
-        for r in current.by_row:
-            nxt = kohnert_move(current, r)
-            if nxt is None:
-                continue
-            edges.append((current, nxt, r))
-            if nxt not in seen:
-                if len(seen) >= limit:
-                    raise ResourceBoundError(
-                        f"closure exceeds {limit} diagrams (KOHNERT_MAX_DIAGRAMS)")
-                seen.add(nxt)
-                queue.append(nxt)
+    seen, _ = _closure(diagram, _max_diagrams(max_diagrams))
+    width = diagram.max_row + 1
+    members = sorted(_cells(state, width) for state in seen)
     return KohnertSet(source=diagram,
-                      members=tuple(sorted(seen)),
-                      edges=frozenset(edges))
+                      members=tuple(Diagram(frozenset(cells)) for cells in members))
 
 
 def kohnert_polynomial(diagram: Diagram, n: int | None = None,
@@ -108,8 +188,11 @@ def kohnert_polynomial(diagram: Diagram, n: int | None = None,
     """Generating polynomial of the row weights over the closure."""
     if n is None:
         n = diagram.max_row
-    kset = generate_kd(diagram, max_diagrams)
-    return monomial_generating((weight(t, n) for t in kset.members), n)
+    elif n < diagram.max_row:
+        raise ValueError(f"diagram has cells above row {n}")
+    _, weights = _closure(diagram, _max_diagrams(max_diagrams))
+    pad = (0,) * (n - diagram.max_row)
+    return IntPolynomial(n, {w + pad: k for w, k in weights.items()})
 
 
 def kd_to_json(kset: KohnertSet) -> str:

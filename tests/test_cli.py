@@ -169,6 +169,34 @@ def test_exit_code_for_resource_bounds(capsys):
     err = capsys.readouterr().err
     assert err.startswith("error:")
     assert "KOHNERT_MAX_DIAGRAMS" in err
+    assert "reached 3 members at BFS depth" in err
+
+
+@pytest.mark.parametrize("value", ["abc", "0", "-1"])
+def test_bad_environment_budget_is_a_usage_error(monkeypatch, capsys, value):
+    monkeypatch.setenv("KOHNERT_MAX_DIAGRAMS", value)
+    assert main(["kd", "--comp", "0,2"]) == 2
+    err = capsys.readouterr().err
+    assert err.startswith("error:")
+    assert "KOHNERT_MAX_DIAGRAMS" in err
+    assert "positive integer" in err
+
+
+@pytest.mark.parametrize("command", [
+    ["kd", "--comp", "0,2"],
+    ["poly", "--key", "0,2"],
+    ["expand", "--comp", "0,2"],
+    ["crystal", "--comp", "0,2"],
+])
+@pytest.mark.parametrize("value", ["-1", "0", "abc"])
+def test_max_diagrams_below_one_is_refused_at_parse_time(capsys, command, value):
+    with pytest.raises(SystemExit) as exc:
+        main(command + ["--max-diagrams", value])
+    assert exc.value.code == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert "--max-diagrams" in captured.err
+    assert "positive integer" in captured.err
 
 
 def test_module_entry_point():

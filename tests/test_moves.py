@@ -3,11 +3,12 @@
 import json
 
 import pytest
-from hypothesis import given
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
-from kohnert.diagrams import Diagram, composition_diagram
+from kohnert.diagrams import Diagram, composition_diagram, rothe_diagram, weight
 from kohnert.moves import (
+    MaxDiagramsError,
     ResourceBoundError,
     generate_kd,
     kd_to_dot,
@@ -16,11 +17,28 @@ from kohnert.moves import (
     kohnert_polynomial,
     reverse_kohnert_moves,
 )
-from kohnert.polynomials import demazure_character
+from kohnert.polynomials import demazure_character, monomial_generating
 
 from golden import D5, LETTER, MEMBERS, MOVE_EDGES
+from oracle import oracle_generate_kd
 
 cell_sets = st.sets(st.tuples(st.integers(1, 4), st.integers(1, 4)), max_size=6)
+
+
+def southwest_hull(cells) -> Diagram:
+    """The smallest southwest diagram holding the cells: add missing corners."""
+    cells = set(cells)
+    while True:
+        corners = {(c1, r1) for c1, r2 in cells for c2, r1 in cells
+                   if c1 < c2 and r1 < r2} - cells
+        if not corners:
+            return Diagram.of(*cells)
+        cells |= corners
+
+
+box_cells = st.sets(st.tuples(st.integers(1, 4), st.integers(1, 5)), max_size=6)
+diagrams = st.one_of(box_cells.map(Diagram.from_cells), box_cells.map(southwest_hull))
+ROTHE_S5 = rothe_diagram((2, 1, 5, 4, 3))
 
 
 def test_move_drops_to_first_empty_spot_below():
@@ -113,6 +131,68 @@ def test_resource_bound_from_environment(monkeypatch):
         generate_kd(D5)
     monkeypatch.delenv("KOHNERT_MAX_DIAGRAMS")
     assert len(generate_kd(D5).members) == 19
+
+
+def test_resource_bound_reports_count_and_depth():
+    # D(0,2) has one member at each depth 0, 1 and 2
+    d = composition_diagram((0, 2))
+    with pytest.raises(ResourceBoundError,
+                       match="reached 2 members at BFS depth 1"):
+        generate_kd(d, max_diagrams=1)
+    with pytest.raises(ResourceBoundError,
+                       match="reached 3 members at BFS depth 2"):
+        kohnert_polynomial(d, max_diagrams=2)
+
+
+@pytest.mark.parametrize("value", ["abc", "0", "-3", "2.5"])
+def test_bad_environment_budget_names_the_variable(monkeypatch, value):
+    monkeypatch.setenv("KOHNERT_MAX_DIAGRAMS", value)
+    with pytest.raises(MaxDiagramsError, match="KOHNERT_MAX_DIAGRAMS"):
+        generate_kd(D5)
+    with pytest.raises(MaxDiagramsError, match="KOHNERT_MAX_DIAGRAMS"):
+        kohnert_polynomial(D5)
+
+
+@settings(deadline=None)
+@given(diagrams)
+def test_packed_closure_matches_oracle(d):
+    oracle = oracle_generate_kd(d)
+    kset = generate_kd(d)
+    assert kset.members == oracle.members
+    assert kset.edges == oracle.edges
+
+
+@settings(deadline=None)
+@given(diagrams, st.integers(1, 2))
+@example(Diagram.of(), 2)
+def test_packed_polynomial_matches_oracle(d, extra):
+    members = oracle_generate_kd(d).members
+    expected = monomial_generating((weight(t) for t in members), d.max_row)
+    assert kohnert_polynomial(d) == kohnert_polynomial(d, d.max_row) == expected
+    n = d.max_row + extra
+    assert kohnert_polynomial(d, n) == monomial_generating((weight(t, n) for t in members), n)
+    if d.max_row:
+        with pytest.raises(ValueError):
+            kohnert_polynomial(d, d.max_row - 1)
+
+
+@settings(deadline=None)
+@given(diagrams)
+def test_budget_boundary_matches_oracle(d):
+    size = len(oracle_generate_kd(d).members)
+    assert len(generate_kd(d, max_diagrams=size).members) == size
+    assert kohnert_polynomial(d, max_diagrams=size).eval_ones() == size
+    if size > 1:
+        for build in (oracle_generate_kd, generate_kd, kohnert_polynomial):
+            with pytest.raises(ResourceBoundError, match="KOHNERT_MAX_DIAGRAMS"):
+                build(d, max_diagrams=size - 1)
+
+
+@pytest.mark.parametrize("d", [D5, ROTHE_S5], ids=["D5", "rothe-21543"])
+def test_serialisations_match_oracle_bytes(d):
+    kset, oracle = generate_kd(d), oracle_generate_kd(d)
+    assert kd_to_json(kset) == kd_to_json(oracle)
+    assert kd_to_dot(kset) == kd_to_dot(oracle)
 
 
 def test_kd_json_structure():
