@@ -2,9 +2,9 @@
 
 from .compositions import Composition, compositions_of, compositions_up_to
 from .crystal import (ColumnPairing, CrystalGraph, RowPairing, column_pairing,
-                      crystal_components_json, crystal_graph, crystal_to_dot,
-                      is_rectified, lowering, raising, rectify, rectify_column,
-                      rectify_step, row_pairing)
+                      crystal_graph, crystal_to_dot, is_rectified, lowering,
+                      raising, rectify, rectify_column, rectify_step,
+                      row_pairing)
 from .diagrams import (EMPTY, Cell, Diagram, GridParseError, column_weights,
                        composition_diagram, is_composition_diagram,
                        is_southwest, rothe_diagram, weight)
@@ -19,11 +19,10 @@ from .labeling import (Labeling, column_swap, component_demazure_data,
                        yamanouchi_diagrams)
 from .moves import (DEFAULT_MAX_DIAGRAMS, KohnertSet, MaxDiagramsError,
                     ResourceBoundError, generate_kd, kd_to_dot, kd_to_json,
-                    kohnert_move, kohnert_polynomial, reverse_kohnert_moves)
+                    kohnert_move, kohnert_polynomial)
 from .perms import (Permutation, act, all_permutations, compose,
                     contains_2143, identity, inverse, lehmer_code, length,
-                    longest, reduced_word, sort_and_minimal_perm,
-                    word_to_permutation)
+                    longest, reduced_word, sort_and_minimal_perm)
 from .polynomials import (ExpansionError, IntPolynomial, apply_word,
                           demazure_character, divided_difference,
                           expand_in_basis, fundamental_slide,

@@ -28,7 +28,7 @@ from .moves import MaxDiagramsError, ResourceBoundError, generate_kd, \
 from .perms import check_permutation
 from .polynomials import IntPolynomial, demazure_character, \
     fundamental_slide, schubert_polynomial
-from .verify import SUITES, run_suite
+from .verify import SUITES, run_suite, suite_bounds
 
 
 class UsageError(ValueError):
@@ -168,13 +168,17 @@ def cmd_crystal(args) -> int:
 
 
 def cmd_verify(args) -> int:
-    names = list(SUITES) if args.suite == "all" else [args.suite]
-    bounds = {}
-    for key in ("max_parts", "max_size", "n", "box", "max_cells", "t_rows",
-                "samples", "seed", "jobs"):
-        value = getattr(args, key)
-        if value is not None:
-            bounds[key] = value
+    bounds = {key: value for key, value in vars(args).items()
+              if value is not None and key not in ("command", "func", "suite")}
+    if args.suite == "all":
+        names = list(SUITES)
+    else:
+        names = [args.suite]
+        taken = suite_bounds(args.suite)
+        for key in bounds:
+            if key not in taken:
+                raise UsageError(f"--{key.replace('_', '-')} does not apply "
+                                 f"to suite {args.suite}")
     failed = False
     for name in names:
         result = run_suite(name, **bounds)
@@ -244,7 +248,7 @@ def build_parser() -> argparse.ArgumentParser:
 
     p_verify = sub.add_parser("verify", help="run verification sweeps")
     p_verify.add_argument("suite", nargs="?", default="all",
-                          choices=SUITES + ("all",))
+                          choices=(*SUITES, "all"))
     p_verify.add_argument("--max-parts", type=int, default=None)
     p_verify.add_argument("--max-size", type=int, default=None)
     p_verify.add_argument("--n", type=int, default=None)
@@ -254,8 +258,9 @@ def build_parser() -> argparse.ArgumentParser:
     p_verify.add_argument("--t-rows", type=int, default=None)
     p_verify.add_argument("--samples", type=int, default=None)
     p_verify.add_argument("--seed", type=int, default=None)
-    p_verify.add_argument("--jobs", type=int, default=None,
-                          help="fan independent cases out to N processes")
+    p_verify.add_argument("--jobs", type=_positive_int, default=None,
+                          help="fan independent cases out to N processes, "
+                               "at most one per CPU")
     p_verify.set_defaults(func=cmd_verify)
 
     p_member = sub.add_parser("membership",
@@ -282,7 +287,7 @@ def main(argv=None) -> int:
     except ResourceBoundError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 3
-    except ValueError as exc:
+    except (ValueError, AssertionError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 1
 

@@ -11,7 +11,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 
-from .diagrams import Cell, Diagram, is_southwest, weight
+from .diagrams import Cell, Diagram, is_southwest
 from .moves import KohnertSet
 
 
@@ -234,7 +234,6 @@ _EDGE_COLORS = ["blue", "purple", "violet", "red", "green", "orange", "brown"]
 
 
 def crystal_to_dot(graph: CrystalGraph, component_labels=None) -> str:
-    from .moves import _grid_label
     index = {t: i for i, t in enumerate(graph.members)}
     lines = ["digraph kohnert_crystal {",
              '  node [shape=box fontname="monospace"];']
@@ -245,25 +244,10 @@ def crystal_to_dot(graph: CrystalGraph, component_labels=None) -> str:
         lines.append(f"  subgraph cluster_{ci} {{")
         lines.append(f'    label="{label}";')
         for t in sorted(comp):
-            lines.append(f'    n{index[t]} [label="{_grid_label(t)}"];')
+            lines.append(f'    n{index[t]} [label="{t.dot_label()}"];')
         lines.append("  }")
     for t, i, u in sorted(graph.edges, key=lambda e: (index[e[0]], e[1], index[e[2]])):
         color = _EDGE_COLORS[(i - 1) % len(_EDGE_COLORS)]
         lines.append(f'  n{index[t]} -> n{index[u]} [label="{i}" color="{color}"];')
     lines.append("}")
     return "\n".join(lines) + "\n"
-
-
-def crystal_components_json(graph: CrystalGraph) -> str:
-    import json
-    payload = []
-    for ci, comp in enumerate(graph.components):
-        top = graph.highest[ci]
-        lam = tuple(sorted(weight(top), reverse=True))
-        payload.append({
-            "component_id": ci,
-            "size": len(comp),
-            "highest_weight_diagram": sorted(map(list, top.cells)),
-            "partition": list(lam),
-        })
-    return json.dumps(payload)

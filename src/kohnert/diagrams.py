@@ -34,10 +34,6 @@ class Diagram:
     def of(*cells) -> "Diagram":
         return Diagram(frozenset(check_cell(c) for c in cells))
 
-    @staticmethod
-    def from_cells(cells) -> "Diagram":
-        return Diagram.of(*cells)
-
     @cached_property
     def sorted_cells(self) -> tuple[Cell, ...]:
         return tuple(sorted(self.cells))
@@ -92,13 +88,6 @@ class Diagram:
             raise ValueError(f"cell {dst} already present")
         return Diagram(self.cells - {src} | {dst})
 
-    def shift_cols(self, delta: int) -> "Diagram":
-        """Translate all cells horizontally by delta columns."""
-        return Diagram.of(*((c + delta, r) for c, r in self.cells))
-
-    def transpose(self) -> "Diagram":
-        return Diagram.of(*((r, c) for c, r in self.cells))
-
     def to_grid(self) -> str:
         """Render as text, one line per row from the top row down to row 1.
 
@@ -114,21 +103,15 @@ class Diagram:
             lines.append("".join("O" if c in occupied else "." for c in range(1, width + 1)))
         return "\n".join(lines)
 
+    def dot_label(self) -> str:
+        """The grid as a left-justified DOT label; '(empty)' for no cells."""
+        return (self.to_grid() or "(empty)").replace("\n", "\\l") + "\\l"
+
     @staticmethod
     def from_grid(text: str) -> "Diagram":
-        """Parse the textual grid format; '#' lines are comments.
-
-        The last non-comment line is row 1, the line above it row 2, etc.
-        """
-        raw = text.split("\n")
-        if raw and raw[-1] == "":
-            raw = raw[:-1]
-        lines = [(idx, line) for idx, line in enumerate(raw, start=1)
-                 if not line.startswith("#")]
-        total = len(lines)
+        """Parse the textual grid format; see ``grid_rows``."""
         cells = []
-        for pos, (idx, line) in enumerate(lines, start=1):
-            r = total - pos + 1
+        for idx, r, line in grid_rows(text):
             for col0, ch in enumerate(line):
                 if ch == "O":
                     cells.append((col0 + 1, r))
@@ -136,6 +119,21 @@ class Diagram:
                     raise GridParseError(
                         f"line {idx}, column {col0 + 1}: unexpected character {ch!r}")
         return Diagram.of(*cells)
+
+
+def grid_rows(text: str):
+    """Yield (line number, row, line) for each line of grid text.
+
+    Lines starting with '#' are comments.  The last other line is row 1,
+    the line above it row 2, and so on.
+    """
+    raw = text.split("\n")
+    if raw and raw[-1] == "":
+        raw = raw[:-1]
+    lines = [(idx, line) for idx, line in enumerate(raw, start=1)
+             if not line.startswith("#")]
+    for pos, (idx, line) in enumerate(lines):
+        yield idx, len(lines) - pos, line
 
 
 def weight(diagram: Diagram, n: int | None = None) -> tuple[int, ...]:

@@ -17,7 +17,7 @@ from functools import cached_property
 from .compositions import Composition, check_composition
 from .crystal import raising, rectify, rectify_column
 from .diagrams import (Cell, Diagram, GridParseError, column_weights,
-                       composition_diagram, is_composition_diagram,
+                       composition_diagram, grid_rows, is_composition_diagram,
                        is_southwest, weight)
 from .moves import generate_kd
 from .perms import sort_and_minimal_perm
@@ -77,16 +77,9 @@ class Labeling:
 
     @staticmethod
     def from_grid(text: str) -> "Labeling":
-        """Parse the labeled grid format; '#' lines are comments."""
-        raw = text.split("\n")
-        if raw and raw[-1] == "":
-            raw = raw[:-1]
-        lines = [(idx, line) for idx, line in enumerate(raw, start=1)
-                 if not line.startswith("#")]
-        total = len(lines)
+        """Parse the labeled grid format; see ``grid_rows``."""
         cells: dict[Cell, int] = {}
-        for pos, (idx, line) in enumerate(lines, start=1):
-            r = total - pos + 1
+        for idx, r, line in grid_rows(text):
             col = 0
             i = 0
             while i < len(line):

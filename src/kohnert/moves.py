@@ -68,27 +68,6 @@ def kohnert_move(diagram: Diagram, r: int) -> Diagram | None:
     return None
 
 
-def reverse_kohnert_moves(diagram: Diagram, max_row: int | None = None) -> list[tuple[Diagram, int]]:
-    """All (source, row) pairs whose Kohnert move yields this diagram.
-
-    Candidate sources lift one cell within its column up to ``max_row``
-    (default: the top occupied row of the diagram itself).
-    """
-    if max_row is None:
-        max_row = diagram.max_row
-    found = []
-    for c, r0 in diagram.sorted_cells:
-        occupied = set(diagram.col(c))
-        for r in range(r0 + 1, max_row + 1):
-            if r in occupied:
-                continue
-            source = diagram.move_cell((c, r0), (c, r))
-            if kohnert_move(source, r) == diagram:
-                found.append((source, r))
-    found.sort(key=lambda pair: (pair[0].sorted_cells, pair[1]))
-    return found
-
-
 @dataclass(frozen=True)
 class KohnertSet:
     source: Diagram
@@ -206,19 +185,12 @@ def kd_to_json(kset: KohnertSet) -> str:
     })
 
 
-def _grid_label(diagram: Diagram) -> str:
-    grid = diagram.to_grid()
-    if not grid:
-        return "(empty)\\l"
-    return grid.replace("\n", "\\l") + "\\l"
-
-
 def kd_to_dot(kset: KohnertSet) -> str:
     index = {t: i for i, t in enumerate(kset.members)}
     lines = ["digraph kohnert_moves {",
              '  node [shape=box fontname="monospace"];']
     for i, t in enumerate(kset.members):
-        lines.append(f'  n{i} [label="{_grid_label(t)}"];')
+        lines.append(f'  n{i} [label="{t.dot_label()}"];')
     for s, t, r in sorted(kset.edges, key=lambda e: (index[e[0]], index[e[1]], e[2])):
         lines.append(f"  n{index[s]} -> n{index[t]} [row={r}];")
     lines.append("}")

@@ -83,17 +83,6 @@ def reduced_word(w: Permutation, last: bool = False) -> tuple[int, ...]:
         w = _swap_values(w, i)
 
 
-def word_to_permutation(word, n: int) -> Permutation:
-    """Recompose a word from reduced_word back into a permutation."""
-    w = list(identity(n))
-    for i in word:
-        if not 1 <= i < n:
-            raise ValueError(f"letter {i} out of range for S_{n}")
-        # composing with s_i on the right swaps positions i and i+1
-        w[i - 1], w[i] = w[i], w[i - 1]
-    return tuple(w)
-
-
 def lehmer_code(w: Permutation) -> tuple[int, ...]:
     """Entry i counts j > i with w(i) > w(j)."""
     w = check_permutation(w)

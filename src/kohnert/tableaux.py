@@ -75,11 +75,8 @@ class Tableau:
                          for row in reversed(self.rows))
 
 
-# The two families share the representation; validity is what differs.
-Ssyt = Tableau
-Sskt = Tableau
-
-
+# SSYT and semistandard key tableaux share the representation; validity
+# is what differs.
 def is_ssyt(t: Tableau, n: int | None = None) -> bool:
     """Partition shape, rows weakly increase, columns strictly increase."""
     shape = t.shape

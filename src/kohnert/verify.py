@@ -8,8 +8,11 @@ raising.  The command line front end exposes these as subcommands of
 
 from __future__ import annotations
 
+import inspect
+import os
 import random
 from dataclasses import dataclass, field
+from functools import partial
 from itertools import combinations
 
 from .compositions import compositions_up_to
@@ -35,9 +38,6 @@ class SuiteResult:
     @property
     def ok(self) -> bool:
         return not self.failures
-
-    def fail(self, message: str) -> None:
-        self.failures.append(message)
 
     def summary(self, max_dumped: int = 5) -> str:
         status = "PASS" if self.ok else "FAIL"
@@ -71,90 +71,96 @@ def random_diagram(rng: random.Random, cols: int, rows: int) -> Diagram:
     return Diagram(frozenset(cells))
 
 
-def _run_cases(cases, worker, jobs: int):
-    """Map a picklable worker over cases, optionally with a process pool."""
+def _run_cases(cases, check, jobs: int) -> list:
+    """Map a picklable check over cases, in a process pool when jobs > 1.
+
+    The pool gets at most one process per CPU.
+    """
+    jobs = min(jobs, os.cpu_count() or 1)
     if jobs > 1:
         from multiprocessing import Pool
         with Pool(jobs) as pool:
-            results = pool.map(worker, cases, chunksize=8)
-    else:
-        results = [worker(case) for case in cases]
-    return results
+            return pool.map(check, cases, chunksize=8)
+    return [check(case) for case in cases]
 
 
-def _kohnert_vs_pi_case(a) -> str | None:
+def _sweep(name: str, cases, check, jobs: int) -> SuiteResult:
+    """Run a case check, which returns (checked, failures), over every case."""
+    result = SuiteResult(name)
+    for checked, failures in _run_cases(cases, check, jobs):
+        result.checked += checked
+        result.failures.extend(failures)
+    return result
+
+
+def _kohnert_vs_pi_case(a) -> tuple[int, list[str]]:
     actual = kohnert_polynomial(composition_diagram(a), n=len(a))
     expected = demazure_character(a)
     if actual.matches(expected):
-        return None
-    return f"a={a}: closure gives {actual!r}, operators give {expected!r}"
+        return 1, []
+    return 1, [f"a={a}: closure gives {actual!r}, operators give {expected!r}"]
 
 
 def verify_kohnert_vs_pi(max_parts: int = 4, max_size: int = 6,
                          jobs: int = 1) -> SuiteResult:
     """Generating polynomial of KD(D(a)) against the Demazure character."""
-    result = SuiteResult("kohnert-vs-pi")
-    cases = list(compositions_up_to(max_size, max_parts))
-    for failure in _run_cases(cases, _kohnert_vs_pi_case, jobs):
-        result.checked += 1
-        if failure is not None:
-            result.fail(failure)
-    return result
+    return _sweep("kohnert-vs-pi", list(compositions_up_to(max_size, max_parts)),
+                  _kohnert_vs_pi_case, jobs)
 
 
-def _schubert_case(w) -> str | None:
+def _schubert_case(w) -> tuple[int, list[str]]:
     actual = kohnert_polynomial(rothe_diagram(w))
     expected = schubert_polynomial(w)
     if actual.matches(expected):
-        return None
-    return f"w={w}: closure gives {actual!r}, operators give {expected!r}"
+        return 1, []
+    return 1, [f"w={w}: closure gives {actual!r}, operators give {expected!r}"]
 
 
 def verify_schubert(n: int = 4, jobs: int = 1) -> SuiteResult:
     """Kohnert rule on Rothe diagrams against divided differences."""
-    result = SuiteResult("schubert")
-    cases = list(all_permutations(n))
-    for failure in _run_cases(cases, _schubert_case, jobs):
-        result.checked += 1
-        if failure is not None:
-            result.fail(failure)
-    return result
+    return _sweep("schubert", list(all_permutations(n)), _schubert_case, jobs)
 
 
-def verify_closure(box: tuple[int, int] = (4, 4),
-                   max_cells: int = 6) -> SuiteResult:
+def _closure_case(rows: int, d: Diagram) -> tuple[int, list[str]]:
+    kset = generate_kd(d)
+    failures = []
+    for t in kset.members:
+        for i in range(1, rows):
+            u = raising(t, i)
+            if u is not None and u not in kset.member_set:
+                failures.append(f"D={d.sorted_cells}, member {t.sorted_cells}"
+                                f", raising {i} escapes to {u.sorted_cells}")
+    return 1, failures
+
+
+def verify_closure(box: tuple[int, int] = (4, 4), max_cells: int = 6,
+                   jobs: int = 1) -> SuiteResult:
     """Raising operators never leave the closure of a southwest diagram."""
     cols, rows = box
-    result = SuiteResult("closure")
-    for d in southwest_in_box(cols, rows, max_cells):
-        kset = generate_kd(d)
-        result.checked += 1
-        for t in kset.members:
-            for i in range(1, rows):
-                u = raising(t, i)
-                if u is not None and u not in kset.member_set:
-                    result.fail(f"D={d.sorted_cells}, member {t.sorted_cells}"
-                                f", raising {i} escapes to {u.sorted_cells}")
-    return result
+    return _sweep("closure", southwest_in_box(cols, rows, max_cells),
+                  partial(_closure_case, rows), jobs)
+
+
+def _commute_case(box: tuple[int, int], t: Diagram) -> tuple[int, list[str]]:
+    cols, rows = box
+    failures = []
+    for r in range(1, rows):
+        for c in range(1, cols):
+            left = raising(rectify_step(t, c), r)
+            lifted = raising(t, r)
+            right = None if lifted is None else rectify_step(lifted, c)
+            if (lifted is None) != (left is None) or left != right:
+                failures.append(f"T={t.sorted_cells}, r={r}, c={c}")
+    return 1, failures
 
 
 def verify_commute(samples: int = 1000, box: tuple[int, int] = (5, 5),
-                   seed: int = 2023) -> SuiteResult:
+                   seed: int = 2023, jobs: int = 1) -> SuiteResult:
     """Raising commutes with single rectification steps, on random input."""
     cols, rows = box
     rng = random.Random(seed)
-    result = SuiteResult("commute")
-    for _ in range(samples):
-        t = random_diagram(rng, cols, rows)
-        result.checked += 1
-        for r in range(1, rows):
-            for c in range(1, cols):
-                left = raising(rectify_step(t, c), r)
-                lifted = raising(t, r)
-                right = None if lifted is None else rectify_step(lifted, c)
-                if (lifted is None) != (left is None) or left != right:
-                    result.fail(f"T={t.sorted_cells}, r={r}, c={c}")
-    return result
+    cases = [random_diagram(rng, cols, rows) for _ in range(samples)]
+    return _sweep("commute", cases, partial(_commute_case, box), jobs)
 
 
 def _column_weight_candidates(d: Diagram, cols: int, rows: int):
@@ -173,21 +179,26 @@ def _column_weight_candidates(d: Diagram, cols: int, rows: int):
     yield from rec(0, frozenset())
 
 
-def verify_membership(box: tuple[int, int] = (3, 3),
-                      t_rows: int = 4) -> SuiteResult:
+def _membership_case(cols: int, t_rows: int, d: Diagram) -> tuple[int, list[str]]:
+    member_set = generate_kd(d).member_set
+    checked = 0
+    failures = []
+    for t in _column_weight_candidates(d, cols, t_rows):
+        checked += 1
+        labelled = membership(t, d)
+        searched = t in member_set
+        if labelled != searched:
+            failures.append(f"D={d.sorted_cells}, T={t.sorted_cells}: "
+                            f"labeling says {labelled}, search says {searched}")
+    return checked, failures
+
+
+def verify_membership(box: tuple[int, int] = (3, 3), t_rows: int = 4,
+                      jobs: int = 1) -> SuiteResult:
     """Labeling membership test against breadth-first search membership."""
     cols, rows = box
-    result = SuiteResult("membership")
-    for d in southwest_in_box(cols, rows):
-        member_set = generate_kd(d).member_set
-        for t in _column_weight_candidates(d, cols, t_rows):
-            result.checked += 1
-            labelled = membership(t, d)
-            searched = t in member_set
-            if labelled != searched:
-                result.fail(f"D={d.sorted_cells}, T={t.sorted_cells}: "
-                            f"labeling says {labelled}, search says {searched}")
-    return result
+    return _sweep("membership", southwest_in_box(cols, rows),
+                  partial(_membership_case, cols, t_rows), jobs)
 
 
 def component_isomorphic(component, crystal: TableauCrystal, n: int) -> str | None:
@@ -249,126 +260,119 @@ def component_isomorphic(component, crystal: TableauCrystal, n: int) -> str | No
     return None
 
 
-def verify_components(box: tuple[int, int] = (3, 3)) -> SuiteResult:
-    """Every crystal component matches its Demazure crystal."""
-    cols, rows = box
-    result = SuiteResult("components")
-    for d in southwest_in_box(cols, rows):
-        graph = crystal_graph(generate_kd(d))
-        for comp in graph.components:
-            result.checked += 1
-            try:
-                lam, w, a = component_demazure_data(comp, d)
-            except (AssertionError, ValueError) as exc:
-                result.fail(f"D={d.sorted_cells}: {exc}")
-                continue
-            n = len(a)
-            for t in comp:
-                for i in range(1, n):
-                    lifted = raising(t, i)
-                    left = raising(rectify(t), i)
-                    right = None if lifted is None else rectify(lifted)
-                    if (lifted is None) != (left is None) or left != right:
-                        result.fail(f"D={d.sorted_cells}: rectify does not "
-                                    f"intertwine raising {i} at {t.sorted_cells}")
-            problem = component_isomorphic(comp, demazure_subset(lam, w, n), n)
-            if problem is not None:
-                result.fail(f"D={d.sorted_cells}, a={a}: {problem}")
-    return result
-
-
-def verify_yamanouchi(box: tuple[int, int] = (3, 3)) -> SuiteResult:
-    """One Yamanouchi member per component; their keys sum to the polynomial."""
-    cols, rows = box
-    result = SuiteResult("yamanouchi")
-    for d in southwest_in_box(cols, rows):
-        result.checked += 1
-        graph = crystal_graph(generate_kd(d))
-        yams = yamanouchi_diagrams(d)
-        if len(yams) != len(graph.components):
-            result.fail(f"D={d.sorted_cells}: {len(yams)} Yamanouchi members, "
-                        f"{len(graph.components)} components")
+def _components_case(d: Diagram) -> tuple[int, list[str]]:
+    components = crystal_graph(generate_kd(d)).components
+    failures = []
+    for comp in components:
+        try:
+            lam, w, a = component_demazure_data(comp, d)
+        except (AssertionError, ValueError) as exc:
+            failures.append(f"D={d.sorted_cells}: {exc}")
             continue
-        for comp in graph.components:
-            if sum(1 for y in yams if y in comp) != 1:
-                result.fail(f"D={d.sorted_cells}: component without exactly "
-                            f"one Yamanouchi member")
-        n = d.max_row
-        total = sum((demazure_character(weight(y, n), n) for y in yams),
-                    start=IntPolynomial.zero(n))
-        if not total.matches(kohnert_polynomial(d, n)):
-            result.fail(f"D={d.sorted_cells}: key sum differs from polynomial")
-    return result
+        n = len(a)
+        for t in comp:
+            for i in range(1, n):
+                lifted = raising(t, i)
+                left = raising(rectify(t), i)
+                right = None if lifted is None else rectify(lifted)
+                if (lifted is None) != (left is None) or left != right:
+                    failures.append(f"D={d.sorted_cells}: rectify does not "
+                                    f"intertwine raising {i} at {t.sorted_cells}")
+        problem = component_isomorphic(comp, demazure_subset(lam, w, n), n)
+        if problem is not None:
+            failures.append(f"D={d.sorted_cells}, a={a}: {problem}")
+    return len(components), failures
 
 
-def verify_slide(box: tuple[int, int] = (3, 3)) -> SuiteResult:
+def verify_components(box: tuple[int, int] = (3, 3), jobs: int = 1) -> SuiteResult:
+    """Every crystal component matches its Demazure crystal."""
+    return _sweep("components", southwest_in_box(*box), _components_case, jobs)
+
+
+def _yamanouchi_case(d: Diagram) -> tuple[int, list[str]]:
+    components = crystal_graph(generate_kd(d)).components
+    yams = yamanouchi_diagrams(d)
+    if len(yams) != len(components):
+        return 1, [f"D={d.sorted_cells}: {len(yams)} Yamanouchi members, "
+                   f"{len(components)} components"]
+    failures = [f"D={d.sorted_cells}: component without exactly "
+                f"one Yamanouchi member"
+                for comp in components if sum(1 for y in yams if y in comp) != 1]
+    n = d.max_row
+    total = sum((demazure_character(weight(y, n), n) for y in yams),
+                start=IntPolynomial.zero(n))
+    if not total.matches(kohnert_polynomial(d, n)):
+        failures.append(f"D={d.sorted_cells}: key sum differs from polynomial")
+    return 1, failures
+
+
+def verify_yamanouchi(box: tuple[int, int] = (3, 3), jobs: int = 1) -> SuiteResult:
+    """One Yamanouchi member per component; their keys sum to the polynomial."""
+    return _sweep("yamanouchi", southwest_in_box(*box), _yamanouchi_case, jobs)
+
+
+def _slide_case(d: Diagram) -> tuple[int, list[str]]:
+    n = d.max_row
+    qys = quasi_yamanouchi_diagrams(d)
+    total = sum((fundamental_slide(weight(t, n), n) for t in qys),
+                start=IntPolynomial.zero(n))
+    failures = []
+    if not total.matches(kohnert_polynomial(d, n)):
+        failures.append(f"D={d.sorted_cells}: slide sum differs from polynomial")
+    qy_set = set(qys)
+    failures.extend(f"D={d.sorted_cells}: Yamanouchi member "
+                    f"{y.sorted_cells} is not quasi-Yamanouchi"
+                    for y in yamanouchi_diagrams(d) if y not in qy_set)
+    return 1, failures
+
+
+def verify_slide(box: tuple[int, int] = (3, 3), jobs: int = 1) -> SuiteResult:
     """Quasi-Yamanouchi members give the fundamental slide expansion."""
-    cols, rows = box
-    result = SuiteResult("slide")
-    for d in southwest_in_box(cols, rows):
-        result.checked += 1
-        n = d.max_row
-        qys = quasi_yamanouchi_diagrams(d)
-        expected = kohnert_polynomial(d, n)
-        total = sum((fundamental_slide(weight(t, n), n) for t in qys),
-                    start=IntPolynomial.zero(n))
-        if not total.matches(expected):
-            result.fail(f"D={d.sorted_cells}: slide sum differs from polynomial")
-        qy_set = set(qys)
-        for y in yamanouchi_diagrams(d):
-            if y not in qy_set:
-                result.fail(f"D={d.sorted_cells}: Yamanouchi member "
-                            f"{y.sorted_cells} is not quasi-Yamanouchi")
-    return result
+    return _sweep("slide", southwest_in_box(*box), _slide_case, jobs)
 
 
-def verify_vexillary(box: tuple[int, int] = (3, 3), n: int = 4) -> SuiteResult:
+def _vexillary_case(case) -> tuple[int, list[str]]:
+    """A southwest diagram, or a permutation in one-line notation."""
+    if isinstance(case, Diagram):
+        single = len(demazure_expansion(case)) == 1
+        chain = is_vexillary_diagram(case)
+        if single == chain:
+            return 1, []
+        return 1, [f"D={case.sorted_cells}: single-term={single}, "
+                   f"row chain={chain}"]
+    failures = []
+    avoiding = not contains_2143(case)
+    if is_vexillary_diagram(rothe_diagram(case)) != avoiding:
+        failures.append(f"w={case}: Rothe row-chain test disagrees with 2143")
+    if avoiding and not schubert_polynomial(case).matches(
+            demazure_character(lehmer_code(case))):
+        failures.append(f"w={case}: Schubert differs from key of Lehmer code")
+    return 1, failures
+
+
+def verify_vexillary(box: tuple[int, int] = (3, 3), n: int = 4,
+                     jobs: int = 1) -> SuiteResult:
     """Single-term key expansions, row chains, and 2143 avoidance."""
-    cols, rows = box
-    result = SuiteResult("vexillary")
-    for d in southwest_in_box(cols, rows):
-        result.checked += 1
-        single = len(demazure_expansion(d)) == 1
-        chain = is_vexillary_diagram(d)
-        if single != chain:
-            result.fail(f"D={d.sorted_cells}: single-term={single}, "
-                        f"row chain={chain}")
-    for w in all_permutations(n):
-        result.checked += 1
-        avoiding = not contains_2143(w)
-        if is_vexillary_diagram(rothe_diagram(w)) != avoiding:
-            result.fail(f"w={w}: Rothe row-chain test disagrees with 2143")
-        if avoiding and not schubert_polynomial(w).matches(
-                demazure_character(lehmer_code(w))):
-            result.fail(f"w={w}: Schubert differs from key of Lehmer code")
-    return result
+    cases = southwest_in_box(*box) + list(all_permutations(n))
+    return _sweep("vexillary", cases, _vexillary_case, jobs)
 
 
-SUITES = ("kohnert-vs-pi", "schubert", "closure", "commute", "membership",
-          "components", "yamanouchi", "slide", "vexillary")
+SUITES = {"kohnert-vs-pi": verify_kohnert_vs_pi, "schubert": verify_schubert,
+          "closure": verify_closure, "commute": verify_commute,
+          "membership": verify_membership, "components": verify_components,
+          "yamanouchi": verify_yamanouchi, "slide": verify_slide,
+          "vexillary": verify_vexillary}
 
 
-def run_suite(name: str, *, max_parts: int = 4, max_size: int = 6,
-              n: int | None = None, box: tuple[int, int] | None = None,
-              max_cells: int = 6, t_rows: int = 4, samples: int = 1000,
-              seed: int = 2023, jobs: int = 1) -> SuiteResult:
-    """Run one named suite with explicit or default bounds."""
-    if name == "kohnert-vs-pi":
-        return verify_kohnert_vs_pi(max_parts, max_size, jobs)
-    if name == "schubert":
-        return verify_schubert(4 if n is None else n, jobs)
-    if name == "closure":
-        return verify_closure(box or (4, 4), max_cells)
-    if name == "commute":
-        return verify_commute(samples, box or (5, 5), seed)
-    if name == "membership":
-        return verify_membership(box or (3, 3), t_rows)
-    if name == "components":
-        return verify_components(box or (3, 3))
-    if name == "yamanouchi":
-        return verify_yamanouchi(box or (3, 3))
-    if name == "slide":
-        return verify_slide(box or (3, 3))
-    if name == "vexillary":
-        return verify_vexillary(box or (3, 3), 4 if n is None else n)
-    raise ValueError(f"unknown suite {name!r}")
+def suite_bounds(name: str) -> tuple[str, ...]:
+    """The bounds a named suite takes: the parameters of its function."""
+    if name not in SUITES:
+        raise ValueError(f"unknown suite {name!r}")
+    return tuple(inspect.signature(SUITES[name]).parameters)
+
+
+def run_suite(name: str, **bounds) -> SuiteResult:
+    """Run one named suite, passing it only the bounds it takes; the
+    suite's own defaults fill in the rest."""
+    taken = suite_bounds(name)
+    return SUITES[name](**{k: v for k, v in bounds.items() if k in taken})

@@ -1,9 +1,13 @@
-"""Reference closure: the breadth-first search over ``Diagram`` objects.
+"""Reference code the tests hold the package to.
 
-This is the closure engine the packed search in ``kohnert.moves``
-replaced.  It applies ``kohnert_move`` to whole diagrams and records
-every edge it walks, so the differential tests can hold the packed
-engine to the same members, edges, polynomial and budget boundary.
+``oracle_generate_kd`` is the breadth-first search over ``Diagram``
+objects that the packed search in ``kohnert.moves`` replaced.  It
+applies ``kohnert_move`` to whole diagrams and records every edge it
+walks, so the differential tests can hold the packed engine to the same
+members, edges, polynomial and budget boundary.
+
+``word_to_permutation`` recomposes a word of simple transpositions, so
+the tests can check ``reduced_word``.
 """
 
 from collections import deque
@@ -11,6 +15,7 @@ from dataclasses import dataclass
 
 from kohnert.diagrams import Diagram
 from kohnert.moves import DEFAULT_MAX_DIAGRAMS, ResourceBoundError, kohnert_move
+from kohnert.perms import Permutation, identity
 
 
 @dataclass(frozen=True)
@@ -40,3 +45,14 @@ def oracle_generate_kd(diagram: Diagram, max_diagrams: int = DEFAULT_MAX_DIAGRAM
     return OracleSet(source=diagram,
                      members=tuple(sorted(seen)),
                      edges=frozenset(edges))
+
+
+def word_to_permutation(word, n: int) -> Permutation:
+    """Recompose a word from reduced_word back into a permutation."""
+    w = list(identity(n))
+    for i in word:
+        if not 1 <= i < n:
+            raise ValueError(f"letter {i} out of range for S_{n}")
+        # composing with s_i on the right swaps positions i and i+1
+        w[i - 1], w[i] = w[i], w[i - 1]
+    return tuple(w)

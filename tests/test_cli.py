@@ -6,6 +6,7 @@ import sys
 
 import pytest
 
+from kohnert import cli
 from kohnert.cli import main
 from kohnert.moves import kohnert_polynomial
 from kohnert.polynomials import demazure_character
@@ -149,6 +150,43 @@ def test_membership_non_member(tmp_path, capsys):
 def test_verify_subcommand(capsys):
     assert main(["verify", "closure", "--box", "2x2", "--max-cells", "4"]) == 0
     assert capsys.readouterr().out.startswith("PASS closure:")
+
+
+def test_verify_refuses_bounds_the_suite_does_not_take(capsys):
+    assert main(["verify", "closure", "--box", "2x2", "--samples", "3"]) == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err == "error: --samples does not apply to suite closure\n"
+
+
+def test_verify_all_passes_each_suite_the_bounds_it_takes(capsys):
+    argv = ["verify", "all", "--max-parts", "2", "--max-size", "2", "--n", "2",
+            "--box", "2x2", "--max-cells", "2", "--t-rows", "2", "--samples", "3"]
+    assert main(argv) == 0
+    lines = capsys.readouterr().out.splitlines()
+    assert len(lines) == 9 and all(line.startswith("PASS ") for line in lines)
+    assert "PASS commute: 3 cases checked" in lines
+
+
+@pytest.mark.parametrize("value", ["-1", "0", "abc"])
+def test_verify_jobs_below_one_is_refused_at_parse_time(capsys, value):
+    with pytest.raises(SystemExit) as exc:
+        main(["verify", "schubert", "--jobs", value])
+    assert exc.value.code == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert "--jobs" in captured.err
+    assert "positive integer" in captured.err
+
+
+def test_crystal_invariant_failure_is_an_error_line(monkeypatch, capsys):
+    def broken(kset):
+        raise AssertionError("component without a unique highest weight")
+    monkeypatch.setattr(cli, "crystal_graph", broken)
+    assert main(["crystal", "--comp", "0,2"]) == 1
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err == "error: component without a unique highest weight\n"
 
 
 def test_exit_code_for_parse_errors(tmp_path, capsys):

@@ -1,14 +1,11 @@
 """Tests for the crystal operators on diagrams and the component graph."""
 
-import json
-
 import pytest
 from hypothesis import given
 from hypothesis import strategies as st
 
 from kohnert.crystal import (
     column_pairing,
-    crystal_components_json,
     crystal_graph,
     crystal_to_dot,
     is_rectified,
@@ -142,7 +139,7 @@ def test_rectify_of_southwest_is_a_composition_diagram():
 
 @given(cell_sets, st.integers(1, 4), st.integers(1, 4))
 def test_raising_commutes_with_rectification_steps(cells, r, c):
-    t = Diagram.from_cells(cells)
+    t = Diagram.of(*cells)
     lifted = raising(t, r)
     left = raising(rectify_step(t, c), r)
     if lifted is None:
@@ -189,16 +186,6 @@ def test_crystal_dot_output():
     for color in ("blue", "purple", "violet"):
         assert color in text
     assert crystal_to_dot(graph).count("component 0") == 1
-
-
-def test_crystal_components_json():
-    graph = crystal_graph(generate_kd(D5))
-    data = json.loads(crystal_components_json(graph))
-    assert [entry["size"] for entry in data] == [9, 10]
-    assert data[0]["partition"] == [3, 2]
-    assert data[1]["partition"] == [3, 1, 1]
-    tops = [Diagram.of(*map(tuple, entry["highest_weight_diagram"])) for entry in data]
-    assert tops == [MEMBERS["S"], MEMBERS["R"]]
 
 
 if __name__ == "__main__":

@@ -51,18 +51,6 @@ def test_move_cell():
         d.move_cell((1, 2), (2, 1))
 
 
-@given(cell_sets)
-def test_transpose_is_an_involution(cells):
-    d = Diagram.from_cells(cells)
-    assert d.transpose().transpose() == d
-    assert len(d.transpose()) == len(d)
-
-
-def test_shift_cols():
-    d = Diagram.of((1, 1), (2, 3))
-    assert d.shift_cols(2) == Diagram.of((3, 1), (4, 3))
-
-
 def test_to_grid_example():
     d = Diagram.of((1, 2), (2, 2), (3, 1))
     assert d.to_grid() == "OO.\n..O"
@@ -83,7 +71,7 @@ def test_from_grid_rejects_bad_characters():
 
 @given(cell_sets)
 def test_grid_round_trip(cells):
-    d = Diagram.from_cells(cells)
+    d = Diagram.of(*cells)
     assert Diagram.from_grid(d.to_grid()) == d
 
 

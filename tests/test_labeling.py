@@ -128,7 +128,7 @@ def test_labeling_diagram():
 
 @given(st.sets(st.tuples(st.integers(1, 4), st.integers(1, 4)), max_size=8))
 def test_super_standard_labeling_diagram_round_trips(cells):
-    d = Diagram.from_cells(cells)
+    d = Diagram.of(*cells)
     assert labeling_diagram(super_standard(d)) == d
 
 

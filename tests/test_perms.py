@@ -19,8 +19,9 @@ from kohnert.perms import (
     longest,
     reduced_word,
     sort_and_minimal_perm,
-    word_to_permutation,
 )
+
+from oracle import word_to_permutation
 
 
 @st.composite

@@ -1,5 +1,7 @@
 """Tests for the verification sweeps at toy scale."""
 
+import multiprocessing
+import os
 import random
 
 import pytest
@@ -71,10 +73,38 @@ def test_every_suite_passes_at_toy_scale(name):
     assert result.summary().startswith(f"PASS {name}:")
 
 
-def test_run_suite_can_fan_out():
-    result = run_suite("kohnert-vs-pi", max_parts=2, max_size=3, jobs=2)
-    assert result.ok
-    assert result.checked == run_suite("kohnert-vs-pi", max_parts=2, max_size=3).checked
+@pytest.mark.parametrize("name", SUITES)
+def test_run_suite_can_fan_out(name):
+    fanned = run_suite(name, **TINY[name], jobs=2)
+    serial = run_suite(name, **TINY[name])
+    assert (fanned.checked, fanned.failures) == (serial.checked, serial.failures)
+
+
+def test_jobs_are_capped_at_the_cpu_count(monkeypatch):
+    sizes = []
+
+    class SerialPool:
+        """Stands in for multiprocessing.Pool: records its size, maps in process."""
+        def __init__(self, processes):
+            sizes.append(processes)
+
+        def __enter__(self):
+            return self
+
+        def __exit__(self, *exc_info):
+            return False
+
+        def map(self, func, iterable, chunksize=1):
+            return [func(item) for item in iterable]
+
+    monkeypatch.setattr(multiprocessing, "Pool", SerialPool)
+    monkeypatch.setattr(os, "cpu_count", lambda: 3)
+    result = run_suite("schubert", n=3, jobs=1000)
+    assert sizes == [3]
+    assert (result.checked, result.failures) == (6, [])
+    monkeypatch.setattr(os, "cpu_count", lambda: 1)
+    assert run_suite("schubert", n=3, jobs=1000).checked == 6
+    assert sizes == [3]          # one CPU: no pool at all
 
 
 def test_run_suite_rejects_unknown_names():
