@@ -8,12 +8,19 @@ members, edges, polynomial and budget boundary.
 
 ``word_to_permutation`` recomposes a word of simple transpositions, so
 the tests can check ``reduced_word``.
+
+``reverse_kohnert_moves`` enumerates the sources of a Kohnert move by
+lifting cells, so the tests can check ``kohnert_move`` from the other
+side.  ``crystal_components_json`` summarises each crystal component
+(size, partition, highest weight diagram) as JSON.
 """
 
+import json
 from collections import deque
 from dataclasses import dataclass
 
-from kohnert.diagrams import Diagram
+from kohnert.crystal import CrystalGraph
+from kohnert.diagrams import Diagram, weight
 from kohnert.moves import DEFAULT_MAX_DIAGRAMS, ResourceBoundError, kohnert_move
 from kohnert.perms import Permutation, identity
 
@@ -56,3 +63,38 @@ def word_to_permutation(word, n: int) -> Permutation:
         # composing with s_i on the right swaps positions i and i+1
         w[i - 1], w[i] = w[i], w[i - 1]
     return tuple(w)
+
+
+def reverse_kohnert_moves(diagram: Diagram, max_row: int | None = None) -> list[tuple[Diagram, int]]:
+    """All (source, row) pairs whose Kohnert move yields this diagram.
+
+    Candidate sources lift one cell within its column up to ``max_row``
+    (default: the top occupied row of the diagram itself).
+    """
+    if max_row is None:
+        max_row = diagram.max_row
+    found = []
+    for c, r0 in diagram.sorted_cells:
+        occupied = set(diagram.col(c))
+        for r in range(r0 + 1, max_row + 1):
+            if r in occupied:
+                continue
+            source = diagram.move_cell((c, r0), (c, r))
+            if kohnert_move(source, r) == diagram:
+                found.append((source, r))
+    found.sort(key=lambda pair: (pair[0].sorted_cells, pair[1]))
+    return found
+
+
+def crystal_components_json(graph: CrystalGraph) -> str:
+    payload = []
+    for ci, comp in enumerate(graph.components):
+        top = graph.highest[ci]
+        lam = tuple(sorted(weight(top), reverse=True))
+        payload.append({
+            "component_id": ci,
+            "size": len(comp),
+            "highest_weight_diagram": sorted(map(list, top.cells)),
+            "partition": list(lam),
+        })
+    return json.dumps(payload)

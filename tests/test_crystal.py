@@ -1,5 +1,7 @@
 """Tests for the crystal operators on diagrams and the component graph."""
 
+import json
+
 import pytest
 from hypothesis import given
 from hypothesis import strategies as st
@@ -29,6 +31,7 @@ from golden import (
     RAISING_EDGES,
     RECTIFIED,
 )
+from oracle import crystal_components_json
 
 cell_sets = st.sets(st.tuples(st.integers(1, 5), st.integers(1, 5)), max_size=8)
 
@@ -186,6 +189,16 @@ def test_crystal_dot_output():
     for color in ("blue", "purple", "violet"):
         assert color in text
     assert crystal_to_dot(graph).count("component 0") == 1
+
+
+def test_crystal_components_json():
+    graph = crystal_graph(generate_kd(D5))
+    data = json.loads(crystal_components_json(graph))
+    assert [entry["size"] for entry in data] == [9, 10]
+    assert data[0]["partition"] == [3, 2]
+    assert data[1]["partition"] == [3, 1, 1]
+    tops = [Diagram.of(*map(tuple, entry["highest_weight_diagram"])) for entry in data]
+    assert tops == [MEMBERS["S"], MEMBERS["R"]]
 
 
 if __name__ == "__main__":

@@ -19,7 +19,9 @@ from kohnert.moves import (
 from kohnert.polynomials import demazure_character, monomial_generating
 
 from golden import D5, LETTER, MEMBERS, MOVE_EDGES
-from oracle import oracle_generate_kd
+from oracle import oracle_generate_kd, reverse_kohnert_moves
+
+cell_sets = st.sets(st.tuples(st.integers(1, 4), st.integers(1, 4)), max_size=6)
 
 
 def southwest_hull(cells) -> Diagram:
@@ -92,6 +94,21 @@ def test_source_membership():
     kset = generate_kd(D5)
     assert D5 in kset
     assert Diagram.of((9, 9)) not in kset
+
+
+@given(cell_sets, st.integers(1, 5))
+def test_reverse_moves_list_each_forward_move(cells, r):
+    d = Diagram.of(*cells)
+    dropped = kohnert_move(d, r)
+    if dropped is not None:
+        assert (d, r) in reverse_kohnert_moves(dropped, max_row=d.max_row)
+
+
+@given(cell_sets)
+def test_reverse_moves_are_genuine(cells):
+    d = Diagram.of(*cells)
+    for source, r in reverse_kohnert_moves(d, max_row=6):
+        assert kohnert_move(source, r) == d
 
 
 def test_kohnert_polynomial_of_the_sample_closure():
