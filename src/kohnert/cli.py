@@ -58,14 +58,21 @@ def _parse_box(text: str) -> tuple[int, int]:
     return int(m.group(1)), int(m.group(2))
 
 
-def _positive_int(text: str) -> int:
-    try:
-        value = int(text)
-    except ValueError:
-        value = 0
-    if value < 1:
-        raise argparse.ArgumentTypeError(f"expected a positive integer, got {text!r}")
-    return value
+def _int_at_least(low: int, kind: str):
+    """An argparse type for integers of at least ``low``."""
+    def parse(text: str) -> int:
+        try:
+            value = int(text)
+        except ValueError:
+            value = low - 1
+        if value < low:
+            raise argparse.ArgumentTypeError(f"expected a {kind} integer, got {text!r}")
+        return value
+    return parse
+
+
+_positive_int = _int_at_least(1, "positive")
+_nonnegative_int = _int_at_least(0, "nonnegative")
 
 
 def _read_diagram_file(path: str) -> Diagram:
@@ -249,14 +256,14 @@ def build_parser() -> argparse.ArgumentParser:
     p_verify = sub.add_parser("verify", help="run verification sweeps")
     p_verify.add_argument("suite", nargs="?", default="all",
                           choices=(*SUITES, "all"))
-    p_verify.add_argument("--max-parts", type=int, default=None)
-    p_verify.add_argument("--max-size", type=int, default=None)
-    p_verify.add_argument("--n", type=int, default=None)
+    p_verify.add_argument("--max-parts", type=_nonnegative_int, default=None)
+    p_verify.add_argument("--max-size", type=_nonnegative_int, default=None)
+    p_verify.add_argument("--n", type=_nonnegative_int, default=None)
     p_verify.add_argument("--box", type=_parse_box, default=None,
                           metavar="CxR", help="box bound, like 3x3")
-    p_verify.add_argument("--max-cells", type=int, default=None)
-    p_verify.add_argument("--t-rows", type=int, default=None)
-    p_verify.add_argument("--samples", type=int, default=None)
+    p_verify.add_argument("--max-cells", type=_nonnegative_int, default=None)
+    p_verify.add_argument("--t-rows", type=_nonnegative_int, default=None)
+    p_verify.add_argument("--samples", type=_positive_int, default=None)
     p_verify.add_argument("--seed", type=int, default=None)
     p_verify.add_argument("--jobs", type=_positive_int, default=None,
                           help="fan independent cases out to N processes, "

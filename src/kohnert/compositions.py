@@ -38,35 +38,6 @@ def flatten(a) -> Composition:
     return tuple(x for x in a if x > 0)
 
 
-def refines(fine, coarse) -> bool:
-    """True if consecutive blocks of ``fine`` sum to the parts of ``coarse``.
-
-    Both arguments must have all parts positive.
-    """
-    it = iter(fine)
-    for part in coarse:
-        acc = 0
-        while acc < part:
-            try:
-                acc += next(it)
-            except StopIteration:
-                return False
-        if acc != part:
-            return False
-    return next(it, None) is None
-
-
-def dominates(b, a) -> bool:
-    """Prefix-sum dominance: b_1+...+b_k >= a_1+...+a_k for every k."""
-    sb = sa = 0
-    for x, y in zip(b, a):
-        sb += x
-        sa += y
-        if sb < sa:
-            return False
-    return True
-
-
 def compositions_of(total: int, length: int):
     """Yield all weak compositions of ``total`` into ``length`` parts."""
     if length == 0:

@@ -14,13 +14,14 @@ from __future__ import annotations
 from dataclasses import dataclass
 from functools import cached_property
 
-from .compositions import Composition, check_composition
-from .crystal import raising, rectify, rectify_column
+from .compositions import Composition, check_composition, pad
+from .crystal import crystal_graph, raising, rectify, rectify_column
 from .diagrams import (Cell, Diagram, GridParseError, column_weights,
                        composition_diagram, grid_rows, is_composition_diagram,
                        is_southwest, weight)
-from .moves import generate_kd
+from .moves import generate_kd, kohnert_polynomial
 from .perms import sort_and_minimal_perm
+from .polynomials import expand_in_basis
 
 
 @dataclass(frozen=True)
@@ -312,18 +313,36 @@ def _yamanouchi_core(y: Diagram, d: Diagram) -> bool:
 
 
 def yamanouchi_diagrams(d: Diagram, max_diagrams=None) -> list[Diagram]:
-    """The Yamanouchi members of the closure of d, sorted."""
+    """The Yamanouchi members of the closure of d, sorted: a scan of every
+    member, kept as the reference demazure_expansion is checked against."""
     if not is_southwest(d):
         raise ValueError("Yamanouchi analysis requires a southwest diagram")
     kset = generate_kd(d, max_diagrams)
     return [t for t in kset.members if _yamanouchi_core(t, d)]
 
 
+def _component_key(u: Diagram, d: Diagram) -> Composition:
+    """The key index a of the crystal component whose highest member is u:
+    the weight of the labeling diagram of u's rectified labeling."""
+    lab = kohnert_labeling(u, d)
+    if lab is None or not is_flagged(lab):
+        raise ValueError("component contains a non-member")
+    _, rl = rect_labeling(u, lab)
+    label_dgm = labeling_diagram(rl)
+    if not is_composition_diagram(label_dgm):
+        raise AssertionError("rectified labels are not a composition diagram")
+    return weight(label_dgm)
+
+
 def demazure_expansion(d: Diagram, max_diagrams=None) -> list[Composition]:
-    """Weights of the Yamanouchi members: the multiset e with
-    kohnert_polynomial(d) equal to the sum of Demazure characters over e."""
-    n = d.max_row
-    return sorted(weight(y, n) for y in yamanouchi_diagrams(d, max_diagrams))
+    """The multiset e with kohnert_polynomial(d) equal to the sum of
+    Demazure characters over e: one key index per crystal component,
+    read off its highest member.  Each component holds exactly one
+    Yamanouchi member, whose weight this is."""
+    if not is_southwest(d):
+        raise ValueError("Yamanouchi analysis requires a southwest diagram")
+    graph = crystal_graph(generate_kd(d, max_diagrams))
+    return sorted(pad(_component_key(u, d), d.max_row) for u in graph.highest)
 
 
 def is_quasi_yamanouchi(t: Diagram, d: Diagram) -> bool:
@@ -350,7 +369,8 @@ def _quasi_yamanouchi_core(t: Diagram, d: Diagram) -> bool:
 
 
 def quasi_yamanouchi_diagrams(d: Diagram, max_diagrams=None) -> list[Diagram]:
-    """The quasi-Yamanouchi members of the closure of d, sorted."""
+    """The quasi-Yamanouchi members of the closure of d, sorted: a scan of
+    every member, kept as the reference slide_expansion is checked against."""
     if not is_southwest(d):
         raise ValueError("slide analysis requires a southwest diagram")
     kset = generate_kd(d, max_diagrams)
@@ -358,10 +378,14 @@ def quasi_yamanouchi_diagrams(d: Diagram, max_diagrams=None) -> list[Diagram]:
 
 
 def slide_expansion(d: Diagram, max_diagrams=None) -> list[Composition]:
-    """Weights of the quasi-Yamanouchi members: the multiset e with
-    kohnert_polynomial(d) equal to the sum of slide polynomials over e."""
-    n = d.max_row
-    return sorted(weight(t, n) for t in quasi_yamanouchi_diagrams(d, max_diagrams))
+    """The multiset e with kohnert_polynomial(d) equal to the sum of slide
+    polynomials over e, peeled off the polynomial; slide polynomials are
+    a basis, so e is the weights of the quasi-Yamanouchi members."""
+    if not is_southwest(d):
+        raise ValueError("slide analysis requires a southwest diagram")
+    f = kohnert_polynomial(d, d.max_row, max_diagrams)
+    return sorted(a for a, coef in expand_in_basis(f, "slide").items()
+                  for _ in range(coef))
 
 
 def is_vexillary_diagram(d: Diagram) -> bool:
@@ -418,14 +442,7 @@ def component_demazure_data(component, d: Diagram):
     if len(tops) != 1:
         raise ValueError("not a single crystal component")
     u = tops[0]
-    lab = kohnert_labeling(u, d)
-    if lab is None or not is_flagged(lab):
-        raise ValueError("component contains a non-member")
-    _, rl = rect_labeling(u, lab)
-    label_dgm = labeling_diagram(rl)
-    if not is_composition_diagram(label_dgm):
-        raise AssertionError("rectified labels are not a composition diagram")
-    a = weight(label_dgm)
+    a = _component_key(u, d)
     lam, w = sort_and_minimal_perm(a)
     if weight(u, len(a)) != lam:
         raise AssertionError("highest weight does not match the sorted labels")

@@ -7,8 +7,9 @@ exponent tuples of length n to nonzero integer coefficients.
 from __future__ import annotations
 
 import json
+from itertools import accumulate
 
-from .compositions import check_composition, compositions_of, dominates, flatten, pad, refines
+from .compositions import check_composition, flatten, pad
 from .perms import (Permutation, check_permutation, compose, longest,
                     reduced_word, sort_and_minimal_perm)
 
@@ -202,19 +203,37 @@ def demazure_character(a, n: int | None = None) -> IntPolynomial:
 
 
 def fundamental_slide(a, n: int | None = None) -> IntPolynomial:
-    """Sum of x^b over b dominating a whose flattening refines flat(a)."""
+    """Sum of x^b over b dominating a whose flattening refines flat(a).
+
+    The terms are built directly: each nonzero part of a is split into
+    consecutive positive pieces, placed left to right, and a branch is
+    cut as soon as a prefix sum of b falls below that of a.
+    """
     a = check_composition(a)
     if n is None:
         n = len(a)
     if n < len(a):
         raise ValueError("n smaller than the number of parts")
     a = pad(a, n)
-    fa = flatten(a)
-    total = sum(a)
+    parts = flatten(a) + (0,)      # a 0 after the last part: nothing left to place
+    floor = list(accumulate(a))
     terms: dict[tuple[int, ...], int] = {}
-    for b in compositions_of(total, n):
-        if dominates(b, a) and refines(flatten(b), fa):
-            terms[b] = 1
+    b = [0] * n
+
+    def place(i: int, j: int, left: int, total: int) -> None:
+        # b[:i] is set and sums to total; part j has `left` still to place
+        if i == n:
+            terms[tuple(b)] = 1     # total == floor[-1]: every part is placed
+            return
+        for v in range(max(floor[i] - total, 0), left + 1):
+            b[i] = v
+            if v == left and v:
+                place(i + 1, j + 1, parts[j + 1], total + v)
+            else:
+                place(i + 1, j, left - v, total + v)
+        b[i] = 0
+
+    place(0, 0, parts[0], 0)
     return IntPolynomial(n, terms)
 
 
@@ -244,12 +263,18 @@ def expand_in_basis(f: IntPolynomial, basis: str) -> dict[tuple[int, ...], int]:
     if basis not in _BASES:
         raise ValueError(f"unknown basis {basis!r}")
     gen = _BASES[basis]
+    rest = dict(f.terms)
     out: dict[tuple[int, ...], int] = {}
-    while not f.is_zero():
-        a = max(f.terms, key=lambda e: e[::-1])
-        coef = f.terms[a]
+    while rest:
+        a = max(rest, key=lambda e: e[::-1])
+        coef = rest[a]
         if coef < 0:
             raise ExpansionError("not nonnegative in this basis")
         out[a] = coef
-        f = f - gen(a, f.n).scale(coef)
+        for e, c in gen(a, f.n).terms.items():
+            left = rest.get(e, 0) - coef * c
+            if left:
+                rest[e] = left
+            else:
+                del rest[e]
     return out

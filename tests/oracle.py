@@ -13,16 +13,26 @@ the tests can check ``reduced_word``.
 lifting cells, so the tests can check ``kohnert_move`` from the other
 side.  ``crystal_components_json`` summarises each crystal component
 (size, partition, highest weight diagram) as JSON.
+
+``oracle_fundamental_slide`` is the filter over every weak composition
+of |a| that the direct construction in ``kohnert.polynomials`` replaced,
+with the refinement and dominance orders it filters by.
+
+``southwest_hull`` closes a set of cells under the southwest condition,
+so property tests can draw southwest diagrams.
 """
 
 import json
 from collections import deque
 from dataclasses import dataclass
+from functools import lru_cache
 
+from kohnert.compositions import compositions_of, flatten, pad
 from kohnert.crystal import CrystalGraph
 from kohnert.diagrams import Diagram, weight
 from kohnert.moves import DEFAULT_MAX_DIAGRAMS, ResourceBoundError, kohnert_move
 from kohnert.perms import Permutation, identity
+from kohnert.polynomials import IntPolynomial
 
 
 @dataclass(frozen=True)
@@ -98,3 +108,58 @@ def crystal_components_json(graph: CrystalGraph) -> str:
             "partition": list(lam),
         })
     return json.dumps(payload)
+
+
+def refines(fine, coarse) -> bool:
+    """True if consecutive blocks of ``fine`` sum to the parts of ``coarse``.
+
+    Both arguments must have all parts positive.
+    """
+    it = iter(fine)
+    for part in coarse:
+        acc = 0
+        while acc < part:
+            try:
+                acc += next(it)
+            except StopIteration:
+                return False
+        if acc != part:
+            return False
+    return next(it, None) is None
+
+
+def dominates(b, a) -> bool:
+    """Prefix-sum dominance: b_1+...+b_k >= a_1+...+a_k for every k."""
+    sb = sa = 0
+    for x, y in zip(b, a):
+        sb += x
+        sa += y
+        if sb < sa:
+            return False
+    return True
+
+
+@lru_cache(maxsize=None)
+def _flattened_compositions(total: int, n: int) -> tuple:
+    # cached: the exhaustive slide test asks for each (total, n) many times
+    return tuple((b, flatten(b)) for b in compositions_of(total, n))
+
+
+def oracle_fundamental_slide(a, n: int) -> IntPolynomial:
+    """Sum of x^b over the weak compositions b of |a| into n parts that
+    dominate a and whose flattening refines flat(a)."""
+    a = pad(a, n)
+    fa = flatten(a)
+    return IntPolynomial(n, {b: 1 for b, fb in _flattened_compositions(sum(a), n)
+                             if dominates(b, a) and refines(fb, fa)})
+
+
+def southwest_hull(cells) -> Diagram:
+    """The smallest southwest diagram holding the cells: add missing corners."""
+    cells = set(cells)
+    while True:
+        corners = {(c1, r1) for c1, r2 in cells for c2, r1 in cells
+                   if c1 < c2 and r1 < r2} - cells
+        if not corners:
+            return Diagram.of(*cells)
+        cells |= corners

@@ -179,6 +179,25 @@ def test_verify_jobs_below_one_is_refused_at_parse_time(capsys, value):
     assert "positive integer" in captured.err
 
 
+@pytest.mark.parametrize("suite, flag, value, kind", [
+    ("kohnert-vs-pi", "--max-parts", "-1", "nonnegative"),
+    ("kohnert-vs-pi", "--max-size", "-1", "nonnegative"),
+    ("schubert", "--n", "-1", "nonnegative"),
+    ("closure", "--max-cells", "-1", "nonnegative"),
+    ("membership", "--t-rows", "-1", "nonnegative"),
+    ("commute", "--samples", "0", "positive"),
+    ("commute", "--samples", "-5", "positive"),
+])
+def test_verify_bounds_below_their_range_are_refused_at_parse_time(capsys, suite, flag,
+                                                                    value, kind):
+    with pytest.raises(SystemExit) as exc:
+        main(["verify", suite, flag, value])
+    assert exc.value.code == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert f"argument {flag}: expected a {kind} integer, got '{value}'" in captured.err
+
+
 def test_crystal_invariant_failure_is_an_error_line(monkeypatch, capsys):
     def broken(kset):
         raise AssertionError("component without a unique highest weight")

@@ -1,7 +1,7 @@
 """Tests for diagram labelings: membership, Yamanouchi members, expansions."""
 
 import pytest
-from hypothesis import given
+from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from kohnert.diagrams import (
@@ -37,11 +37,15 @@ from kohnert.labeling import (
 )
 from kohnert.compositions import compositions_up_to
 from kohnert.crystal import crystal_graph
-from kohnert.moves import generate_kd, kohnert_polynomial
+from kohnert.moves import ResourceBoundError, generate_kd, kohnert_polynomial
 from kohnert.perms import all_permutations, contains_2143
 from kohnert.verify import _column_weight_candidates, southwest_in_box
 
 from golden import COMPONENT_LARGE, COMPONENT_SMALL, D5, LETTER, MEMBERS
+from oracle import southwest_hull
+
+southwest_diagrams = st.sets(st.tuples(st.integers(1, 4), st.integers(1, 5)),
+                             max_size=6).map(southwest_hull)
 
 # a worked fourteen-cell example: a labeled member T14 of the closure of
 # D14, with its fully rectified labeling frozen below
@@ -297,6 +301,43 @@ def test_rectified_labels_are_constant_per_component():
             _, rl = rect_labeling(member, kohnert_labeling(member, D5))
             assert labeling_diagram(rl) == composition_diagram(a), key
             assert is_kohnert_tableau(rl, a), key
+
+
+@settings(deadline=None, max_examples=50)
+@given(southwest_diagrams)
+def test_key_expansion_matches_the_yamanouchi_oracle(d):
+    n = d.max_row
+    assert demazure_expansion(d) == sorted(weight(y, n) for y in yamanouchi_diagrams(d))
+
+
+@settings(deadline=None, max_examples=50)
+@given(southwest_diagrams)
+def test_slide_expansion_matches_the_quasi_yamanouchi_oracle(d):
+    n = d.max_row
+    assert slide_expansion(d) == sorted(weight(t, n) for t in quasi_yamanouchi_diagrams(d))
+
+
+def test_expansions_of_the_empty_diagram():
+    assert demazure_expansion(Diagram.of()) == [()]
+    assert slide_expansion(Diagram.of()) == [()]
+
+
+@pytest.mark.parametrize("expand", [demazure_expansion, slide_expansion])
+def test_expansion_budget_boundary(expand):
+    size = len(generate_kd(D5).members)
+    assert expand(D5, max_diagrams=size) == expand(D5)
+    with pytest.raises(ResourceBoundError, match="KOHNERT_MAX_DIAGRAMS"):
+        expand(D5, max_diagrams=size - 1)
+
+
+def test_expansions_refuse_non_southwest_diagrams():
+    d = Diagram.of((1, 2), (2, 1))
+    with pytest.raises(ValueError) as err:
+        demazure_expansion(d)
+    assert str(err.value) == "Yamanouchi analysis requires a southwest diagram"
+    with pytest.raises(ValueError) as err:
+        slide_expansion(d)
+    assert str(err.value) == "slide analysis requires a southwest diagram"
 
 
 def test_is_vexillary_diagram_examples():

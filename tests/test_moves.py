@@ -19,22 +19,9 @@ from kohnert.moves import (
 from kohnert.polynomials import demazure_character, monomial_generating
 
 from golden import D5, LETTER, MEMBERS, MOVE_EDGES
-from oracle import oracle_generate_kd, reverse_kohnert_moves
+from oracle import oracle_generate_kd, reverse_kohnert_moves, southwest_hull
 
 cell_sets = st.sets(st.tuples(st.integers(1, 4), st.integers(1, 4)), max_size=6)
-
-
-def southwest_hull(cells) -> Diagram:
-    """The smallest southwest diagram holding the cells: add missing corners."""
-    cells = set(cells)
-    while True:
-        corners = {(c1, r1) for c1, r2 in cells for c2, r1 in cells
-                   if c1 < c2 and r1 < r2} - cells
-        if not corners:
-            return Diagram.of(*cells)
-        cells |= corners
-
-
 box_cells = st.sets(st.tuples(st.integers(1, 4), st.integers(1, 5)), max_size=6)
 diagrams = st.one_of(box_cells.map(lambda cells: Diagram.of(*cells)), box_cells.map(southwest_hull))
 ROTHE_S5 = rothe_diagram((2, 1, 5, 4, 3))

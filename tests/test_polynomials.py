@@ -4,6 +4,7 @@ import pytest
 from hypothesis import given
 from hypothesis import strategies as st
 
+from kohnert.compositions import compositions_up_to
 from kohnert.perms import (
     all_permutations,
     compose,
@@ -26,6 +27,8 @@ from kohnert.polynomials import (
     pi_op,
     schubert_polynomial,
 )
+
+from oracle import oracle_fundamental_slide
 
 
 @st.composite
@@ -236,6 +239,12 @@ def test_fundamental_slide_support(parts):
         assert f.terms[e] == 1
         assert sum(e) == sum(a)
         assert all(sum(e[:k]) >= sum(a[:k]) for k in range(len(a)))
+
+
+def test_fundamental_slide_matches_the_filter_oracle():
+    for a in compositions_up_to(7, 6):
+        for n in (len(a), len(a) + 1):
+            assert fundamental_slide(a, n) == oracle_fundamental_slide(a, n), (a, n)
 
 
 def test_monomial_generating():

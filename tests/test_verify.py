@@ -6,6 +6,8 @@ import random
 
 import pytest
 
+from kohnert import crystal, verify
+from kohnert.crystal import row_pairing
 from kohnert.diagrams import is_southwest
 from kohnert.verify import SUITES, SuiteResult, random_diagram, run_suite, southwest_in_box
 
@@ -78,6 +80,33 @@ def test_run_suite_can_fan_out():
         fanned = run_suite(name, **TINY[name], jobs=2)
         serial = run_suite(name, **TINY[name])
         assert (fanned.checked, fanned.failures) == (serial.checked, serial.failures), name
+
+
+def _leftmost_raising(diagram, i):
+    """Raising that drops the leftmost unpaired cell: it leaves closures."""
+    pairing = row_pairing(diagram, i)
+    if not pairing.unpaired_high:
+        return None
+    c, _ = pairing.unpaired_high[0]
+    return diagram.move_cell((c, i + 1), (c, i))
+
+
+def test_crystal_invariant_failures_are_counterexamples(monkeypatch):
+    monkeypatch.setattr(crystal, "raising", _leftmost_raising)
+    for name in ("components", "yamanouchi", "vexillary"):
+        result = run_suite(name, **TINY[name])       # serial: no pool
+        assert result.summary().startswith(f"FAIL {name}:")
+        assert result.failures == ["D=((1, 2), (2, 2)): southwest closure not stable "
+                                   "under raising at i=1: ((1, 2), (2, 2))"], name
+
+
+def test_sweeps_hold_the_expansion_routes_to_their_oracles(monkeypatch):
+    monkeypatch.setattr(verify, "demazure_expansion", lambda d: [])
+    monkeypatch.setattr(verify, "slide_expansion", lambda d: [])
+    for name, oracle in (("yamanouchi", "Yamanouchi"), ("slide", "quasi-Yamanouchi")):
+        result = run_suite(name, **TINY[name])
+        assert result.failures and all(item.endswith(f"differs from the {oracle} weights")
+                                       for item in result.failures), name
 
 
 def test_jobs_are_capped_at_the_cpu_count(monkeypatch):
