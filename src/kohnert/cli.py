@@ -53,8 +53,9 @@ def _parse_perm(text: str) -> tuple[int, ...]:
 
 def _parse_box(text: str) -> tuple[int, int]:
     m = re.fullmatch(r"(\d+)x(\d+)", text)
-    if not m:
-        raise argparse.ArgumentTypeError(f"expected COLSxROWS, got {text!r}")
+    if not m or min(int(m.group(1)), int(m.group(2))) < 1:
+        raise argparse.ArgumentTypeError(
+            f"expected COLSxROWS with both sides at least 1, got {text!r}")
     return int(m.group(1)), int(m.group(2))
 
 
@@ -234,7 +235,7 @@ def build_parser() -> argparse.ArgumentParser:
                        help="Demazure character of a composition")
     group.add_argument("--slide", metavar="A",
                        help="fundamental slide polynomial of a composition")
-    p_poly.add_argument("--n", type=int, default=None,
+    p_poly.add_argument("--n", type=_nonnegative_int, default=None,
                         help="number of variables")
     p_poly.add_argument("--max-diagrams", type=_positive_int, default=None)
     p_poly.set_defaults(func=cmd_poly)

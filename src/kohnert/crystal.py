@@ -98,19 +98,6 @@ def raising(diagram: Diagram, i: int) -> Diagram | None:
     return diagram.move_cell((c, i + 1), (c, i))
 
 
-def lowering(diagram: Diagram, i: int, context: KohnertSet) -> Diagram | None:
-    """Lift the leftmost unpaired row-i cell to row i+1 when the result
-    stays inside the closure, else None."""
-    if diagram not in context.member_set:
-        raise ValueError("diagram is not a member of the given closure")
-    pairing = row_pairing(diagram, i)
-    if not pairing.unpaired_low:
-        return None
-    c, _ = pairing.unpaired_low[0]
-    lifted = diagram.move_cell((c, i), (c, i + 1))
-    return lifted if lifted in context.member_set else None
-
-
 def rectify_step(diagram: Diagram, c: int) -> Diagram:
     """Move the lowest unpaired column-(c+1) cell left, or return unchanged."""
     pairing = column_pairing(diagram, c)
@@ -154,80 +141,68 @@ class CrystalGraph:
     members: tuple[Diagram, ...]
     max_index: int
     edges: frozenset[tuple[Diagram, int, Diagram]]      # raising edges
-    components: tuple[frozenset[Diagram], ...]
+    components: tuple[frozenset[Diagram], ...]          # by (size, least member)
     highest: tuple[Diagram, ...]                        # one per component
-    escaping: frozenset[tuple[int, Diagram]]            # (i, member) raised outside
-
-    def component_of(self, diagram: Diagram) -> int:
-        for idx, comp in enumerate(self.components):
-            if diagram in comp:
-                return idx
-        raise KeyError(diagram)
 
 
-def crystal_graph(kset: KohnertSet, allow_non_southwest: bool = False) -> CrystalGraph:
-    """Raising-operator graph over a closure, split into components.
+def crystal_graph(kset: KohnertSet) -> CrystalGraph:
+    """Raising-operator graph over the closure of a southwest diagram,
+    split into components.
 
-    Refuses a non-southwest source unless told otherwise, since only
-    southwest sources are guaranteed closed under the operators; with the
-    override, edges leaving the closure are dropped but recorded.
+    Only southwest sources are guaranteed closed under the operators, so
+    any other source is refused.
     """
     source = kset.source
-    southwest = is_southwest(source)
-    if not southwest and not allow_non_southwest:
-        raise ValueError("source diagram is not southwest; "
-                         "pass allow_non_southwest=True to force")
+    if not is_southwest(source):
+        raise ValueError("source diagram is not southwest")
     members = kset.members
     member_set = kset.member_set
     max_index = max(source.max_row - 1, 0)
     edges = []
-    escaping = []
     for t in members:
         for i in range(1, max_index + 1):
             u = raising(t, i)
             if u is None:
                 continue
-            if u in member_set:
-                edges.append((t, i, u))
-            else:
-                if southwest:
-                    raise AssertionError(
-                        f"southwest closure not stable under raising at i={i}: {t.sorted_cells}")
-                escaping.append((i, t))
+            if u not in member_set:
+                raise AssertionError(
+                    f"southwest closure not stable under raising at i={i}: {t.sorted_cells}")
+            edges.append((t, i, u))
     # connected components over the undirected edge relation
     neighbours: dict[Diagram, list[Diagram]] = {t: [] for t in members}
     for t, _, u in edges:
         neighbours[t].append(u)
         neighbours[u].append(t)
-    remaining = set(members)
+    seen: set[Diagram] = set()
     components = []
-    while remaining:
-        seed = min(remaining)
+    for seed in members:
+        if seed in seen:
+            continue
         comp = {seed}
         frontier = [seed]
         while frontier:
-            cur = frontier.pop()
-            for nxt in neighbours[cur]:
+            for nxt in neighbours[frontier.pop()]:
                 if nxt not in comp:
                     comp.add(nxt)
                     frontier.append(nxt)
-        remaining -= comp
+        seen |= comp
         components.append(frozenset(comp))
-    components.sort(key=lambda comp: (len(comp), min(comp).sorted_cells))
+    # members are sorted, so seeds come least member first and a stable
+    # sort by size orders components by (size, least member)
+    components.sort(key=len)
     has_out = {t for t, _, _ in edges}
     highest = []
     for comp in components:
-        tops = sorted(t for t in comp if t not in has_out)
-        if southwest and len(tops) != 1:
+        tops = [t for t in comp if t not in has_out]
+        if len(tops) != 1:
             raise AssertionError("component without a unique highest weight")
-        highest.append(tops[0] if tops else min(comp))
+        highest.append(tops[0])
     return CrystalGraph(source=source,
                         members=members,
                         max_index=max_index,
                         edges=frozenset(edges),
                         components=tuple(components),
-                        highest=tuple(highest),
-                        escaping=frozenset(escaping))
+                        highest=tuple(highest))
 
 
 _EDGE_COLORS = ["blue", "purple", "violet", "red", "green", "orange", "brown"]

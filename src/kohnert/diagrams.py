@@ -188,6 +188,3 @@ def is_southwest(diagram: Diagram) -> bool:
                     if r1 < r2 and r1 not in have1:
                         return False
     return True
-
-
-EMPTY = Diagram(frozenset())

@@ -1,7 +1,7 @@
-"""Diagram labelings and what they decide: Kohnert tableaux, the
-labeling of a diagram with respect to another, a membership test for
-move closures that avoids generating them, and the Demazure and
-fundamental slide expansions of Kohnert polynomials.
+"""Diagram labelings and what they decide: the labeling of a diagram
+with respect to another, a membership test for move closures that
+avoids generating them, and the Demazure and fundamental slide
+expansions of Kohnert polynomials.
 
 A labeling attaches a positive integer to every cell.  Rectifying a
 labeled diagram re-labels cells column by column before they slide
@@ -14,7 +14,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from functools import cached_property
 
-from .compositions import Composition, check_composition, pad
+from .compositions import Composition, pad
 from .crystal import crystal_graph, raising, rectify, rectify_column
 from .diagrams import (Cell, Diagram, GridParseError, column_weights,
                        composition_diagram, grid_rows, is_composition_diagram,
@@ -103,11 +103,6 @@ class Labeling:
                     raise GridParseError(
                         f"line {idx}, column {col}: unexpected character {ch!r}")
         return Labeling.of(Diagram.of(*cells), cells)
-
-
-def super_standard(d: Diagram) -> Labeling:
-    """Label r on every cell of row r."""
-    return Labeling.of(d, {(c, r): r for c, r in d})
 
 
 def is_flagged(lab: Labeling) -> bool:
@@ -264,49 +259,10 @@ def membership_report(t: Diagram, d: Diagram) -> tuple[bool, str]:
     return True, "member"
 
 
-def is_kohnert_tableau(lab: Labeling, a: Composition) -> bool:
-    """Content-a Kohnert tableau test.
-
-    One label i in each column 1..a_i, labels at least their row, each
-    label's cells weakly descending left to right, and every inverted
-    pair within a column excused by a matching label up and to the right.
-    """
-    check_composition(a)
-    by_label: dict[int, dict[int, int]] = {}
-    for (c, r), v in lab.labels:
-        cols = by_label.setdefault(v, {})
-        if c in cols or v > len(a):
-            return False
-        cols[c] = r
-    for i in range(1, len(a) + 1):
-        cols = by_label.get(i, {})
-        if sorted(cols) != list(range(1, a[i - 1] + 1)):
-            return False
-        rows = [cols[c] for c in sorted(cols)]
-        if any(rows[k] < rows[k + 1] for k in range(len(rows) - 1)):
-            return False
-    if not is_flagged(lab):
-        return False
-    for c in range(1, lab.base.max_col + 1):
-        col_rows = sorted(lab.base.col(c))
-        for r_lo in col_rows:
-            for r_hi in col_rows:
-                if r_hi > r_lo and lab.label((c, r_hi)) < lab.label((c, r_lo)):
-                    nxt = by_label[lab.label((c, r_hi))].get(c + 1)
-                    if nxt is None or nxt <= r_lo:
-                        return False
-    return True
-
-
-def is_yamanouchi(y: Diagram, d: Diagram) -> bool:
-    """Whether rectifying y's labeling lands on a super-standard
-    composition diagram; such members index the Demazure expansion."""
-    if not membership(y, d):
-        raise ValueError("diagram is not in the move closure")
-    return _yamanouchi_core(y, d)
-
-
 def _yamanouchi_core(y: Diagram, d: Diagram) -> bool:
+    """Whether rectifying the labeling of y, a member of the closure of
+    d, lands on a super-standard composition diagram; such members index
+    the Demazure expansion."""
     base, rl = rect_labeling(y, kohnert_labeling(y, d))
     return is_composition_diagram(base) and \
         all(v == r for (_, r), v in rl.labels)
@@ -345,19 +301,14 @@ def demazure_expansion(d: Diagram, max_diagrams=None) -> list[Composition]:
     return sorted(pad(_component_key(u, d), d.max_row) for u in graph.highest)
 
 
-def is_quasi_yamanouchi(t: Diagram, d: Diagram) -> bool:
-    """Whether every fully liftable row is pinned by its label.
+def _quasi_yamanouchi_core(t: Diagram, d: Diagram) -> bool:
+    """Whether every fully liftable row of t, a member of the closure of
+    d, is pinned by its label.
 
     A row r with no row-(r+1) cell weakly right of its leftmost cell
     must carry label r there; failing rows could slide up, so t would
     not contribute a fundamental slide term.
     """
-    if not membership(t, d):
-        raise ValueError("diagram is not in the move closure")
-    return _quasi_yamanouchi_core(t, d)
-
-
-def _quasi_yamanouchi_core(t: Diagram, d: Diagram) -> bool:
     lab = kohnert_labeling(t, d)
     for r in sorted({r for _, r in t}):
         leftmost = min(t.row(r))
@@ -393,34 +344,6 @@ def is_vexillary_diagram(d: Diagram) -> bool:
     rows = [set(d.row(r)) for r in range(1, d.max_row + 1) if d.row(r)]
     rows.sort(key=len)
     return all(rows[i] <= rows[i + 1] for i in range(len(rows) - 1))
-
-
-def vexillary_theorem_check(d: Diagram, max_diagrams=None) -> bool:
-    """Whether the Demazure expansion has a single term; checked to
-    agree with the row-chain test."""
-    if not is_southwest(d):
-        raise ValueError("vexillary check requires a southwest diagram")
-    single = len(demazure_expansion(d, max_diagrams)) == 1
-    if single != is_vexillary_diagram(d):
-        raise AssertionError("single-term expansion disagrees with row chains")
-    return single
-
-
-def column_swap(d: Diagram, c: int) -> Diagram | None:
-    """Exchange columns c and c+1 when comparable as row sets, else None.
-
-    On southwest diagrams the swap preserves southwestness and the
-    Kohnert polynomial.
-    """
-    if c < 1:
-        raise ValueError("column index must be >= 1")
-    left = set(d.col(c))
-    right = set(d.col(c + 1))
-    if not (left <= right or right <= left):
-        return None
-    swapped = ((c + 1 if cc == c else c if cc == c + 1 else cc, r)
-               for cc, r in d)
-    return Diagram.of(*swapped)
 
 
 def component_demazure_data(component, d: Diagram):

@@ -19,20 +19,9 @@ def check_permutation(w) -> Permutation:
     return w
 
 
-def identity(n: int) -> Permutation:
-    return tuple(range(1, n + 1))
-
-
 def longest(n: int) -> Permutation:
     """The longest permutation n, n-1, ..., 1."""
     return tuple(range(n, 0, -1))
-
-
-def inverse(w: Permutation) -> Permutation:
-    inv = [0] * len(w)
-    for i, v in enumerate(w):
-        inv[v - 1] = i + 1
-    return tuple(inv)
 
 
 def compose(u: Permutation, v: Permutation) -> Permutation:
@@ -45,14 +34,6 @@ def compose(u: Permutation, v: Permutation) -> Permutation:
 def length(w: Permutation) -> int:
     """Number of inversions."""
     return sum(1 for i in range(len(w)) for j in range(i + 1, len(w)) if w[i] > w[j])
-
-
-def act(w: Permutation, a) -> tuple[int, ...]:
-    """Rearrange a by w: result_i = a_{w(i)}."""
-    a = tuple(a)
-    if len(w) != len(a):
-        raise ValueError("length mismatch")
-    return tuple(a[w[i] - 1] for i in range(len(w)))
 
 
 def _left_descents(w: Permutation) -> list[int]:
@@ -94,7 +75,8 @@ def sort_and_minimal_perm(a) -> tuple[tuple[int, ...], Permutation]:
     """Sort a weak composition and the shortest permutation undoing the sort.
 
     Returns (lam, w) where lam is a weakly decreasing rearrangement of a
-    and w is the unique minimal-length permutation with act(w, lam) == a.
+    and w is the unique minimal-length permutation with a_i = lam_{w(i)}
+    for every i.
     """
     a = tuple(a)
     lam = tuple(sorted(a, reverse=True))

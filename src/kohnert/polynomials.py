@@ -258,7 +258,8 @@ def expand_in_basis(f: IntPolynomial, basis: str) -> dict[tuple[int, ...], int]:
     Works by repeatedly stripping the basis element indexed by the
     surviving monomial that is last in the dominance order (largest when
     exponent tuples are compared reversed).  Raises ExpansionError if a
-    negative coefficient turns up.
+    negative coefficient turns up, or if a basis element leaves its own
+    leading monomial in place, which would pick that monomial forever.
     """
     if basis not in _BASES:
         raise ValueError(f"unknown basis {basis!r}")
@@ -277,4 +278,7 @@ def expand_in_basis(f: IntPolynomial, basis: str) -> dict[tuple[int, ...], int]:
                 rest[e] = left
             else:
                 del rest[e]
+        if a in rest:
+            raise ExpansionError(f"basis element {a} does not cancel "
+                                 f"its own leading monomial")
     return out

@@ -1,5 +1,5 @@
-"""Semistandard Young tableaux, semistandard key tableaux, and their
-crystal graphs, including Demazure truncations.
+"""Semistandard Young tableaux, semistandard key tableaux, their
+crystal operators, and Demazure crystals inside Young tableau crystals.
 
 Tableaux store their rows bottom up, so ``rows[0]`` is row 1.  Young
 tableaux have partition shape with rows weakly increasing left to right
@@ -16,9 +16,8 @@ from itertools import product
 
 from .compositions import Composition, check_composition, strip_trailing_zeros
 from .crystal import _bracket
-from .diagrams import Diagram, weight
+from .diagrams import Diagram
 from .perms import Permutation, reduced_word
-from .polynomials import IntPolynomial, monomial_generating
 
 
 @dataclass(frozen=True)
@@ -68,28 +67,6 @@ class Tableau:
 
     def __lt__(self, other: "Tableau"):
         return self.rows < other.rows
-
-    def to_text(self) -> str:
-        """Rows top first, entries space separated, '-' for an empty row."""
-        return "\n".join(" ".join(str(v) for v in row) if row else "-"
-                         for row in reversed(self.rows))
-
-
-# SSYT and semistandard key tableaux share the representation; validity
-# is what differs.
-def is_ssyt(t: Tableau, n: int | None = None) -> bool:
-    """Partition shape, rows weakly increase, columns strictly increase."""
-    shape = t.shape
-    if any(k == 0 for k in shape) or list(shape) != sorted(shape, reverse=True):
-        return False
-    for c, r, v in t.cells():
-        if v < 1 or (n is not None and v > n):
-            return False
-        if c > 1 and t.entry(c - 1, r) > v:
-            return False
-        if r > 1 and t.entry(c, r - 1) >= v:
-            return False
-    return True
 
 
 def is_sskt(t: Tableau, shape: Composition | None = None) -> bool:
@@ -193,43 +170,6 @@ class TableauCrystal:
             out[t][i] = u
         return out
 
-    def character(self) -> IntPolynomial:
-        return character(self.elements, self.n)
-
-
-def character(elements, n: int | None = None) -> IntPolynomial:
-    """Sum of x^weight over tableaux or diagrams."""
-    if isinstance(elements, TableauCrystal):
-        n = elements.n if n is None else n
-        elements = elements.elements
-    if n is None:
-        raise ValueError("n is required unless a crystal is given")
-    weights = [weight(x, n) if isinstance(x, Diagram) else x.weight(n)
-               for x in elements]
-    return monomial_generating(weights, n)
-
-
-def build_crystal(lam: Composition, n: int) -> TableauCrystal:
-    """The full crystal on SSYT_n(lam): closure of u_lam under lowering."""
-    top = highest_weight_tableau(lam)
-    if len(top.rows) > n:
-        raise ValueError("shape has more rows than allowed entries")
-    elements = {top}
-    edges = []
-    frontier = [top]
-    while frontier:
-        t = frontier.pop()
-        for i in range(1, n):
-            u = ssyt_lower(t, i)
-            if u is None:
-                continue
-            edges.append((t, i, u))
-            if u not in elements:
-                elements.add(u)
-                frontier.append(u)
-    return TableauCrystal(n=n, elements=tuple(sorted(elements)),
-                          edges=frozenset(edges), highest=top)
-
 
 def demazure_set_op(elements, i: int) -> frozenset:
     """Close a set of tableaux downward along its i-strings."""
@@ -263,24 +203,6 @@ def demazure_subset(lam: Composition, w: Permutation, n: int,
              if (u := ssyt_lower(t, i)) is not None and u in elements}
     return TableauCrystal(n=n, elements=tuple(sorted(elements)),
                           edges=frozenset(edges), highest=top)
-
-
-def enumerate_ssyt(lam: Composition, n: int) -> list[Tableau]:
-    """All SSYT of shape lam with entries at most n, by filtered search."""
-    lam = strip_trailing_zeros(tuple(lam))
-    if list(lam) != sorted(lam, reverse=True):
-        raise ValueError("shape must be a partition")
-    results = []
-    for values in product(range(1, n + 1), repeat=sum(lam)):
-        rows = []
-        pos = 0
-        for k in lam:
-            rows.append(tuple(values[pos:pos + k]))
-            pos += k
-        t = Tableau(tuple(rows))
-        if is_ssyt(t, n):
-            results.append(t)
-    return sorted(results)
 
 
 def enumerate_sskt(a: Composition) -> list[Tableau]:
@@ -338,63 +260,6 @@ def sskt_raise(t: Tableau, i: int) -> Tableau | None:
             break
         out = out.replace(c, r0, i).replace(c, above[0], i + 1)
     return out
-
-
-def sskt_crystal(a: Composition) -> TableauCrystal:
-    """The Demazure crystal on all key tableaux of shape a.
-
-    Edges are stored as lowering edges, obtained by reversing the
-    raising operator, which is checked to be injective per index.
-    """
-    elements = enumerate_sskt(a)
-    element_set = set(elements)
-    n = len(a)
-    edges = set()
-    seen: dict[tuple[Tableau, int], Tableau] = {}
-    tops = []
-    for t in elements:
-        raised = False
-        for i in range(1, n):
-            u = sskt_raise(t, i)
-            if u is None:
-                continue
-            raised = True
-            if u not in element_set:
-                raise AssertionError("raising left the key tableau family")
-            if (u, i) in seen:
-                raise AssertionError("raising operator is not injective")
-            seen[(u, i)] = t
-            edges.add((u, i, t))
-        if not raised:
-            tops.append(t)
-    if len(tops) != 1:
-        raise AssertionError("key tableau crystal lacks a unique highest weight")
-    return TableauCrystal(n=n, elements=tuple(elements),
-                          edges=frozenset(edges), highest=tops[0])
-
-
-def phi(d: Diagram, n: int | None = None) -> Tableau:
-    """Embed a rectified diagram into SSYT by complementing row indices.
-
-    Each cell in row r becomes entry n - r + 1 and every column is
-    sorted increasingly from the bottom.  Weight-reversing: row counts
-    of d reappear as entry counts in reversed order.
-    """
-    from .crystal import is_rectified
-    if not is_rectified(d):
-        raise ValueError("diagram is not rectified")
-    if n is None:
-        n = d.max_row
-    if n < d.max_row:
-        raise ValueError("n must be at least the highest occupied row")
-    cols = {c: sorted(n - r + 1 for r in d.col(c))
-            for c in range(1, d.max_col + 1)}
-    top = max((len(v) for v in cols.values()), default=0)
-    rows = []
-    for k in range(1, top + 1):
-        rows.append(tuple(cols[c][k - 1] for c in range(1, d.max_col + 1)
-                          if len(cols[c]) >= k))
-    return Tableau(tuple(rows))
 
 
 def psi(t: Tableau) -> Diagram:

@@ -20,19 +20,43 @@ with the refinement and dominance orders it filters by.
 
 ``southwest_hull`` closes a set of cells under the southwest condition,
 so property tests can draw southwest diagrams.
+
+``EMPTY`` is the diagram with no cells, for the edge-case tests.
+``identity``, ``inverse`` and ``act`` are the permutation basics the
+tests of ``compose``, ``reduced_word`` and ``sort_and_minimal_perm``
+are stated with.
+
+``is_ssyt`` and ``enumerate_ssyt`` test and list semistandard Young
+tableaux by brute force, and ``build_crystal`` closes the highest
+weight tableau under lowering, so the tests can hold
+``demazure_subset`` for the longest permutation to the full crystal.
+``character`` sums x^weight over tableaux or diagrams, to compare a
+set of either against a Demazure character.
+
+``super_standard`` labels each cell by its row, the labeling a diagram
+gets with respect to itself.  ``is_kohnert_tableau`` is the Kohnert
+tableau test of Assaf and Searles (arXiv:1711.09498), which the
+rectified labelings of a closure's members must pass.
 """
 
 import json
 from collections import deque
 from dataclasses import dataclass
 from functools import lru_cache
+from itertools import product
 
-from kohnert.compositions import compositions_of, flatten, pad
+from kohnert.compositions import (check_composition, compositions_of, flatten,
+                                  pad, strip_trailing_zeros)
 from kohnert.crystal import CrystalGraph
 from kohnert.diagrams import Diagram, weight
+from kohnert.labeling import Labeling, is_flagged
 from kohnert.moves import DEFAULT_MAX_DIAGRAMS, ResourceBoundError, kohnert_move
-from kohnert.perms import Permutation, identity
-from kohnert.polynomials import IntPolynomial
+from kohnert.perms import Permutation
+from kohnert.polynomials import IntPolynomial, monomial_generating
+from kohnert.tableaux import (Tableau, TableauCrystal, highest_weight_tableau,
+                              ssyt_lower)
+
+EMPTY = Diagram(frozenset())
 
 
 @dataclass(frozen=True)
@@ -163,3 +187,123 @@ def southwest_hull(cells) -> Diagram:
         if not corners:
             return Diagram.of(*cells)
         cells |= corners
+
+
+def identity(n: int) -> Permutation:
+    return tuple(range(1, n + 1))
+
+
+def inverse(w: Permutation) -> Permutation:
+    inv = [0] * len(w)
+    for i, v in enumerate(w):
+        inv[v - 1] = i + 1
+    return tuple(inv)
+
+
+def act(w: Permutation, a) -> tuple[int, ...]:
+    """Rearrange a by w: result_i = a_{w(i)}."""
+    a = tuple(a)
+    if len(w) != len(a):
+        raise ValueError("length mismatch")
+    return tuple(a[w[i] - 1] for i in range(len(w)))
+
+
+def is_ssyt(t: Tableau, n: int | None = None) -> bool:
+    """Partition shape, rows weakly increase, columns strictly increase."""
+    shape = t.shape
+    if any(k == 0 for k in shape) or list(shape) != sorted(shape, reverse=True):
+        return False
+    for c, r, v in t.cells():
+        if v < 1 or (n is not None and v > n):
+            return False
+        if c > 1 and t.entry(c - 1, r) > v:
+            return False
+        if r > 1 and t.entry(c, r - 1) >= v:
+            return False
+    return True
+
+
+def enumerate_ssyt(lam, n: int) -> list[Tableau]:
+    """All SSYT of shape lam with entries at most n, by filtered search."""
+    lam = strip_trailing_zeros(tuple(lam))
+    if list(lam) != sorted(lam, reverse=True):
+        raise ValueError("shape must be a partition")
+    results = []
+    for values in product(range(1, n + 1), repeat=sum(lam)):
+        rows = []
+        pos = 0
+        for k in lam:
+            rows.append(tuple(values[pos:pos + k]))
+            pos += k
+        t = Tableau(tuple(rows))
+        if is_ssyt(t, n):
+            results.append(t)
+    return sorted(results)
+
+
+def build_crystal(lam, n: int) -> TableauCrystal:
+    """The full crystal on SSYT_n(lam): closure of u_lam under lowering."""
+    top = highest_weight_tableau(lam)
+    if len(top.rows) > n:
+        raise ValueError("shape has more rows than allowed entries")
+    elements = {top}
+    edges = []
+    frontier = [top]
+    while frontier:
+        t = frontier.pop()
+        for i in range(1, n):
+            u = ssyt_lower(t, i)
+            if u is None:
+                continue
+            edges.append((t, i, u))
+            if u not in elements:
+                elements.add(u)
+                frontier.append(u)
+    return TableauCrystal(n=n, elements=tuple(sorted(elements)),
+                          edges=frozenset(edges), highest=top)
+
+
+def character(elements, n: int) -> IntPolynomial:
+    """Sum of x^weight over tableaux or diagrams."""
+    weights = [weight(x, n) if isinstance(x, Diagram) else x.weight(n)
+               for x in elements]
+    return monomial_generating(weights, n)
+
+
+def super_standard(d: Diagram) -> Labeling:
+    """Label r on every cell of row r."""
+    return Labeling.of(d, {(c, r): r for c, r in d})
+
+
+def is_kohnert_tableau(lab: Labeling, a) -> bool:
+    """Content-a Kohnert tableau test.
+
+    One label i in each column 1..a_i, labels at least their row, each
+    label's cells weakly descending left to right, and every inverted
+    pair within a column excused by a matching label up and to the right.
+    """
+    check_composition(a)
+    by_label: dict[int, dict[int, int]] = {}
+    for (c, r), v in lab.labels:
+        cols = by_label.setdefault(v, {})
+        if c in cols or v > len(a):
+            return False
+        cols[c] = r
+    for i in range(1, len(a) + 1):
+        cols = by_label.get(i, {})
+        if sorted(cols) != list(range(1, a[i - 1] + 1)):
+            return False
+        rows = [cols[c] for c in sorted(cols)]
+        if any(rows[k] < rows[k + 1] for k in range(len(rows) - 1)):
+            return False
+    if not is_flagged(lab):
+        return False
+    for c in range(1, lab.base.max_col + 1):
+        col_rows = sorted(lab.base.col(c))
+        for r_lo in col_rows:
+            for r_hi in col_rows:
+                if r_hi > r_lo and lab.label((c, r_hi)) < lab.label((c, r_lo)):
+                    nxt = by_label[lab.label((c, r_hi))].get(c + 1)
+                    if nxt is None or nxt <= r_lo:
+                        return False
+    return True

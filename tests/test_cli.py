@@ -198,6 +198,33 @@ def test_verify_bounds_below_their_range_are_refused_at_parse_time(capsys, suite
     assert f"argument {flag}: expected a {kind} integer, got '{value}'" in captured.err
 
 
+@pytest.mark.parametrize("value", ["0x0", "0x3", "3x0"])
+def test_verify_box_with_a_zero_side_is_refused_at_parse_time(capsys, value):
+    with pytest.raises(SystemExit) as exc:
+        main(["verify", "closure", "--box", value])
+    assert exc.value.code == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert f"argument --box: expected COLSxROWS with both sides at least 1, " \
+           f"got '{value}'" in captured.err
+
+
+def test_poly_negative_n_is_refused_at_parse_time(capsys):
+    with pytest.raises(SystemExit) as exc:
+        main(["poly", "--key", "0,2", "--n", "-1"])
+    assert exc.value.code == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert "argument --n: expected a nonnegative integer, got '-1'" in captured.err
+
+
+def test_poly_n_too_small_for_the_input_is_an_error_line(capsys):
+    assert main(["poly", "--key", "0,2", "--n", "1"]) == 1
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err.startswith("error:")
+
+
 def test_crystal_invariant_failure_is_an_error_line(monkeypatch, capsys):
     def broken(kset):
         raise AssertionError("component without a unique highest weight")

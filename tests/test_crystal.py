@@ -3,7 +3,7 @@
 import json
 
 import pytest
-from hypothesis import given
+from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from kohnert.crystal import (
@@ -11,14 +11,13 @@ from kohnert.crystal import (
     crystal_graph,
     crystal_to_dot,
     is_rectified,
-    lowering,
     raising,
     rectify,
     rectify_column,
     rectify_step,
     row_pairing,
 )
-from kohnert.diagrams import Diagram, composition_diagram, is_composition_diagram, is_southwest
+from kohnert.diagrams import Diagram, composition_diagram, is_composition_diagram
 from kohnert.moves import generate_kd
 from kohnert.verify import southwest_in_box
 
@@ -31,9 +30,11 @@ from golden import (
     RAISING_EDGES,
     RECTIFIED,
 )
-from oracle import crystal_components_json
+from oracle import crystal_components_json, southwest_hull
 
 cell_sets = st.sets(st.tuples(st.integers(1, 5), st.integers(1, 5)), max_size=8)
+southwest_diagrams = st.sets(st.tuples(st.integers(1, 4), st.integers(1, 5)),
+                             max_size=6).map(southwest_hull)
 
 
 def test_row_pairing_prefers_same_column():
@@ -85,24 +86,6 @@ def test_raising_matches_hand_table():
                 assert image == MEMBERS[expected[(x, i)]], (x, i)
             else:
                 assert image is None, (x, i)
-
-
-def test_lowering_inverts_raising():
-    kset = generate_kd(D5)
-    for x, i, y in RAISING_EDGES:
-        assert lowering(MEMBERS[y], i, kset) == MEMBERS[x]
-
-
-def test_lowering_requires_membership():
-    kset = generate_kd(composition_diagram((0, 2)))
-    with pytest.raises(ValueError):
-        lowering(D5, 1, kset)
-
-
-def test_lowering_stops_at_the_closure_boundary():
-    # D(a) itself admits no lowering inside its own closure
-    kset = generate_kd(composition_diagram((0, 2)))
-    assert lowering(kset.source, 1, kset) is None
 
 
 def test_rectify_step_moves_lowest_unpaired_cell():
@@ -157,25 +140,31 @@ def test_crystal_components_match_hand_table():
     assert letters == [COMPONENT_SMALL, COMPONENT_LARGE]
     assert [LETTER[t] for t in graph.highest] == ["S", "R"]
     assert graph.max_index == 3
-    assert graph.escaping == frozenset()
     edges = {(LETTER[t], i, LETTER[u]) for t, i, u in graph.edges}
     assert edges == set(RAISING_EDGES)
-
-
-def test_component_of():
-    graph = crystal_graph(generate_kd(D5))
-    assert graph.component_of(MEMBERS["B"]) == 0
-    assert graph.component_of(MEMBERS["A"]) == 1
-    with pytest.raises(KeyError):
-        graph.component_of(Diagram.of((9, 9)))
 
 
 def test_non_southwest_sources_need_an_override():
     kset = generate_kd(Diagram.of((1, 2), (2, 2), (2, 1)))
     with pytest.raises(ValueError):
         crystal_graph(kset)
-    graph = crystal_graph(kset, allow_non_southwest=True)
-    assert graph.escaping == frozenset({(1, kset.source)})
+
+
+@settings(deadline=None, max_examples=50)
+@given(southwest_diagrams)
+def test_crystal_components_partition_the_closure(d):
+    graph = crystal_graph(generate_kd(d))
+    members = set(graph.members)
+    assert sum(len(comp) for comp in graph.components) == len(members)
+    assert set().union(*graph.components) == members
+    where = {t: k for k, comp in enumerate(graph.components) for t in comp}
+    for t, _, u in graph.edges:
+        assert where[t] == where[u]
+    keys = [(len(comp), min(comp)) for comp in graph.components]
+    assert keys == sorted(keys)
+    has_out = {t for t, _, _ in graph.edges}
+    for comp, top in zip(graph.components, graph.highest, strict=True):
+        assert [t for t in comp if t not in has_out] == [top]
 
 
 def test_crystal_dot_output():

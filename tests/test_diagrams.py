@@ -5,7 +5,6 @@ from hypothesis import given
 from hypothesis import strategies as st
 
 from kohnert.diagrams import (
-    EMPTY,
     Diagram,
     GridParseError,
     check_cell,
@@ -17,6 +16,8 @@ from kohnert.diagrams import (
     weight,
 )
 from kohnert.perms import all_permutations, lehmer_code
+
+from oracle import EMPTY
 
 cell_sets = st.sets(st.tuples(st.integers(1, 6), st.integers(1, 6)), max_size=10)
 

@@ -7,13 +7,10 @@ from hypothesis import given
 from hypothesis import strategies as st
 
 from kohnert.perms import (
-    act,
     all_permutations,
     check_permutation,
     compose,
     contains_2143,
-    identity,
-    inverse,
     lehmer_code,
     length,
     longest,
@@ -21,7 +18,7 @@ from kohnert.perms import (
     sort_and_minimal_perm,
 )
 
-from oracle import word_to_permutation
+from oracle import act, identity, inverse, word_to_permutation
 
 
 @st.composite

@@ -4,6 +4,7 @@ import pytest
 from hypothesis import given
 from hypothesis import strategies as st
 
+from kohnert import polynomials
 from kohnert.compositions import compositions_up_to
 from kohnert.perms import (
     all_permutations,
@@ -272,6 +273,16 @@ def test_expand_in_basis_errors():
         expand_in_basis(IntPolynomial.one(2), "monomial")
     with pytest.raises(ExpansionError):
         expand_in_basis(IntPolynomial.variable(2, 2), "key")
+
+
+def test_expand_in_basis_refuses_a_basis_that_keeps_its_leading_monomial(monkeypatch):
+    def slide_without_b_equal_a(a, n=None):
+        f = fundamental_slide(a, n)
+        return IntPolynomial(f.n, {b: c for b, c in f.terms.items() if b != a})
+
+    monkeypatch.setitem(polynomials._BASES, "slide", slide_without_b_equal_a)
+    with pytest.raises(ExpansionError, match="leading monomial"):
+        expand_in_basis(demazure_character((0, 2, 1)), "slide")
 
 
 if __name__ == "__main__":
