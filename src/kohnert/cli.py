@@ -216,12 +216,13 @@ def build_parser() -> argparse.ArgumentParser:
 
     p_kd = sub.add_parser("kd", help="generate a move closure")
     _add_diagram_source(p_kd)
-    p_kd.add_argument("--list", action="store_true",
-                      help="print every member as a grid")
-    p_kd.add_argument("--json", action="store_true",
-                      help="print members and move edges as JSON")
-    p_kd.add_argument("--dot", action="store_true",
-                      help="print the move graph in DOT format")
+    kd_format = p_kd.add_mutually_exclusive_group()
+    kd_format.add_argument("--list", action="store_true",
+                           help="print every member as a grid")
+    kd_format.add_argument("--json", action="store_true",
+                           help="print members and move edges as JSON")
+    kd_format.add_argument("--dot", action="store_true",
+                           help="print the move graph in DOT format")
     p_kd.add_argument("--max-diagrams", type=_positive_int, default=None)
     p_kd.set_defaults(func=cmd_kd)
 

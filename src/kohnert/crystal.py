@@ -1,109 +1,61 @@
 """Crystal operators on diagrams and the rectification operators.
 
-Row pairing matches cells of row i+1 against cells of row i; column
-pairing matches cells of column c+1 against cells of column c.  Both are
-bracket matchings: after removing pairs that share a column (for rows)
-or a row (for columns), each closer takes the nearest available opener
-behind it in scan order.
+Both rest on one bracket rule, ``_unpaired``.  Raising at i pairs each
+cell of row i+1 with a cell of row i to its left; a rectify step at c
+pairs each cell of column c+1 with a cell of column c above it.  Cells
+that share a column (for rows) or a row (for columns) pair off first;
+then each closer takes the nearest free opener behind it in scan order.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
 
-from .diagrams import Cell, Diagram, is_southwest
+from .diagrams import Diagram, is_southwest
 from .moves import KohnertSet
 
 
-def _bracket(openers, closers):
-    """Match each closer to the nearest unmatched opener earlier in scan order.
+def _unpaired(openers, closers) -> tuple[list, list]:
+    """The bracket rule on two disjoint sets of scan keys.
 
-    openers/closers are lists of (scan_key, cell) with distinct keys.
+    Each closer takes the nearest free opener before it.  Returns the
+    free openers and the free closers, each in scan order.
     """
-    events = sorted([(k, 0, cell) for k, cell in openers]
-                    + [(k, 1, cell) for k, cell in closers])
-    stack: list[Cell] = []
-    pairs = []
-    unpaired_closers = []
-    for _, kind, cell in events:
-        if kind == 0:
-            stack.append(cell)
-        elif stack:
-            pairs.append((stack.pop(), cell))
+    free, lone = [], []
+    for key, closes in sorted([(k, False) for k in openers]
+                              + [(k, True) for k in closers]):
+        if not closes:
+            free.append(key)
+        elif free:
+            free.pop()
         else:
-            unpaired_closers.append(cell)
-    return pairs, stack, unpaired_closers
-
-
-@dataclass(frozen=True)
-class RowPairing:
-    """Pairing between rows i (low) and i+1 (high)."""
-    i: int
-    pairs: tuple[tuple[Cell, Cell], ...]     # (low cell, high cell)
-    unpaired_low: tuple[Cell, ...]
-    unpaired_high: tuple[Cell, ...]
-
-
-@dataclass(frozen=True)
-class ColumnPairing:
-    """Pairing between columns c (left) and c+1 (right)."""
-    c: int
-    pairs: tuple[tuple[Cell, Cell], ...]     # (left cell, right cell)
-    unpaired_left: tuple[Cell, ...]
-    unpaired_right: tuple[Cell, ...]
-
-
-def row_pairing(diagram: Diagram, i: int) -> RowPairing:
-    """Match row-(i+1) cells with row-i cells to their left."""
-    if i < 1:
-        raise ValueError("row index must be >= 1")
-    low = diagram.row(i)
-    high = diagram.row(i + 1)
-    common = set(low) & set(high)
-    pairs = [((c, i), (c, i + 1)) for c in sorted(common)]
-    openers = [(c, (c, i)) for c in low if c not in common]
-    closers = [(c, (c, i + 1)) for c in high if c not in common]
-    matched, open_rest, close_rest = _bracket(openers, closers)
-    pairs.extend(matched)
-    return RowPairing(i=i,
-                      pairs=tuple(sorted(pairs)),
-                      unpaired_low=tuple(sorted(open_rest)),
-                      unpaired_high=tuple(sorted(close_rest)))
-
-
-def column_pairing(diagram: Diagram, c: int) -> ColumnPairing:
-    """Match column-(c+1) cells with column-c cells above them."""
-    if c < 1:
-        raise ValueError("column index must be >= 1")
-    left = diagram.col(c)
-    right = diagram.col(c + 1)
-    common = set(left) & set(right)
-    pairs = [((c, r), (c + 1, r)) for r in sorted(common)]
-    openers = [(-r, (c, r)) for r in left if r not in common]
-    closers = [(-r, (c + 1, r)) for r in right if r not in common]
-    matched, open_rest, close_rest = _bracket(openers, closers)
-    pairs.extend(matched)
-    return ColumnPairing(c=c,
-                         pairs=tuple(sorted(pairs)),
-                         unpaired_left=tuple(sorted(open_rest)),
-                         unpaired_right=tuple(sorted(close_rest)))
+            lone.append(key)
+    return free, lone
 
 
 def raising(diagram: Diagram, i: int) -> Diagram | None:
     """Drop the rightmost unpaired row-(i+1) cell into row i, or None."""
-    pairing = row_pairing(diagram, i)
-    if not pairing.unpaired_high:
+    if i < 1:
+        raise ValueError("row index must be >= 1")
+    low = set(diagram.row(i))
+    high = set(diagram.row(i + 1))
+    _, lone = _unpaired(low - high, high - low)
+    if not lone:
         return None
-    c, _ = pairing.unpaired_high[-1]
+    c = lone[-1]
     return diagram.move_cell((c, i + 1), (c, i))
 
 
 def rectify_step(diagram: Diagram, c: int) -> Diagram:
     """Move the lowest unpaired column-(c+1) cell left, or return unchanged."""
-    pairing = column_pairing(diagram, c)
-    if not pairing.unpaired_right:
+    if c < 1:
+        raise ValueError("column index must be >= 1")
+    left = set(diagram.col(c))
+    right = set(diagram.col(c + 1))
+    _, lone = _unpaired({-r for r in left - right}, {-r for r in right - left})
+    if not lone:
         return diagram
-    _, r = pairing.unpaired_right[0]
+    r = -lone[-1]
     return diagram.move_cell((c + 1, r), (c, r))
 
 

@@ -25,10 +25,12 @@ DEFAULT_MAX_DIAGRAMS = 10 ** 6
 
 
 class ResourceBoundError(RuntimeError):
-    """Raised when a closure would exceed the configured diagram budget.
+    """Raised when a closure, or the cell subsets of a verify box, would
+    exceed the configured diagram budget.
 
     The message gives the member count reached and the BFS depth, the
-    number of moves from the source to the member that broke the budget.
+    number of moves from the source to the member that broke the budget,
+    or the box and its subset count.
     """
 
 

@@ -5,7 +5,8 @@ Tableaux store their rows bottom up, so ``rows[0]`` is row 1.  Young
 tableaux have partition shape with rows weakly increasing left to right
 and columns strictly increasing upward.  Key tableaux have composition
 shape with rows weakly decreasing, distinct entries in each column, and
-every entry in row r at most r.
+every entry in row r at most r.  A column holds each entry at most once
+in both kinds, so the crystal operators scan entries by column.
 """
 
 from __future__ import annotations
@@ -15,7 +16,7 @@ from functools import cached_property
 from itertools import product
 
 from .compositions import Composition, check_composition, strip_trailing_zeros
-from .crystal import _bracket
+from .crystal import _unpaired
 from .diagrams import Diagram
 from .perms import Permutation, reduced_word
 
@@ -103,52 +104,33 @@ def highest_weight_tableau(lam: Composition) -> Tableau:
                          for r in range(1, len(lam) + 1)))
 
 
-def _split_unpaired(openers, closers):
-    """Bracket-match cells across columns after same-column pairing.
-
-    openers/closers are (column, row) cell lists with all columns
-    distinct; returns the unmatched cells of each kind sorted by column.
-    """
-    opener_events = [(c, (c, r)) for c, r in openers]
-    closer_events = [(c, (c, r)) for c, r in closers]
-    _, open_rest, close_rest = _bracket(opener_events, closer_events)
-    return sorted(open_rest), sorted(close_rest)
-
-
-def _ssyt_unpaired(t: Tableau, i: int):
-    """Unpaired entry-i cells and entry-(i+1) cells, sorted by column.
-
-    An i+1 seeks an unpaired i to its right, after same-column pairs.
-    """
-    low = t.positions_of(i)
-    high = t.positions_of(i + 1)
-    common = {c for c, _ in low} & {c for c, _ in high}
-    unpaired_high, unpaired_low = _split_unpaired(
-        [cell for cell in high if cell[0] not in common],
-        [cell for cell in low if cell[0] not in common])
-    return unpaired_low, unpaired_high
-
-
 def ssyt_lower(t: Tableau, i: int) -> Tableau | None:
-    """Change the rightmost unpaired i to i+1, or None if there is none."""
+    """Change the rightmost unpaired i to i+1, or None if there is none.
+
+    After same-column pairs, an i+1 pairs with a free i to its right.
+    """
     if i < 1:
         raise ValueError("operator index must be >= 1")
-    unpaired_low, _ = _ssyt_unpaired(t, i)
-    if not unpaired_low:
+    low = dict(t.positions_of(i))
+    high = dict(t.positions_of(i + 1))
+    _, lone = _unpaired(high.keys() - low.keys(), low.keys() - high.keys())
+    if not lone:
         return None
-    c, r = unpaired_low[-1]
-    return t.replace(c, r, i + 1)
+    c = lone[-1]
+    return t.replace(c, low[c], i + 1)
 
 
 def ssyt_raise(t: Tableau, i: int) -> Tableau | None:
     """Change the leftmost unpaired i+1 to i; inverse of ssyt_lower."""
     if i < 1:
         raise ValueError("operator index must be >= 1")
-    _, unpaired_high = _ssyt_unpaired(t, i)
-    if not unpaired_high:
+    low = dict(t.positions_of(i))
+    high = dict(t.positions_of(i + 1))
+    free, _ = _unpaired(high.keys() - low.keys(), low.keys() - high.keys())
+    if not free:
         return None
-    c, r = unpaired_high[0]
-    return t.replace(c, r, i)
+    c = free[0]
+    return t.replace(c, high[c], i)
 
 
 @dataclass(frozen=True)
@@ -223,33 +205,23 @@ def enumerate_sskt(a: Composition) -> list[Tableau]:
     return sorted(results)
 
 
-def _sskt_unpaired_high(t: Tableau, i: int) -> list[tuple[int, int]]:
-    """Unpaired entry-(i+1) cells, sorted by column.
-
-    An i seeks an unpaired i+1 to its right, after same-column pairs.
-    """
-    low = t.positions_of(i)
-    high = t.positions_of(i + 1)
-    common = {c for c, _ in low} & {c for c, _ in high}
-    _, unpaired_high = _split_unpaired(
-        [cell for cell in low if cell[0] not in common],
-        [cell for cell in high if cell[0] not in common])
-    return unpaired_high
-
-
 def sskt_raise(t: Tableau, i: int) -> Tableau | None:
     """Raise a key tableau at index i.
 
+    After same-column pairs, an i pairs with a free i+1 to its right.
     The rightmost unpaired i+1 becomes i; then every consecutive column
     to its left holding an i+1 in the same row with an i above gets
     those two entries swapped.
     """
     if i < 1:
         raise ValueError("operator index must be >= 1")
-    unpaired = _sskt_unpaired_high(t, i)
-    if not unpaired:
+    low = dict(t.positions_of(i))
+    high = dict(t.positions_of(i + 1))
+    _, lone = _unpaired(low.keys() - high.keys(), high.keys() - low.keys())
+    if not lone:
         return None
-    c0, r0 = unpaired[-1]
+    c0 = lone[-1]
+    r0 = high[c0]
     out = t.replace(c0, r0, i)
     for c in range(c0 - 1, 0, -1):
         if len(out.rows[r0 - 1]) < c or out.entry(c, r0) != i + 1:

@@ -14,6 +14,7 @@ import random
 from dataclasses import dataclass, field
 from functools import partial
 from itertools import combinations
+from math import comb
 
 from .compositions import compositions_up_to
 from .crystal import crystal_graph, raising, rectify, rectify_step
@@ -23,7 +24,7 @@ from .labeling import (component_demazure_data, demazure_expansion,
                        is_vexillary_diagram, membership,
                        quasi_yamanouchi_diagrams, slide_expansion,
                        yamanouchi_diagrams)
-from .moves import generate_kd, kohnert_polynomial
+from .moves import ResourceBoundError, _max_diagrams, generate_kd, kohnert_polynomial
 from .perms import all_permutations, contains_2143, lehmer_code
 from .polynomials import (IntPolynomial, demazure_character,
                           fundamental_slide, schubert_polynomial)
@@ -54,9 +55,15 @@ class SuiteResult:
 
 def southwest_in_box(cols: int, rows: int,
                      max_cells: int | None = None) -> list[Diagram]:
-    """All southwest diagrams inside the given box, smallest first."""
+    """All southwest diagrams inside the given box, smallest first.  A box
+    with more cell subsets to scan than the closure budget is refused."""
     grid = [(c, r) for c in range(1, cols + 1) for r in range(1, rows + 1)]
     top = len(grid) if max_cells is None else min(max_cells, len(grid))
+    subsets = sum(comb(len(grid), k) for k in range(top + 1))
+    if subsets > (limit := _max_diagrams(None)):
+        raise ResourceBoundError(f"box {cols}x{rows} has {subsets} cell subsets of at "
+                                 f"most {top} cells, over the budget of {limit} "
+                                 f"(KOHNERT_MAX_DIAGRAMS)")
     found = []
     for k in range(top + 1):
         for cells in combinations(grid, k):

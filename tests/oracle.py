@@ -21,6 +21,13 @@ with the refinement and dominance orders it filters by.
 ``southwest_hull`` closes a set of cells under the southwest condition,
 so property tests can draw southwest diagrams.
 
+``_bracket``, ``row_pairing`` and ``column_pairing`` are the pairing
+code that ``kohnert.crystal._unpaired`` replaced: they box every pair
+and sort every result.  ``oracle_raising``, ``oracle_rectify_step``,
+``oracle_ssyt_lower``, ``oracle_ssyt_raise`` and ``oracle_sskt_raise``
+are the five operators as they were built on them, so differential
+tests can hold the operators to the old bracket matching.
+
 ``EMPTY`` is the diagram with no cells, for the edge-case tests.
 ``identity``, ``inverse`` and ``act`` are the permutation basics the
 tests of ``compose``, ``reduced_word`` and ``sort_and_minimal_perm``
@@ -48,7 +55,7 @@ from itertools import product
 from kohnert.compositions import (check_composition, compositions_of, flatten,
                                   pad, strip_trailing_zeros)
 from kohnert.crystal import CrystalGraph
-from kohnert.diagrams import Diagram, weight
+from kohnert.diagrams import Cell, Diagram, weight
 from kohnert.labeling import Labeling, is_flagged
 from kohnert.moves import DEFAULT_MAX_DIAGRAMS, ResourceBoundError, kohnert_move
 from kohnert.perms import Permutation
@@ -307,3 +314,144 @@ def is_kohnert_tableau(lab: Labeling, a) -> bool:
                     if nxt is None or nxt <= r_lo:
                         return False
     return True
+
+
+def _bracket(openers, closers):
+    """Match each closer to the nearest unmatched opener earlier in scan order.
+
+    openers/closers are lists of (scan_key, cell) with distinct keys.
+    """
+    events = sorted([(k, 0, cell) for k, cell in openers]
+                    + [(k, 1, cell) for k, cell in closers])
+    stack: list[Cell] = []
+    pairs = []
+    unpaired_closers = []
+    for _, kind, cell in events:
+        if kind == 0:
+            stack.append(cell)
+        elif stack:
+            pairs.append((stack.pop(), cell))
+        else:
+            unpaired_closers.append(cell)
+    return pairs, stack, unpaired_closers
+
+
+@dataclass(frozen=True)
+class RowPairing:
+    """Pairing between rows i (low) and i+1 (high)."""
+    i: int
+    pairs: tuple[tuple[Cell, Cell], ...]     # (low cell, high cell)
+    unpaired_low: tuple[Cell, ...]
+    unpaired_high: tuple[Cell, ...]
+
+
+@dataclass(frozen=True)
+class ColumnPairing:
+    """Pairing between columns c (left) and c+1 (right)."""
+    c: int
+    pairs: tuple[tuple[Cell, Cell], ...]     # (left cell, right cell)
+    unpaired_left: tuple[Cell, ...]
+    unpaired_right: tuple[Cell, ...]
+
+
+def row_pairing(diagram: Diagram, i: int) -> RowPairing:
+    """Match row-(i+1) cells with row-i cells to their left."""
+    if i < 1:
+        raise ValueError("row index must be >= 1")
+    low = diagram.row(i)
+    high = diagram.row(i + 1)
+    common = set(low) & set(high)
+    pairs = [((c, i), (c, i + 1)) for c in sorted(common)]
+    openers = [(c, (c, i)) for c in low if c not in common]
+    closers = [(c, (c, i + 1)) for c in high if c not in common]
+    matched, open_rest, close_rest = _bracket(openers, closers)
+    pairs.extend(matched)
+    return RowPairing(i=i,
+                      pairs=tuple(sorted(pairs)),
+                      unpaired_low=tuple(sorted(open_rest)),
+                      unpaired_high=tuple(sorted(close_rest)))
+
+
+def column_pairing(diagram: Diagram, c: int) -> ColumnPairing:
+    """Match column-(c+1) cells with column-c cells above them."""
+    if c < 1:
+        raise ValueError("column index must be >= 1")
+    left = diagram.col(c)
+    right = diagram.col(c + 1)
+    common = set(left) & set(right)
+    pairs = [((c, r), (c + 1, r)) for r in sorted(common)]
+    openers = [(-r, (c, r)) for r in left if r not in common]
+    closers = [(-r, (c + 1, r)) for r in right if r not in common]
+    matched, open_rest, close_rest = _bracket(openers, closers)
+    pairs.extend(matched)
+    return ColumnPairing(c=c,
+                         pairs=tuple(sorted(pairs)),
+                         unpaired_left=tuple(sorted(open_rest)),
+                         unpaired_right=tuple(sorted(close_rest)))
+
+
+def oracle_raising(diagram: Diagram, i: int) -> Diagram | None:
+    """Drop the rightmost unpaired row-(i+1) cell into row i, or None."""
+    pairing = row_pairing(diagram, i)
+    if not pairing.unpaired_high:
+        return None
+    c, _ = pairing.unpaired_high[-1]
+    return diagram.move_cell((c, i + 1), (c, i))
+
+
+def oracle_rectify_step(diagram: Diagram, c: int) -> Diagram:
+    """Move the lowest unpaired column-(c+1) cell left, or return unchanged."""
+    pairing = column_pairing(diagram, c)
+    if not pairing.unpaired_right:
+        return diagram
+    _, r = pairing.unpaired_right[0]
+    return diagram.move_cell((c + 1, r), (c, r))
+
+
+def _tableau_unpaired(t: Tableau, opener: int, closer: int):
+    """Unmatched cells holding ``opener`` and ``closer``, sorted by column,
+    after same-column pairs; each closer seeks an opener to its left."""
+    open_cells = t.positions_of(opener)
+    close_cells = t.positions_of(closer)
+    common = {c for c, _ in open_cells} & {c for c, _ in close_cells}
+    _, open_rest, close_rest = _bracket(
+        [(c, (c, r)) for c, r in open_cells if c not in common],
+        [(c, (c, r)) for c, r in close_cells if c not in common])
+    return sorted(open_rest), sorted(close_rest)
+
+
+def oracle_ssyt_lower(t: Tableau, i: int) -> Tableau | None:
+    """Change the rightmost unpaired i to i+1, or None if there is none."""
+    _, unpaired_low = _tableau_unpaired(t, i + 1, i)
+    if not unpaired_low:
+        return None
+    c, r = unpaired_low[-1]
+    return t.replace(c, r, i + 1)
+
+
+def oracle_ssyt_raise(t: Tableau, i: int) -> Tableau | None:
+    """Change the leftmost unpaired i+1 to i, or None if there is none."""
+    unpaired_high, _ = _tableau_unpaired(t, i + 1, i)
+    if not unpaired_high:
+        return None
+    c, r = unpaired_high[0]
+    return t.replace(c, r, i)
+
+
+def oracle_sskt_raise(t: Tableau, i: int) -> Tableau | None:
+    """The key tableau raising operator: the rightmost unpaired i+1
+    becomes i, then the swaps to its left as in ``sskt_raise``."""
+    _, unpaired = _tableau_unpaired(t, i, i + 1)
+    if not unpaired:
+        return None
+    c0, r0 = unpaired[-1]
+    out = t.replace(c0, r0, i)
+    for c in range(c0 - 1, 0, -1):
+        if len(out.rows[r0 - 1]) < c or out.entry(c, r0) != i + 1:
+            break
+        above = [r for r in range(r0 + 1, len(out.rows) + 1)
+                 if len(out.rows[r - 1]) >= c and out.entry(c, r) == i]
+        if not above:
+            break
+        out = out.replace(c, r0, i).replace(c, above[0], i + 1)
+    return out

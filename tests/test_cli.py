@@ -3,6 +3,7 @@
 import json
 import subprocess
 import sys
+from time import perf_counter
 
 import pytest
 
@@ -57,6 +58,17 @@ def test_kd_dot(capsys):
     out = capsys.readouterr().out
     assert out.startswith("digraph kohnert_moves")
     assert out.count("->") == 2
+
+
+@pytest.mark.parametrize("flags", [["--json", "--dot"], ["--list", "--dot"],
+                                   ["--list", "--json"]])
+def test_kd_output_formats_are_mutually_exclusive(capsys, flags):
+    with pytest.raises(SystemExit) as exc:
+        main(["kd", "--comp", "0,2", *flags])
+    assert exc.value.code == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert "not allowed with argument" in captured.err
 
 
 def test_poly_key(capsys):
@@ -254,6 +266,24 @@ def test_exit_code_for_resource_bounds(capsys):
     assert err.startswith("error:")
     assert "KOHNERT_MAX_DIAGRAMS" in err
     assert "reached 3 members at BFS depth" in err
+
+
+def test_verify_box_over_the_budget_exits_3(capsys):
+    start = perf_counter()
+    assert main(["verify", "yamanouchi", "--box", "6x6"]) == 3
+    assert perf_counter() - start < 5
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err.startswith("error: box 6x6 has 68719476736 cell subsets")
+    assert "KOHNERT_MAX_DIAGRAMS" in captured.err
+
+
+def test_verify_box_budget_follows_the_environment(monkeypatch, capsys):
+    monkeypatch.setenv("KOHNERT_MAX_DIAGRAMS", "100")
+    assert main(["verify", "components", "--box", "3x3"]) == 3
+    err = capsys.readouterr().err
+    assert "box 3x3 has 512 cell subsets" in err
+    assert "budget of 100" in err
 
 
 @pytest.mark.parametrize("value", ["abc", "0", "-1"])

@@ -7,7 +7,6 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from kohnert.crystal import (
-    column_pairing,
     crystal_graph,
     crystal_to_dot,
     is_rectified,
@@ -15,7 +14,6 @@ from kohnert.crystal import (
     rectify,
     rectify_column,
     rectify_step,
-    row_pairing,
 )
 from kohnert.diagrams import Diagram, composition_diagram, is_composition_diagram
 from kohnert.moves import generate_kd
@@ -30,7 +28,8 @@ from golden import (
     RAISING_EDGES,
     RECTIFIED,
 )
-from oracle import crystal_components_json, southwest_hull
+from oracle import (crystal_components_json, oracle_raising, oracle_rectify_step,
+                    southwest_hull)
 
 cell_sets = st.sets(st.tuples(st.integers(1, 5), st.integers(1, 5)), max_size=8)
 southwest_diagrams = st.sets(st.tuples(st.integers(1, 4), st.integers(1, 5)),
@@ -39,42 +38,43 @@ southwest_diagrams = st.sets(st.tuples(st.integers(1, 4), st.integers(1, 5)),
 
 def test_row_pairing_prefers_same_column():
     d = Diagram.of((2, 1), (2, 2), (1, 2))
-    p = row_pairing(d, 1)
-    assert ((2, 1), (2, 2)) in p.pairs
-    assert p.unpaired_low == ()
-    assert p.unpaired_high == ((1, 2),)
-    assert raising(d, 1) == Diagram.of((1, 1), (2, 1), (2, 2))
+    raised = raising(d, 1)
+    assert raised == Diagram.of((1, 1), (2, 1), (2, 2))
+    assert raising(raised, 1) is None
 
 
 def test_row_pairing_brackets_leftward():
     d = Diagram.of((1, 1), (2, 2))
-    p = row_pairing(d, 1)
-    assert p.pairs == (((1, 1), (2, 2)),)
     assert raising(d, 1) is None
 
 
 def test_column_pairing_prefers_same_row():
     d = Diagram.of((1, 1), (1, 3), (2, 1))
-    p = column_pairing(d, 1)
-    assert ((1, 1), (2, 1)) in p.pairs
-    assert p.unpaired_left == ((1, 3),)
-    assert p.unpaired_right == ()
+    assert rectify_step(d, 1) == d
+    assert is_rectified(d)
 
 
 def test_column_pairing_reaches_upward():
     d = Diagram.of((1, 3), (2, 1))
-    p = column_pairing(d, 1)
-    assert p.pairs == (((1, 3), (2, 1)),)
     assert rectify_step(d, 1) == d
     assert is_rectified(d)
 
 
 def test_pairing_index_range():
     d = Diagram.of((1, 1))
-    with pytest.raises(ValueError):
-        row_pairing(d, 0)
-    with pytest.raises(ValueError):
-        column_pairing(d, 0)
+    with pytest.raises(ValueError, match="row index must be >= 1"):
+        raising(d, 0)
+    with pytest.raises(ValueError, match="column index must be >= 1"):
+        rectify_step(d, 0)
+
+
+@settings(max_examples=300, deadline=None)
+@given(cell_sets)
+def test_operators_match_the_bracket_oracle(cells):
+    d = Diagram.of(*cells)
+    for k in range(1, 6):
+        assert raising(d, k) == oracle_raising(d, k), k
+        assert rectify_step(d, k) == oracle_rectify_step(d, k), k
 
 
 def test_raising_matches_hand_table():

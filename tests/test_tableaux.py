@@ -2,6 +2,7 @@
 
 import pytest
 
+from kohnert.compositions import compositions_up_to, strip_trailing_zeros
 from kohnert.diagrams import composition_diagram, weight
 from kohnert.moves import generate_kd
 from kohnert.crystal import raising
@@ -19,7 +20,8 @@ from kohnert.tableaux import (
     ssyt_raise,
 )
 
-from oracle import build_crystal, character, enumerate_ssyt, is_ssyt
+from oracle import (build_crystal, character, enumerate_ssyt, is_ssyt,
+                    oracle_sskt_raise, oracle_ssyt_lower, oracle_ssyt_raise)
 
 B312_ROWS = [
     ((1, 1, 1), (2, 2)), ((1, 1, 1), (2, 3)), ((1, 1, 2), (2, 2)),
@@ -174,6 +176,30 @@ def test_psi_intertwines_raising():
                 assert raised_dia is None
             else:
                 assert psi(raised_tab) == raised_dia
+
+
+def test_ssyt_operators_match_the_bracket_oracle():
+    shapes = {strip_trailing_zeros(sorted(a, reverse=True))
+              for a in compositions_up_to(5, 4)}
+    checked = 0
+    for lam in shapes:
+        for n in range(max(len(lam), 1), 5):
+            for t in enumerate_ssyt(lam, n):
+                for i in range(1, n + 1):
+                    assert ssyt_lower(t, i) == oracle_ssyt_lower(t, i), (t, i)
+                    assert ssyt_raise(t, i) == oracle_ssyt_raise(t, i), (t, i)
+                    checked += 1
+    assert checked > 1000
+
+
+def test_sskt_raise_matches_the_bracket_oracle():
+    checked = 0
+    for a in {strip_trailing_zeros(a) for a in compositions_up_to(5, 4)}:
+        for t in enumerate_sskt(a):
+            for i in range(1, len(a) + 1):
+                assert sskt_raise(t, i) == oracle_sskt_raise(t, i), (t, i)
+                checked += 1
+    assert checked > 1000
 
 
 def test_psi_rejects_non_key_tableaux():

@@ -7,9 +7,10 @@ import random
 import pytest
 
 from kohnert import crystal, verify
-from kohnert.crystal import row_pairing
 from kohnert.diagrams import is_southwest
 from kohnert.verify import SUITES, SuiteResult, random_diagram, run_suite, southwest_in_box
+
+from oracle import row_pairing
 
 
 def test_suite_result_summary_pass():
