@@ -1,10 +1,13 @@
 """Crystal operators on diagrams and the rectification operators.
 
 Both rest on one bracket rule, ``_unpaired``.  Raising at i pairs each
-cell of row i+1 with a cell of row i to its left; a rectify step at c
+cell of row i+1 with a cell of row i to its left; rectification at c
 pairs each cell of column c+1 with a cell of column c above it.  Cells
 that share a column (for rows) or a row (for columns) pair off first;
 then each closer takes the nearest free opener behind it in scan order.
+One bracket pass per column pair finds every unpaired column-(c+1)
+cell: a rectify step moves the lowest, ``rectify_column`` moves them
+all at once, and a diagram is rectified when no column pair has any.
 """
 
 from __future__ import annotations
@@ -46,37 +49,39 @@ def raising(diagram: Diagram, i: int) -> Diagram | None:
     return diagram.move_cell((c, i + 1), (c, i))
 
 
-def rectify_step(diagram: Diagram, c: int) -> Diagram:
-    """Move the lowest unpaired column-(c+1) cell left, or return unchanged."""
+def _unpaired_right(diagram: Diagram, c: int) -> list[int]:
+    """Rows of the unpaired column-(c+1) cells against column c, top first."""
     if c < 1:
         raise ValueError("column index must be >= 1")
     left = set(diagram.col(c))
     right = set(diagram.col(c + 1))
     _, lone = _unpaired({-r for r in left - right}, {-r for r in right - left})
-    if not lone:
+    return [-k for k in lone]
+
+
+def rectify_step(diagram: Diagram, c: int) -> Diagram:
+    """Move the lowest unpaired column-(c+1) cell left, or return unchanged."""
+    rows = _unpaired_right(diagram, c)
+    if not rows:
         return diagram
-    r = -lone[-1]
-    return diagram.move_cell((c + 1, r), (c, r))
+    return diagram.move_cell((c + 1, rows[-1]), (c, rows[-1]))
 
 
 def rectify_column(diagram: Diagram, c: int) -> Diagram:
-    """Apply rectify_step at column c until it stops moving cells."""
-    while True:
-        nxt = rectify_step(diagram, c)
-        if nxt == diagram:
-            return diagram
-        diagram = nxt
+    """Move every unpaired column-(c+1) cell left, or return unchanged.
+
+    Moving the lowest one turns the last free closer into an opener,
+    which changes no other match, so repeated steps move exactly these.
+    """
+    rows = _unpaired_right(diagram, c)
+    if not rows:
+        return diagram
+    return Diagram(diagram.cells - {(c + 1, r) for r in rows} | {(c, r) for r in rows})
 
 
 def is_rectified(diagram: Diagram) -> bool:
-    """Every column must dominate the next one from each height upward."""
-    for c in range(1, diagram.max_col):
-        left = diagram.col(c)
-        right = diagram.col(c + 1)
-        for r in right:
-            if sum(1 for s in left if s >= r) < sum(1 for s in right if s >= r):
-                return False
-    return True
+    """No column has a cell left unpaired against the column to its left."""
+    return not any(_unpaired_right(diagram, c) for c in range(1, diagram.max_col))
 
 
 def rectify(diagram: Diagram) -> Diagram:

@@ -14,7 +14,7 @@ import random
 from dataclasses import dataclass, field
 from functools import partial
 from itertools import combinations
-from math import comb
+from math import comb, prod
 
 from .compositions import compositions_up_to
 from .crystal import crystal_graph, raising, rectify, rectify_step
@@ -203,41 +203,39 @@ def _membership_case(cols: int, t_rows: int, d: Diagram) -> tuple[int, list[str]
 
 def verify_membership(box: tuple[int, int] = (3, 3), t_rows: int = 4,
                       jobs: int = 1) -> SuiteResult:
-    """Labeling membership test against breadth-first search membership."""
+    """Labeling membership test against breadth-first search membership.
+    More candidates to check than the closure budget are refused."""
     cols, rows = box
-    return _sweep("membership", southwest_in_box(cols, rows),
+    diagrams = southwest_in_box(cols, rows)
+    candidates = sum(prod(comb(t_rows, len(d.col(c))) for c in range(1, cols + 1))
+                     for d in diagrams)
+    if candidates > (limit := _max_diagrams(None)):
+        raise ResourceBoundError(f"--t-rows {t_rows} gives {candidates} membership "
+                                 f"candidates, over the budget of {limit} "
+                                 f"(KOHNERT_MAX_DIAGRAMS)")
+    return _sweep("membership", diagrams,
                   partial(_membership_case, cols, t_rows), jobs)
 
 
-def component_isomorphic(component, crystal: TableauCrystal, n: int) -> str | None:
+def component_isomorphic(component, top: Diagram, raised: dict,
+                         crystal: TableauCrystal, n: int) -> str | None:
     """Check one crystal component against a tableau crystal.
 
-    Starting from the unique highest weights, lowering edges are walked
-    in parallel colour by colour; the forced matching must be a
+    ``top`` is the component's highest member and ``raised`` maps (t, i)
+    to the raising image of t, as the edges of ``crystal_graph`` give.
+    Starting from the highest weights, lowering edges are walked in
+    parallel colour by colour; the forced matching must be a
     weight-preserving bijection under which raising also corresponds.
-    Returns None on success, else a description of the first mismatch.
+    A raising that is not injective cannot pass, since tableau raising
+    is injective.  Returns None on success, else a description of the
+    first mismatch.
     """
-    lowering: dict[tuple[Diagram, int], Diagram] = {}
-    tops = []
-    for t in component:
-        raised = False
-        for i in range(1, n):
-            u = raising(t, i)
-            if u is None:
-                continue
-            raised = True
-            if (u, i) in lowering:
-                return f"raising {i} not injective at {u.sorted_cells}"
-            lowering[(u, i)] = t
-        if not raised:
-            tops.append(t)
-    if len(tops) != 1:
-        return f"{len(tops)} highest weight members"
+    lowering = {(u, i): t for (t, i), u in raised.items()}
     if len(component) != len(crystal.elements):
         return f"sizes differ: {len(component)} vs {len(crystal.elements)}"
     lmap = crystal.lowering_map()
-    match = {tops[0]: crystal.highest}
-    queue = [tops[0]]
+    match = {top: crystal.highest}
+    queue = [top]
     while queue:
         x = queue.pop()
         y = match[x]
@@ -260,7 +258,7 @@ def component_isomorphic(component, crystal: TableauCrystal, n: int) -> str | No
         return "lowering walk does not cover both sides"
     for x, y in match.items():
         for i in range(1, n):
-            xr = raising(x, i)
+            xr = raised.get((x, i))
             yr = ssyt_raise(y, i)
             if (xr is None) != (yr is None) or \
                     (xr is not None and match[xr] != yr):
@@ -270,29 +268,32 @@ def component_isomorphic(component, crystal: TableauCrystal, n: int) -> str | No
 
 def _components_case(d: Diagram) -> tuple[int, list[str]]:
     try:
-        components = crystal_graph(generate_kd(d)).components
+        graph = crystal_graph(generate_kd(d))
     except AssertionError as exc:
         return 1, [f"D={d.sorted_cells}: {exc}"]
+    raised = {(t, i): u for t, i, u in graph.edges}
     failures = []
-    for comp in components:
+    for comp, top in zip(graph.components, graph.highest, strict=True):
         try:
             lam, w, a = component_demazure_data(comp, d)
         except (AssertionError, ValueError) as exc:
             failures.append(f"D={d.sorted_cells}: {exc}")
             continue
         n = len(a)
+        rectified = {t: rectify(t) for t in comp}
         for t in comp:
             for i in range(1, n):
-                lifted = raising(t, i)
-                left = raising(rectify(t), i)
-                right = None if lifted is None else rectify(lifted)
+                lifted = raised.get((t, i))
+                left = raising(rectified[t], i)
+                right = None if lifted is None else rectified[lifted]
                 if (lifted is None) != (left is None) or left != right:
                     failures.append(f"D={d.sorted_cells}: rectify does not "
                                     f"intertwine raising {i} at {t.sorted_cells}")
-        problem = component_isomorphic(comp, demazure_subset(lam, w, n), n)
+        problem = component_isomorphic(comp, top, raised,
+                                       demazure_subset(lam, w, n), n)
         if problem is not None:
             failures.append(f"D={d.sorted_cells}, a={a}: {problem}")
-    return len(components), failures
+    return len(graph.components), failures
 
 
 def verify_components(box: tuple[int, int] = (3, 3), jobs: int = 1) -> SuiteResult:

@@ -27,6 +27,9 @@ and sort every result.  ``oracle_raising``, ``oracle_rectify_step``,
 ``oracle_ssyt_lower``, ``oracle_ssyt_raise`` and ``oracle_sskt_raise``
 are the five operators as they were built on them, so differential
 tests can hold the operators to the old bracket matching.
+``oracle_rectify_column`` iterates ``oracle_rectify_step`` to a
+fixpoint, and ``oracle_is_rectified`` is the dominance count, the two
+that the single bracket pass per column in ``kohnert.crystal`` replaced.
 
 ``EMPTY`` is the diagram with no cells, for the edge-case tests.
 ``identity``, ``inverse`` and ``act`` are the permutation basics the
@@ -407,6 +410,26 @@ def oracle_rectify_step(diagram: Diagram, c: int) -> Diagram:
     _, r = pairing.unpaired_right[0]
     return diagram.move_cell((c + 1, r), (c, r))
 
+
+
+def oracle_rectify_column(diagram: Diagram, c: int) -> Diagram:
+    """Apply oracle_rectify_step at column c until it stops moving cells."""
+    while True:
+        nxt = oracle_rectify_step(diagram, c)
+        if nxt == diagram:
+            return diagram
+        diagram = nxt
+
+
+def oracle_is_rectified(diagram: Diagram) -> bool:
+    """Every column must dominate the next one from each height upward."""
+    for c in range(1, diagram.max_col):
+        left = diagram.col(c)
+        right = diagram.col(c + 1)
+        for r in right:
+            if sum(1 for s in left if s >= r) < sum(1 for s in right if s >= r):
+                return False
+    return True
 
 def _tableau_unpaired(t: Tableau, opener: int, closer: int):
     """Unmatched cells holding ``opener`` and ``closer``, sorted by column,

@@ -1,12 +1,15 @@
 """Tests for the command line front end, mostly in process."""
 
 import json
+import os
 import subprocess
 import sys
+from pathlib import Path
 from time import perf_counter
 
 import pytest
 
+import kohnert
 from kohnert import cli
 from kohnert.cli import main
 from kohnert.moves import kohnert_polynomial
@@ -286,6 +289,24 @@ def test_verify_box_budget_follows_the_environment(monkeypatch, capsys):
     assert "budget of 100" in err
 
 
+def test_verify_membership_over_the_budget_exits_3(capsys):
+    start = perf_counter()
+    assert main(["verify", "membership", "--t-rows", "8"]) == 3
+    assert perf_counter() - start < 5
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err.startswith("error: --t-rows 8 gives 1813437 membership candidates")
+    assert "KOHNERT_MAX_DIAGRAMS" in captured.err
+
+
+def test_verify_membership_budget_follows_the_environment(monkeypatch, capsys):
+    monkeypatch.setenv("KOHNERT_MAX_DIAGRAMS", "200000")
+    assert main(["verify", "membership", "--t-rows", "6"]) == 3
+    err = capsys.readouterr().err
+    assert "--t-rows 6 gives 216258 membership candidates" in err
+    assert "budget of 200000" in err
+
+
 @pytest.mark.parametrize("value", ["abc", "0", "-1"])
 def test_bad_environment_budget_is_a_usage_error(monkeypatch, capsys, value):
     monkeypatch.setenv("KOHNERT_MAX_DIAGRAMS", value)
@@ -314,9 +335,12 @@ def test_max_diagrams_below_one_is_refused_at_parse_time(capsys, command, value)
 
 
 def test_module_entry_point():
+    src = str(Path(kohnert.__file__).resolve().parents[1])
+    env = dict(os.environ)
+    env["PYTHONPATH"] = os.pathsep.join(filter(None, [src, env.get("PYTHONPATH")]))
     proc = subprocess.run(
         [sys.executable, "-m", "kohnert", "poly", "--key", "2"],
-        capture_output=True, text=True)
+        capture_output=True, text=True, env=env)
     assert proc.returncode == 0
     assert json.loads(proc.stdout) == {"n": 1, "terms": [{"exps": [2], "coef": 1}]}
 

@@ -28,8 +28,8 @@ from golden import (
     RAISING_EDGES,
     RECTIFIED,
 )
-from oracle import (crystal_components_json, oracle_raising, oracle_rectify_step,
-                    southwest_hull)
+from oracle import (crystal_components_json, oracle_is_rectified, oracle_raising,
+                    oracle_rectify_column, oracle_rectify_step, southwest_hull)
 
 cell_sets = st.sets(st.tuples(st.integers(1, 5), st.integers(1, 5)), max_size=8)
 southwest_diagrams = st.sets(st.tuples(st.integers(1, 4), st.integers(1, 5)),
@@ -75,6 +75,8 @@ def test_operators_match_the_bracket_oracle(cells):
     for k in range(1, 6):
         assert raising(d, k) == oracle_raising(d, k), k
         assert rectify_step(d, k) == oracle_rectify_step(d, k), k
+        assert rectify_column(d, k) == oracle_rectify_column(d, k), k
+    assert is_rectified(d) == oracle_is_rectified(d)
 
 
 def test_raising_matches_hand_table():

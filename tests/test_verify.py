@@ -7,9 +7,15 @@ import random
 import pytest
 
 from kohnert import crystal, verify
+from kohnert.crystal import crystal_graph
 from kohnert.diagrams import is_southwest
-from kohnert.verify import SUITES, SuiteResult, random_diagram, run_suite, southwest_in_box
+from kohnert.labeling import component_demazure_data
+from kohnert.moves import generate_kd
+from kohnert.tableaux import demazure_subset
+from kohnert.verify import (SUITES, SuiteResult, component_isomorphic, random_diagram,
+                            run_suite, southwest_in_box)
 
+from golden import D5
 from oracle import row_pairing
 
 
@@ -135,6 +141,25 @@ def test_jobs_are_capped_at_the_cpu_count(monkeypatch):
     monkeypatch.setattr(os, "cpu_count", lambda: 1)
     assert run_suite("schubert", n=3, jobs=1000).checked == 6
     assert sizes == [3]          # one CPU: no pool at all
+
+
+def test_component_isomorphic_reports_mismatches():
+    graph = crystal_graph(generate_kd(D5))
+    raised = {(t, i): u for t, i, u in graph.edges}
+    (small, large), (small_top, large_top) = graph.components, graph.highest
+    lam, w, a = component_demazure_data(small, D5)
+    small_crystal = demazure_subset(lam, w, len(a))
+    assert component_isomorphic(small, small_top, raised, small_crystal, len(a)) is None
+    assert component_isomorphic(large, large_top, raised, small_crystal,
+                                len(a)) == "sizes differ: 10 vs 9"
+    (t, i), u = min((key, u) for key, u in raised.items() if key[0] in small)
+    dropped = dict(raised)
+    del dropped[(t, i)]
+    merged = dict(raised)
+    merged[(min(x for x in small if (x, i) not in raised and x != u), i)] = u
+    for wrong in (dropped, merged):
+        assert component_isomorphic(small, small_top, wrong, small_crystal,
+                                    len(a)) is not None
 
 
 def test_run_suite_rejects_unknown_names():
