@@ -15,7 +15,7 @@ from .labeling import (Labeling, component_demazure_data, demazure_expansion,
                        relabel_rectify, slide_expansion, yamanouchi_diagrams)
 from .moves import (DEFAULT_MAX_DIAGRAMS, KohnertSet, MaxDiagramsError,
                     ResourceBoundError, generate_kd, kd_to_dot, kd_to_json,
-                    kohnert_move, kohnert_polynomial)
+                    kohnert_polynomial)
 from .perms import (Permutation, all_permutations, compose, contains_2143,
                     lehmer_code, length, longest, reduced_word,
                     sort_and_minimal_perm)

@@ -1,13 +1,29 @@
 """Crystal operators on diagrams and the rectification operators.
 
-Both rest on one bracket rule, ``_unpaired``.  Raising at i pairs each
-cell of row i+1 with a cell of row i to its left; rectification at c
-pairs each cell of column c+1 with a cell of column c above it.  Cells
-that share a column (for rows) or a row (for columns) pair off first;
-then each closer takes the nearest free opener behind it in scan order.
-One bracket pass per column pair finds every unpaired column-(c+1)
-cell: a rectify step moves the lowest, ``rectify_column`` moves them
-all at once, and a diagram is rectified when no column pair has any.
+Both rest on one bracket rule, ``_lone``, on a pair of integer bitmasks.
+Raising at i pairs each cell of row i+1 with a cell of row i to its
+left; rectification at c pairs each cell of column c+1 with a cell of
+column c above it.  Bits set in both masks pair off; then a counter of
+free openers walks the rest from the high bit down, and a closer that
+finds it at zero is unpaired.  Each operator reads its own layout, in
+which that scan order is the high bit down:
+
+* Row masks carry raising.  For a width w >= max_col, the mask of row r
+  has bit w - c set when (c, r) is a cell, so the leftmost column is
+  the high bit.  A row key holds the row masks side by side, row r in
+  bits (r - 1) * w to r * w - 1.  A raise at i flips one bit in the
+  fields of rows i and i+1, so ``crystal_graph`` finds each edge by
+  looking the flipped key up among the members' keys.
+* Column masks carry rectification.  The mask of column c has bit r set
+  when (c, r) is a cell; they are the fields of a packed closure state
+  of ``kohnert.moves``, so rectified members compare with a closure
+  without building diagrams.  ``rectify_column`` moves every unpaired
+  column-(c+1) cell at once, and ``rectify`` sweeps right to left until
+  a sweep moves nothing.
+
+The ``Diagram`` operators pack their input and call these helpers.
+``_unpaired`` is the same rule on sets of scan keys, for the tableau
+operators.
 """
 
 from __future__ import annotations
@@ -15,7 +31,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 from .diagrams import Diagram, is_southwest
-from .moves import KohnertSet
+from .moves import KohnertSet, _columns, _pack
 
 
 def _unpaired(openers, closers) -> tuple[list, list]:
@@ -36,35 +52,95 @@ def _unpaired(openers, closers) -> tuple[list, list]:
     return free, lone
 
 
+def _lone(openers: int, closers: int) -> int:
+    """The bracket rule on two masks, scanned from the high bit down.
+
+    Bits set in both pair off; then each closer takes a free opener
+    scanned before it.  Returns the mask of the closers left unpaired.
+    A count of free openers is enough, since which one a closer takes
+    decides no later closer's fate.
+    """
+    shared = openers & closers
+    closers ^= shared
+    rest = (openers ^ shared) | closers
+    lone = free = 0
+    while closers:
+        bit = 1 << (rest.bit_length() - 1)
+        rest ^= bit
+        if not bit & closers:
+            free += 1
+        elif free:
+            free -= 1
+            closers ^= bit
+        else:
+            lone |= bit
+            closers ^= bit
+    return lone
+
+
+def _raise_bit(low: int, high: int) -> int:
+    """The bit, in the masks of rows i and i+1, of the cell raising at i
+    moves: the rightmost unpaired row-(i+1) cell, or 0 when there is none."""
+    lone = _lone(low, high)
+    return lone & -lone
+
+
+def _row_key(diagram: Diagram, width: int) -> int:
+    """The row masks of a diagram side by side, ``width`` bits each."""
+    key = 0
+    for c, r in diagram.cells:
+        key |= 1 << (r * width - c)
+    return key
+
+
+def _bits(mask: int) -> list[int]:
+    """Positions of the set bits, lowest first."""
+    return [k for k in range(mask.bit_length()) if mask >> k & 1]
+
+
 def raising(diagram: Diagram, i: int) -> Diagram | None:
     """Drop the rightmost unpaired row-(i+1) cell into row i, or None."""
     if i < 1:
         raise ValueError("row index must be >= 1")
-    low = set(diagram.row(i))
-    high = set(diagram.row(i + 1))
-    _, lone = _unpaired(low - high, high - low)
-    if not lone:
+    width = diagram.max_col
+    field = (1 << width) - 1
+    rows = _row_key(diagram, width) >> (i - 1) * width
+    bit = _raise_bit(rows & field, rows >> width & field)
+    if not bit:
         return None
-    c = lone[-1]
+    c = width + 1 - bit.bit_length()
     return diagram.move_cell((c, i + 1), (c, i))
 
 
-def _unpaired_right(diagram: Diagram, c: int) -> list[int]:
-    """Rows of the unpaired column-(c+1) cells against column c, top first."""
+def _highest(diagrams) -> list[Diagram]:
+    """The diagrams that no raising operator moves."""
+    width = max((t.max_col for t in diagrams), default=0)
+    field = (1 << width) - 1
+    tops = []
+    for t in diagrams:
+        rows = _row_key(t, width)
+        while rows and not _raise_bit(rows & field, rows >> width & field):
+            rows >>= width
+        if not rows:
+            tops.append(t)
+    return tops
+
+
+def _unpaired_right(diagram: Diagram, c: int) -> int:
+    """Mask of the rows of the unpaired column-(c+1) cells against column c."""
     if c < 1:
         raise ValueError("column index must be >= 1")
-    left = set(diagram.col(c))
-    right = set(diagram.col(c + 1))
-    _, lone = _unpaired({-r for r in left - right}, {-r for r in right - left})
-    return [-k for k in lone]
+    return _lone(sum(1 << r for r in diagram.col(c)),
+                 sum(1 << r for r in diagram.col(c + 1)))
 
 
 def rectify_step(diagram: Diagram, c: int) -> Diagram:
     """Move the lowest unpaired column-(c+1) cell left, or return unchanged."""
-    rows = _unpaired_right(diagram, c)
-    if not rows:
+    lone = _unpaired_right(diagram, c)
+    if not lone:
         return diagram
-    return diagram.move_cell((c + 1, rows[-1]), (c, rows[-1]))
+    r = (lone & -lone).bit_length() - 1
+    return diagram.move_cell((c + 1, r), (c, r))
 
 
 def rectify_column(diagram: Diagram, c: int) -> Diagram:
@@ -73,23 +149,45 @@ def rectify_column(diagram: Diagram, c: int) -> Diagram:
     Moving the lowest one turns the last free closer into an opener,
     which changes no other match, so repeated steps move exactly these.
     """
-    rows = _unpaired_right(diagram, c)
+    rows = _bits(_unpaired_right(diagram, c))
     if not rows:
         return diagram
     return Diagram(diagram.cells - {(c + 1, r) for r in rows} | {(c, r) for r in rows})
 
 
+def _rectify(cols: list[int]) -> list[int]:
+    """Rectify column masks in place by right-to-left sweeps, until a
+    sweep moves nothing, and return them."""
+    moved = True
+    while moved:
+        moved = False
+        for k in range(len(cols) - 2, -1, -1):
+            if not cols[k + 1] & ~cols[k]:     # every right-hand cell pairs in its row
+                continue
+            lone = _lone(cols[k], cols[k + 1])
+            if lone:
+                cols[k] |= lone
+                cols[k + 1] ^= lone
+                moved = True
+    return cols
+
+
 def is_rectified(diagram: Diagram) -> bool:
     """No column has a cell left unpaired against the column to its left."""
-    return not any(_unpaired_right(diagram, c) for c in range(1, diagram.max_col))
+    cols = _columns(diagram)
+    return not any(_lone(left, right) for left, right in zip(cols, cols[1:]))
 
 
 def rectify(diagram: Diagram) -> Diagram:
     """Fully rectify by right-to-left column sweeps."""
-    while not is_rectified(diagram):
-        for c in range(diagram.max_col - 1, 0, -1):
-            diagram = rectify_column(diagram, c)
-    return diagram
+    cols = _rectify(_columns(diagram))
+    return Diagram(frozenset((k + 1, r) for k, col in enumerate(cols) for r in _bits(col)))
+
+
+def _rectified_states(diagrams, width: int) -> set[int]:
+    """Each diagram rectified and packed as a closure state, in fields
+    ``width`` bits wide, which must exceed every row."""
+    return {_pack(_rectify(_columns(t)), width) for t in diagrams}
 
 
 @dataclass(frozen=True)
@@ -113,52 +211,59 @@ def crystal_graph(kset: KohnertSet) -> CrystalGraph:
     if not is_southwest(source):
         raise ValueError("source diagram is not southwest")
     members = kset.members
-    member_set = kset.member_set
     max_index = max(source.max_row - 1, 0)
-    edges = []
-    for t in members:
+    width = source.max_col                 # moves and raises keep every column
+    field = (1 << width) - 1
+    keys = [_row_key(t, width) for t in members]
+    index = {key: n for n, key in enumerate(keys)}
+    edges = []                             # (member, i, member) by position
+    for n, key in enumerate(keys):
+        rows = key
         for i in range(1, max_index + 1):
-            u = raising(t, i)
-            if u is None:
+            above = rows >> width
+            bit = _raise_bit(rows & field, above & field)
+            rows = above
+            if not bit:
                 continue
-            if u not in member_set:
-                raise AssertionError(
-                    f"southwest closure not stable under raising at i={i}: {t.sorted_cells}")
-            edges.append((t, i, u))
+            m = index.get(key ^ (bit << width | bit) << (i - 1) * width)
+            if m is None:
+                raise AssertionError(f"southwest closure not stable under raising "
+                                     f"at i={i}: {members[n].sorted_cells}")
+            edges.append((n, i, m))
     # connected components over the undirected edge relation
-    neighbours: dict[Diagram, list[Diagram]] = {t: [] for t in members}
-    for t, _, u in edges:
-        neighbours[t].append(u)
-        neighbours[u].append(t)
-    seen: set[Diagram] = set()
-    components = []
-    for seed in members:
-        if seed in seen:
+    neighbours: list[list[int]] = [[] for _ in keys]
+    for n, _, m in edges:
+        neighbours[n].append(m)
+        neighbours[m].append(n)
+    seen = [False] * len(keys)
+    groups = []
+    for seed in range(len(keys)):
+        if seen[seed]:
             continue
-        comp = {seed}
-        frontier = [seed]
-        while frontier:
-            for nxt in neighbours[frontier.pop()]:
-                if nxt not in comp:
-                    comp.add(nxt)
-                    frontier.append(nxt)
-        seen |= comp
-        components.append(frozenset(comp))
+        seen[seed] = True
+        group = [seed]
+        for n in group:                    # grows as the search reaches members
+            for m in neighbours[n]:
+                if not seen[m]:
+                    seen[m] = True
+                    group.append(m)
+        groups.append(group)
     # members are sorted, so seeds come least member first and a stable
     # sort by size orders components by (size, least member)
-    components.sort(key=len)
-    has_out = {t for t, _, _ in edges}
+    groups.sort(key=len)
+    has_out = {n for n, _, _ in edges}
     highest = []
-    for comp in components:
-        tops = [t for t in comp if t not in has_out]
+    for group in groups:
+        tops = [n for n in group if n not in has_out]
         if len(tops) != 1:
             raise AssertionError("component without a unique highest weight")
-        highest.append(tops[0])
+        highest.append(members[tops[0]])
     return CrystalGraph(source=source,
                         members=members,
                         max_index=max_index,
-                        edges=frozenset(edges),
-                        components=tuple(components),
+                        edges=frozenset((members[n], i, members[m]) for n, i, m in edges),
+                        components=tuple(frozenset(members[n] for n in group)
+                                         for group in groups),
                         highest=tuple(highest))
 
 

@@ -15,11 +15,11 @@ from dataclasses import dataclass
 from functools import cached_property
 
 from .compositions import Composition, pad
-from .crystal import crystal_graph, raising, rectify, rectify_column
+from .crystal import _highest, _rectified_states, crystal_graph, rectify_column
 from .diagrams import (Cell, Diagram, GridParseError, column_weights,
                        composition_diagram, grid_rows, is_composition_diagram,
                        is_southwest, weight)
-from .moves import generate_kd, kohnert_polynomial
+from .moves import _closure, _max_diagrams, generate_kd, kohnert_polynomial
 from .perms import sort_and_minimal_perm
 from .polynomials import expand_in_basis
 
@@ -352,16 +352,15 @@ def component_demazure_data(component, d: Diagram):
     lam is the weight of the unique highest member, a the weight of the
     labeling diagram after rectifying that member's labeling, and w the
     minimal permutation carrying sorted a to a.  The rectified members
-    are checked to tile the closure of the composition diagram of a.
+    are checked to tile the closure of the composition diagram of a,
+    compared as packed closure states.
     """
     if not is_southwest(d):
         raise ValueError("component data requires a southwest diagram")
     comp = set(component)
     if not comp:
         raise ValueError("component is empty")
-    top_row = max(t.max_row for t in comp)
-    tops = [t for t in comp
-            if all(raising(t, i) is None for i in range(1, top_row + 1))]
+    tops = _highest(comp)
     if len(tops) != 1:
         raise ValueError("not a single crystal component")
     u = tops[0]
@@ -369,9 +368,14 @@ def component_demazure_data(component, d: Diagram):
     lam, w = sort_and_minimal_perm(a)
     if weight(u, len(a)) != lam:
         raise AssertionError("highest weight does not match the sorted labels")
-    rect_image = {rectify(t) for t in comp}
+    # rectification keeps every cell in its row, so no field overflows
+    top_row = max(t.max_row for t in comp)
+    rect_image = _rectified_states(comp, top_row + 1)
     if len(rect_image) != len(comp):
         raise AssertionError("rectification is not injective on the component")
-    if rect_image != generate_kd(composition_diagram(a)).member_set:
+    source = composition_diagram(a)
+    states, _ = _closure(source, _max_diagrams(None))
+    # equal images have equal top rows, and then equal fields
+    if source.max_row != top_row or rect_image != states:
         raise AssertionError("rectified component misses the composition closure")
     return lam, w, a

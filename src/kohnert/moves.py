@@ -8,7 +8,9 @@ rightmost column whose field has bit r, the highest clear bit below r in
 that field, and flips the two bits.  Each state carries its row weight,
 packed the same way with one field per row, and a move updates it by -1
 in row r and +1 in the row it drops to.  ``Diagram`` objects are made only
-at the API boundary, by ``generate_kd``.
+at the API boundary, by ``generate_kd`` and ``KohnertSet.edges``.  The
+fields of a state are a diagram's column masks, the layout on which
+``kohnert.crystal`` rectifies.
 """
 
 from __future__ import annotations
@@ -54,22 +56,6 @@ def _max_diagrams(explicit: int | None) -> int:
     return limit
 
 
-def kohnert_move(diagram: Diagram, r: int) -> Diagram | None:
-    """Drop the rightmost cell of row r to the first empty spot below it.
-
-    Returns None when row r is empty or the cell has nowhere to go.
-    """
-    cols = diagram.row(r)
-    if not cols:
-        return None
-    c = cols[-1]
-    occupied = set(diagram.col(c))
-    for dst in range(r - 1, 0, -1):
-        if dst not in occupied:
-            return diagram.move_cell((c, r), (c, dst))
-    return None
-
-
 @dataclass(frozen=True)
 class KohnertSet:
     source: Diagram
@@ -85,31 +71,46 @@ class KohnertSet:
     @cached_property
     def edges(self) -> frozenset[tuple[Diagram, Diagram, int]]:
         """Every move (from, to, row moved) between members, found on demand."""
-        return frozenset((t, u, r) for t in self.members for r in t.by_row
-                         if (u := kohnert_move(t, r)) is not None)
+        moves = []
+        _closure(self.source, len(self.members), moves)
+        width = self.source.max_row + 1
+        member = {_pack(_columns(t), width): t for t in self.members}
+        return frozenset((member[s], member[t], r) for s, t, r in moves)
 
 
-def _closure(diagram: Diagram, limit: int) -> tuple[set[int], dict[tuple[int, ...], int]]:
+def _columns(diagram: Diagram) -> list[int]:
+    """Column masks, column 1 first: bit r of a mask is set when row r holds a cell."""
+    cols = [0] * diagram.max_col
+    for c, r in diagram.cells:
+        cols[c - 1] |= 1 << r
+    return cols
+
+
+def _pack(columns: list[int], width: int) -> int:
+    """The packed state whose fields, ``width`` bits each, are these column masks."""
+    return sum(col << k * width for k, col in enumerate(columns))
+
+
+def _closure(diagram: Diagram, limit: int,
+             edges: list | None = None) -> tuple[set[int], dict[tuple[int, ...], int]]:
     """Packed states of the closure, and the member count of each row weight.
 
-    Weights have one entry per row from 1 to ``diagram.max_row``.
+    Weights have one entry per row from 1 to ``diagram.max_row``.  When
+    ``edges`` is a list, every move between members is appended to it as
+    (state, next state, row moved): a second pass expands each member
+    alone, so the search itself does no work for them.
     """
     width = diagram.max_row + 1
     field = (1 << width) - 1
     wbits = len(diagram).bit_length()      # a row holds at most len(diagram) cells
     unit = {1 << r: 1 << (wbits * (r - 1)) for r in range(1, width)}
     delta = {src | dst: unit[dst] - unit[src] for src in unit for dst in unit if dst < src}
-    start = start_weight = 0
-    for c, r in diagram.cells:
-        start |= 1 << ((c - 1) * width + r)
-        start_weight += unit[1 << r]
+    start = _pack(_columns(diagram), width)
+    start_weight = sum(unit[1 << r] for _, r in diagram.cells)
     shifts = [c * width for c in range(diagram.max_col - 1, -1, -1)]
-    seen = {start}
-    counts = {start_weight: 1}
-    states, weights = [start], [start_weight]
-    depth = 0
-    while states:
-        depth += 1
+
+    def expand(states, weights, seen, counts, depth):
+        """The states first reached, at this depth, by one move from ``states``."""
         next_states, next_weights = [], []
         for state, weight in zip(states, weights):
             covered = 0                    # rows already met in a column to the right
@@ -138,7 +139,21 @@ def _closure(diagram: Diagram, limit: int) -> tuple[set[int], dict[tuple[int, ..
                     counts[nxt_weight] = counts.get(nxt_weight, 0) + 1
                     next_states.append(nxt)
                     next_weights.append(nxt_weight)
-        states, weights = next_states, next_weights
+        return next_states, next_weights
+
+    seen = {start}
+    counts = {start_weight: 1}
+    states, weights = [start], [start_weight]
+    depth = 0
+    while states:
+        depth += 1
+        states, weights = expand(states, weights, seen, counts, depth)
+    if edges is not None:
+        for state in seen:
+            moved, _ = expand([state], [0], {state}, {}, 1)
+            # a move flips two bits of one field, the higher one at the row moved
+            edges.extend((state, nxt, ((state ^ nxt).bit_length() - 1) % width)
+                         for nxt in moved)
     wmask = (1 << wbits) - 1
     return seen, {tuple((w >> (wbits * i)) & wmask for i in range(diagram.max_row)): k
                   for w, k in counts.items()}

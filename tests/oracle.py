@@ -1,10 +1,11 @@
 """Reference code the tests hold the package to.
 
+``kohnert_move`` is one Kohnert move on a whole diagram, and
 ``oracle_generate_kd`` is the breadth-first search over ``Diagram``
 objects that the packed search in ``kohnert.moves`` replaced.  It
-applies ``kohnert_move`` to whole diagrams and records every edge it
-walks, so the differential tests can hold the packed engine to the same
-members, edges, polynomial and budget boundary.
+applies ``kohnert_move`` and records every edge it walks, so the
+differential tests can hold the packed engine to the same members,
+edges, polynomial and budget boundary.
 
 ``word_to_permutation`` recomposes a word of simple transpositions, so
 the tests can check ``reduced_word``.
@@ -29,7 +30,15 @@ are the five operators as they were built on them, so differential
 tests can hold the operators to the old bracket matching.
 ``oracle_rectify_column`` iterates ``oracle_rectify_step`` to a
 fixpoint, and ``oracle_is_rectified`` is the dominance count, the two
-that the single bracket pass per column in ``kohnert.crystal`` replaced.
+that the single bracket pass per column in ``kohnert.crystal`` replaced;
+``oracle_rectify`` sweeps the one until the other holds.
+``oracle_crystal_graph`` builds the raising graph of a closure from
+``oracle_raising`` on whole diagrams, and
+``oracle_component_demazure_data`` is ``component_demazure_data`` as it
+was on diagrams, raising every member to find the top and comparing
+the rectified members with the diagram-level closure of D(a), the
+route that the packed row and column masks in ``kohnert.crystal``
+replaced.
 
 ``EMPTY`` is the diagram with no cells, for the edge-case tests.
 ``identity``, ``inverse`` and ``act`` are the permutation basics the
@@ -58,15 +67,31 @@ from itertools import product
 from kohnert.compositions import (check_composition, compositions_of, flatten,
                                   pad, strip_trailing_zeros)
 from kohnert.crystal import CrystalGraph
-from kohnert.diagrams import Cell, Diagram, weight
-from kohnert.labeling import Labeling, is_flagged
-from kohnert.moves import DEFAULT_MAX_DIAGRAMS, ResourceBoundError, kohnert_move
-from kohnert.perms import Permutation
+from kohnert.diagrams import Cell, Diagram, composition_diagram, is_southwest, weight
+from kohnert.labeling import Labeling, _component_key, is_flagged
+from kohnert.moves import DEFAULT_MAX_DIAGRAMS, ResourceBoundError
+from kohnert.perms import Permutation, sort_and_minimal_perm
 from kohnert.polynomials import IntPolynomial, monomial_generating
 from kohnert.tableaux import (Tableau, TableauCrystal, highest_weight_tableau,
                               ssyt_lower)
 
 EMPTY = Diagram(frozenset())
+
+
+def kohnert_move(diagram: Diagram, r: int) -> Diagram | None:
+    """Drop the rightmost cell of row r to the first empty spot below it.
+
+    Returns None when row r is empty or the cell has nowhere to go.
+    """
+    cols = diagram.row(r)
+    if not cols:
+        return None
+    c = cols[-1]
+    occupied = set(diagram.col(c))
+    for dst in range(r - 1, 0, -1):
+        if dst not in occupied:
+            return diagram.move_cell((c, r), (c, dst))
+    return None
 
 
 @dataclass(frozen=True)
@@ -430,6 +455,74 @@ def oracle_is_rectified(diagram: Diagram) -> bool:
             if sum(1 for s in left if s >= r) < sum(1 for s in right if s >= r):
                 return False
     return True
+
+
+def oracle_rectify(diagram: Diagram) -> Diagram:
+    """Right-to-left sweeps of oracle_rectify_column until oracle_is_rectified."""
+    while not oracle_is_rectified(diagram):
+        for c in range(diagram.max_col - 1, 0, -1):
+            diagram = oracle_rectify_column(diagram, c)
+    return diagram
+
+
+def oracle_crystal_graph(kset) -> CrystalGraph:
+    """The raising graph of a southwest closure from oracle_raising, its
+    components ordered by (size, least member), each with its one member
+    that no operator raises."""
+    members = kset.members
+    max_index = max(kset.source.max_row - 1, 0)
+    edges = frozenset((t, i, u) for t in members for i in range(1, max_index + 1)
+                      if (u := oracle_raising(t, i)) is not None)
+    neighbours = {t: set() for t in members}
+    for t, _, u in edges:
+        neighbours[t].add(u)
+        neighbours[u].add(t)
+    components = []
+    left = set(members)
+    while left:
+        comp = {min(left)}
+        frontier = list(comp)
+        while frontier:
+            fresh = neighbours[frontier.pop()] - comp
+            comp |= fresh
+            frontier.extend(fresh)
+        left -= comp
+        components.append(frozenset(comp))
+    components.sort(key=lambda comp: (len(comp), min(comp)))
+    has_out = {t for t, _, _ in edges}
+    highest = []
+    for comp in components:
+        (top,) = [t for t in comp if t not in has_out]
+        highest.append(top)
+    return CrystalGraph(source=kset.source, members=members, max_index=max_index,
+                        edges=edges, components=tuple(components),
+                        highest=tuple(highest))
+
+
+def oracle_component_demazure_data(component, d: Diagram):
+    """(lam, w, a) for one crystal component, with the same checks and
+    messages as component_demazure_data, all on diagrams."""
+    if not is_southwest(d):
+        raise ValueError("component data requires a southwest diagram")
+    comp = set(component)
+    if not comp:
+        raise ValueError("component is empty")
+    top_row = max(t.max_row for t in comp)
+    tops = [t for t in comp
+            if all(oracle_raising(t, i) is None for i in range(1, top_row + 1))]
+    if len(tops) != 1:
+        raise ValueError("not a single crystal component")
+    u = tops[0]
+    a = _component_key(u, d)
+    lam, w = sort_and_minimal_perm(a)
+    if weight(u, len(a)) != lam:
+        raise AssertionError("highest weight does not match the sorted labels")
+    rect_image = {oracle_rectify(t) for t in comp}
+    if len(rect_image) != len(comp):
+        raise AssertionError("rectification is not injective on the component")
+    if rect_image != set(oracle_generate_kd(composition_diagram(a)).members):
+        raise AssertionError("rectified component misses the composition closure")
+    return lam, w, a
 
 def _tableau_unpaired(t: Tableau, opener: int, closer: int):
     """Unmatched cells holding ``opener`` and ``closer``, sorted by column,

@@ -1,5 +1,6 @@
 """Tests for the command line front end, mostly in process."""
 
+import hashlib
 import json
 import os
 import subprocess
@@ -140,6 +141,13 @@ def test_crystal_dot(tmp_path, capsys):
     assert "component 0: lam=(3,2,0) w=(3,1,2) a=(0,3,2)" in out
     assert "component 1: lam=(3,1,1,0) w=(4,1,2,3) a=(0,3,1,1)" in out
     assert out.count(" -> ") == 20
+
+
+def test_crystal_dot_bytes_are_pinned(capsys):
+    assert main(["crystal", "--perm", "2,1,5,4,3,8,7,6"]) == 0
+    out = capsys.readouterr().out.encode()
+    assert hashlib.sha256(out).hexdigest() == \
+        "d6f96cb142990ef65a4367ba9f2917a9f91e1b0e027de7cae4be402acaba9503"
 
 
 def test_membership_member(tmp_path, capsys):

@@ -28,8 +28,9 @@ from golden import (
     RAISING_EDGES,
     RECTIFIED,
 )
-from oracle import (crystal_components_json, oracle_is_rectified, oracle_raising,
-                    oracle_rectify_column, oracle_rectify_step, southwest_hull)
+from oracle import (crystal_components_json, oracle_crystal_graph, oracle_is_rectified,
+                    oracle_raising, oracle_rectify, oracle_rectify_column,
+                    oracle_rectify_step, southwest_hull)
 
 cell_sets = st.sets(st.tuples(st.integers(1, 5), st.integers(1, 5)), max_size=8)
 southwest_diagrams = st.sets(st.tuples(st.integers(1, 4), st.integers(1, 5)),
@@ -77,6 +78,7 @@ def test_operators_match_the_bracket_oracle(cells):
         assert rectify_step(d, k) == oracle_rectify_step(d, k), k
         assert rectify_column(d, k) == oracle_rectify_column(d, k), k
     assert is_rectified(d) == oracle_is_rectified(d)
+    assert rectify(d) == oracle_rectify(d)
 
 
 def test_raising_matches_hand_table():
@@ -167,6 +169,15 @@ def test_crystal_components_partition_the_closure(d):
     has_out = {t for t, _, _ in graph.edges}
     for comp, top in zip(graph.components, graph.highest, strict=True):
         assert [t for t in comp if t not in has_out] == [top]
+
+
+@settings(deadline=None, max_examples=60)
+@given(southwest_diagrams)
+def test_packed_operators_match_the_oracles_on_southwest_closures(d):
+    kset = generate_kd(d)
+    assert crystal_graph(kset) == oracle_crystal_graph(kset)
+    for t in kset.members:
+        assert rectify(t) == oracle_rectify(t)
 
 
 def test_crystal_dot_output():

@@ -36,7 +36,8 @@ from kohnert.perms import all_permutations, contains_2143
 from kohnert.verify import _column_weight_candidates, southwest_in_box
 
 from golden import COMPONENT_LARGE, COMPONENT_SMALL, D5, LETTER, MEMBERS
-from oracle import is_kohnert_tableau, southwest_hull, super_standard
+from oracle import (is_kohnert_tableau, oracle_component_demazure_data, southwest_hull,
+                    super_standard)
 
 southwest_diagrams = st.sets(st.tuples(st.integers(1, 4), st.integers(1, 5)),
                              max_size=6).map(southwest_hull)
@@ -369,6 +370,25 @@ def test_component_demazure_data_validation():
         component_demazure_data([], D5)
     with pytest.raises(ValueError):
         component_demazure_data(set(small) | set(large), D5)
+
+
+def _outcome(data, component, d):
+    try:
+        return data(component, d)
+    except (AssertionError, ValueError) as exc:
+        return type(exc), str(exc)
+
+
+@settings(deadline=None, max_examples=40)
+@given(southwest_diagrams)
+def test_component_demazure_data_matches_the_oracle(d):
+    components = crystal_graph(generate_kd(d)).components
+    cases = list(components)
+    cases += [comp - {max(comp)} for comp in components]     # a member short
+    cases += [a | b for a, b in zip(components, components[1:])]
+    for case in cases:
+        assert _outcome(component_demazure_data, case, d) == \
+            _outcome(oracle_component_demazure_data, case, d)
 
 
 if __name__ == "__main__":

@@ -16,7 +16,6 @@ from kohnert.verify import (SUITES, SuiteResult, component_isomorphic, random_di
                             run_suite, southwest_in_box)
 
 from golden import D5
-from oracle import row_pairing
 
 
 def test_suite_result_summary_pass():
@@ -89,17 +88,15 @@ def test_run_suite_can_fan_out():
         assert (fanned.checked, fanned.failures) == (serial.checked, serial.failures), name
 
 
-def _leftmost_raising(diagram, i):
-    """Raising that drops the leftmost unpaired cell: it leaves closures."""
-    pairing = row_pairing(diagram, i)
-    if not pairing.unpaired_high:
-        return None
-    c, _ = pairing.unpaired_high[0]
-    return diagram.move_cell((c, i + 1), (c, i))
+def _leftmost_raise_bit(low, high):
+    """Raising that drops the leftmost unpaired cell, the high bit of the
+    row masks: it leaves closures."""
+    lone = crystal._lone(low, high)
+    return 1 << lone.bit_length() - 1 if lone else 0
 
 
 def test_crystal_invariant_failures_are_counterexamples(monkeypatch):
-    monkeypatch.setattr(crystal, "raising", _leftmost_raising)
+    monkeypatch.setattr(crystal, "_raise_bit", _leftmost_raise_bit)
     for name in ("components", "yamanouchi", "vexillary"):
         result = run_suite(name, **TINY[name])       # serial: no pool
         assert result.summary().startswith(f"FAIL {name}:")
