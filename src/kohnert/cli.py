@@ -15,6 +15,7 @@ import argparse
 import re
 import sys
 from collections import Counter
+from functools import partial
 from pathlib import Path
 
 from .compositions import check_composition
@@ -35,20 +36,18 @@ class UsageError(ValueError):
     """Bad inline value for a flag; maps to exit code 2."""
 
 
-def _parse_comp(text: str) -> tuple[int, ...]:
+def _parse_ints(text: str, check, noun: str) -> tuple[int, ...]:
+    """Comma-separated integers that ``check`` accepts, else a usage error."""
     try:
         parts = tuple(int(x) for x in text.split(",")) if text else ()
-        return check_composition(parts)
+        return check(parts)
     except ValueError:
-        raise UsageError(f"not a composition: {text!r}")
+        raise UsageError(f"not {noun}: {text!r}")
 
 
-def _parse_perm(text: str) -> tuple[int, ...]:
-    try:
-        parts = tuple(int(x) for x in text.split(",")) if text else ()
-        return check_permutation(parts)
-    except ValueError:
-        raise UsageError(f"not a permutation in one-line notation: {text!r}")
+_parse_comp = partial(_parse_ints, check=check_composition, noun="a composition")
+_parse_perm = partial(_parse_ints, check=check_permutation,
+                      noun="a permutation in one-line notation")
 
 
 def _parse_box(text: str) -> tuple[int, int]:
@@ -287,10 +286,7 @@ def main(argv=None) -> int:
     args = parser.parse_args(argv)
     try:
         return args.func(args)
-    except (GridParseError, UsageError, MaxDiagramsError) as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return 2
-    except OSError as exc:
+    except (GridParseError, UsageError, MaxDiagramsError, OSError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
     except ResourceBoundError as exc:

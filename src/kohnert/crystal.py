@@ -21,9 +21,9 @@ which that scan order is the high bit down:
   column-(c+1) cell at once, and ``rectify`` sweeps right to left until
   a sweep moves nothing.
 
-The ``Diagram`` operators pack their input and call these helpers.
-``_unpaired`` is the same rule on sets of scan keys, for the tableau
-operators.
+The ``Diagram`` operators pack their input and call these helpers.  The
+tableau operators in ``kohnert.tableaux`` build column masks of their
+two entries and scan them with ``_lone`` too.
 """
 
 from __future__ import annotations
@@ -32,24 +32,6 @@ from dataclasses import dataclass
 
 from .diagrams import Diagram, is_southwest
 from .moves import KohnertSet, _columns, _pack
-
-
-def _unpaired(openers, closers) -> tuple[list, list]:
-    """The bracket rule on two disjoint sets of scan keys.
-
-    Each closer takes the nearest free opener before it.  Returns the
-    free openers and the free closers, each in scan order.
-    """
-    free, lone = [], []
-    for key, closes in sorted([(k, False) for k in openers]
-                              + [(k, True) for k in closers]):
-        if not closes:
-            free.append(key)
-        elif free:
-            free.pop()
-        else:
-            lone.append(key)
-    return free, lone
 
 
 def _lone(openers: int, closers: int) -> int:

@@ -117,24 +117,16 @@ def labeling_diagram(lab: Labeling) -> Diagram:
     return Diagram.of(*((c, v) for (c, _), v in lab.labels))
 
 
-@dataclass(frozen=True)
-class LabelPairing:
-    """Label pairing at columns (c, c+1): each column-(c+1) cell either
-    points at a column-c partner weakly above it or is unpaired."""
-
-    c: int
-    pairs: tuple[tuple[Cell, Cell], ...]    # (right cell, left partner)
-    unpaired: tuple[Cell, ...]              # highest to lowest
-
-
-def label_pairing(t: Diagram, lab: Labeling, c: int) -> LabelPairing:
+def label_pairing(lab: Labeling, c: int) -> tuple[dict[Cell, Cell], list[Cell]]:
     """Pair column-(c+1) cells, top to bottom, each with the available
     column-c cell weakly above it carrying the largest label that stays
-    weakly below its own.  Label ties break toward the lower cell."""
+    weakly below its own.  Label ties break toward the lower cell.
+    Returns each paired cell's partner, and the unpaired cells top down."""
     if c < 1:
         raise ValueError("column index must be >= 1")
+    t = lab.base
     avail = set(t.col(c))
-    pairs = []
+    partner = {}
     unpaired = []
     for r in sorted(t.col(c + 1), reverse=True):
         x = (c + 1, r)
@@ -144,13 +136,13 @@ def label_pairing(t: Diagram, lab: Labeling, c: int) -> LabelPairing:
         if cands:
             s = max(cands)[2]
             avail.discard(s)
-            pairs.append((x, (c, s)))
+            partner[x] = (c, s)
         else:
             unpaired.append(x)
-    return LabelPairing(c=c, pairs=tuple(pairs), unpaired=tuple(unpaired))
+    return partner, unpaired
 
 
-def relabel_rectify(t: Diagram, lab: Labeling, c: int) -> tuple[Diagram, Labeling]:
+def relabel_rectify(lab: Labeling, c: int) -> Labeling:
     """Rectify column c+1 into column c, re-labeling first.
 
     Unpaired cells repeatedly trade labels upward with paired cells
@@ -158,10 +150,9 @@ def relabel_rectify(t: Diagram, lab: Labeling, c: int) -> tuple[Diagram, Labelin
     adopts its partner's original label; then the unpaired cells slide
     left carrying their new labels.
     """
-    pairing = label_pairing(t, lab, c)
-    partner = dict(pairing.pairs)
+    partner, unpaired = label_pairing(lab, c)
     new = dict(lab.label_map)
-    for x in pairing.unpaired:
+    for x in unpaired:
         while True:
             cands = [z for z, y in partner.items()
                      if z[1] > x[1] and lab.label(y) <= new[x] < new[z]]
@@ -171,24 +162,24 @@ def relabel_rectify(t: Diagram, lab: Labeling, c: int) -> tuple[Diagram, Labelin
             new[x], new[z] = new[z], new[x]
     for z, y in partner.items():
         new[z] = lab.label(y)
-    moved = rectify_column(t, c)
-    carried = {cell: new[cell] if cell in t else new[(c + 1, cell[1])]
+    moved = rectify_column(lab.base, c)
+    carried = {cell: new[cell] if cell in lab.base else new[(c + 1, cell[1])]
                for cell in moved}
-    return moved, Labeling.of(moved, carried)
+    return Labeling.of(moved, carried)
 
 
-def rect_labeling(t: Diagram, lab: Labeling) -> tuple[Diagram, Labeling]:
+def rect_labeling(lab: Labeling) -> Labeling:
     """Fully rectify a labeled diagram by right-to-left column sweeps.
 
     The re-labeling phases can rewrite labels even after the cells stop
     moving, so sweeps continue to a joint fixpoint of cells and labels.
     """
-    for _ in range(4 + len(t) * max(t.max_col, 1)):
-        before = (t, lab)
-        for c in range(t.max_col - 1, 0, -1):
-            t, lab = relabel_rectify(t, lab, c)
-        if (t, lab) == before:
-            return t, lab
+    for _ in range(4 + len(lab.base) * max(lab.base.max_col, 1)):
+        before = lab
+        for c in range(lab.base.max_col - 1, 0, -1):
+            lab = relabel_rectify(lab, c)
+        if lab == before:
+            return lab
     raise ValueError("labeling failed to stabilise under rectification")
 
 
@@ -213,11 +204,9 @@ def labeling_with_reason(t: Diagram, d: Diagram) -> tuple[Labeling | None, str |
         right = [(cc, r) for cc, r in t if cc > c]
         anchor: dict[int, int] = {}
         if right:
-            part = Diagram.of(*((cc - c, r) for cc, r in right))
-            part_lab = Labeling.of(part, {(cc - c, r): assigned[(cc, r)]
-                                          for cc, r in right})
-            rpart, rlab = rect_labeling(part, part_lab)
-            anchor = {rlab.label((1, r)): r for r in rpart.col(1)}
+            part = {(cc - c, r): assigned[(cc, r)] for cc, r in right}
+            rlab = rect_labeling(Labeling.of(Diagram.of(*part), part))
+            anchor = {rlab.label((1, r)): r for r in rlab.base.col(1)}
         avail = sorted(t.col(c))
         for r in sorted(d.col(c)):
             floor = anchor.get(r)
@@ -263,8 +252,8 @@ def _yamanouchi_core(y: Diagram, d: Diagram) -> bool:
     """Whether rectifying the labeling of y, a member of the closure of
     d, lands on a super-standard composition diagram; such members index
     the Demazure expansion."""
-    base, rl = rect_labeling(y, kohnert_labeling(y, d))
-    return is_composition_diagram(base) and \
+    rl = rect_labeling(kohnert_labeling(y, d))
+    return is_composition_diagram(rl.base) and \
         all(v == r for (_, r), v in rl.labels)
 
 
@@ -283,7 +272,7 @@ def _component_key(u: Diagram, d: Diagram) -> Composition:
     lab = kohnert_labeling(u, d)
     if lab is None or not is_flagged(lab):
         raise ValueError("component contains a non-member")
-    _, rl = rect_labeling(u, lab)
+    rl = rect_labeling(lab)
     label_dgm = labeling_diagram(rl)
     if not is_composition_diagram(label_dgm):
         raise AssertionError("rectified labels are not a composition diagram")

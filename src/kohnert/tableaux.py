@@ -6,7 +6,8 @@ tableaux have partition shape with rows weakly increasing left to right
 and columns strictly increasing upward.  Key tableaux have composition
 shape with rows weakly decreasing, distinct entries in each column, and
 every entry in row r at most r.  A column holds each entry at most once
-in both kinds, so the crystal operators scan entries by column.
+in both kinds, so the crystal operators scan two column masks, one bit
+per column, with the bracket rule ``kohnert.crystal._lone``.
 """
 
 from __future__ import annotations
@@ -16,7 +17,7 @@ from functools import cached_property
 from itertools import product
 
 from .compositions import Composition, check_composition, strip_trailing_zeros
-from .crystal import _unpaired
+from .crystal import _lone
 from .diagrams import Diagram
 from .perms import Permutation, reduced_word
 
@@ -104,6 +105,26 @@ def highest_weight_tableau(lam: Composition) -> Tableau:
                          for r in range(1, len(lam) + 1)))
 
 
+def _last_lone(t: Tableau, opener: int, closer: int,
+               mirrored: bool = False) -> tuple[int, int] | None:
+    """The cell of the last ``closer`` left unpaired by the bracket rule,
+    or None, scanning columns left to right, or right to left when
+    ``mirrored``: a scan's free openers are the lone closers of the
+    mirrored scan with the roles swapped."""
+    width = max(t.shape, default=0)
+    openers = closers = 0
+    cells = {}
+    for c, r, v in t.cells():
+        bit = 1 << (c if mirrored else width - c)
+        if v == opener:
+            openers |= bit
+        elif v == closer:
+            closers |= bit
+            cells[bit] = (c, r)
+    lone = _lone(openers, closers)
+    return cells[lone & -lone] if lone else None
+
+
 def ssyt_lower(t: Tableau, i: int) -> Tableau | None:
     """Change the rightmost unpaired i to i+1, or None if there is none.
 
@@ -111,26 +132,16 @@ def ssyt_lower(t: Tableau, i: int) -> Tableau | None:
     """
     if i < 1:
         raise ValueError("operator index must be >= 1")
-    low = dict(t.positions_of(i))
-    high = dict(t.positions_of(i + 1))
-    _, lone = _unpaired(high.keys() - low.keys(), low.keys() - high.keys())
-    if not lone:
-        return None
-    c = lone[-1]
-    return t.replace(c, low[c], i + 1)
+    cell = _last_lone(t, i + 1, i)
+    return None if cell is None else t.replace(*cell, i + 1)
 
 
 def ssyt_raise(t: Tableau, i: int) -> Tableau | None:
     """Change the leftmost unpaired i+1 to i; inverse of ssyt_lower."""
     if i < 1:
         raise ValueError("operator index must be >= 1")
-    low = dict(t.positions_of(i))
-    high = dict(t.positions_of(i + 1))
-    free, _ = _unpaired(high.keys() - low.keys(), low.keys() - high.keys())
-    if not free:
-        return None
-    c = free[0]
-    return t.replace(c, high[c], i)
+    cell = _last_lone(t, i, i + 1, mirrored=True)
+    return None if cell is None else t.replace(*cell, i)
 
 
 @dataclass(frozen=True)
@@ -215,13 +226,10 @@ def sskt_raise(t: Tableau, i: int) -> Tableau | None:
     """
     if i < 1:
         raise ValueError("operator index must be >= 1")
-    low = dict(t.positions_of(i))
-    high = dict(t.positions_of(i + 1))
-    _, lone = _unpaired(low.keys() - high.keys(), high.keys() - low.keys())
-    if not lone:
+    cell = _last_lone(t, i, i + 1)
+    if cell is None:
         return None
-    c0 = lone[-1]
-    r0 = high[c0]
+    c0, r0 = cell
     out = t.replace(c0, r0, i)
     for c in range(c0 - 1, 0, -1):
         if len(out.rows[r0 - 1]) < c or out.entry(c, r0) != i + 1:

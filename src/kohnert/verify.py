@@ -13,8 +13,8 @@ import os
 import random
 from dataclasses import dataclass, field
 from functools import partial
-from itertools import combinations
-from math import comb, prod
+from itertools import combinations, product
+from math import comb, factorial, prod
 
 from .compositions import compositions_up_to
 from .crystal import crystal_graph, raising, rectify, rectify_step
@@ -53,6 +53,15 @@ class SuiteResult:
         return line
 
 
+def _check_budget(count: int, what: str) -> None:
+    """Refuse a sweep that would build more than the closure budget of
+    cases or candidates, before it builds any; ``what`` names the flag
+    and the count."""
+    if count > (limit := _max_diagrams(None)):
+        raise ResourceBoundError(f"{what}, over the budget of {limit} "
+                                 f"(KOHNERT_MAX_DIAGRAMS)")
+
+
 def southwest_in_box(cols: int, rows: int,
                      max_cells: int | None = None) -> list[Diagram]:
     """All southwest diagrams inside the given box, smallest first.  A box
@@ -60,10 +69,8 @@ def southwest_in_box(cols: int, rows: int,
     grid = [(c, r) for c in range(1, cols + 1) for r in range(1, rows + 1)]
     top = len(grid) if max_cells is None else min(max_cells, len(grid))
     subsets = sum(comb(len(grid), k) for k in range(top + 1))
-    if subsets > (limit := _max_diagrams(None)):
-        raise ResourceBoundError(f"box {cols}x{rows} has {subsets} cell subsets of at "
-                                 f"most {top} cells, over the budget of {limit} "
-                                 f"(KOHNERT_MAX_DIAGRAMS)")
+    _check_budget(subsets, f"box {cols}x{rows} has {subsets} cell subsets of at "
+                           f"most {top} cells")
     found = []
     for k in range(top + 1):
         for cells in combinations(grid, k):
@@ -112,6 +119,10 @@ def _kohnert_vs_pi_case(a) -> tuple[int, list[str]]:
 def verify_kohnert_vs_pi(max_parts: int = 4, max_size: int = 6,
                          jobs: int = 1) -> SuiteResult:
     """Generating polynomial of KD(D(a)) against the Demazure character."""
+    # the sum over L <= max_parts of C(max_size + L, L), the compositions of length L
+    count = comb(max_size + max_parts + 1, max_parts)
+    _check_budget(count, f"--max-size {max_size} --max-parts {max_parts} give "
+                         f"{count} compositions")
     return _sweep("kohnert-vs-pi", list(compositions_up_to(max_size, max_parts)),
                   _kohnert_vs_pi_case, jobs)
 
@@ -126,6 +137,7 @@ def _schubert_case(w) -> tuple[int, list[str]]:
 
 def verify_schubert(n: int = 4, jobs: int = 1) -> SuiteResult:
     """Kohnert rule on Rothe diagrams against divided differences."""
+    _check_budget(count := factorial(n), f"--n {n} gives {count} permutations")
     return _sweep("schubert", list(all_permutations(n)), _schubert_case, jobs)
 
 
@@ -165,6 +177,7 @@ def _commute_case(box: tuple[int, int], t: Diagram) -> tuple[int, list[str]]:
 def verify_commute(samples: int = 1000, box: tuple[int, int] = (5, 5),
                    seed: int = 2023, jobs: int = 1) -> SuiteResult:
     """Raising commutes with single rectification steps, on random input."""
+    _check_budget(samples, f"--samples {samples} asks for {samples} random diagrams")
     cols, rows = box
     rng = random.Random(seed)
     cases = [random_diagram(rng, cols, rows) for _ in range(samples)]
@@ -173,18 +186,10 @@ def verify_commute(samples: int = 1000, box: tuple[int, int] = (5, 5),
 
 def _column_weight_candidates(d: Diagram, cols: int, rows: int):
     """All diagrams in the box whose column weights match d's."""
-    per_column = []
-    for c in range(1, cols + 1):
-        size = len(d.col(c))
-        per_column.append([frozenset((c, r) for r in pick)
-                           for pick in combinations(range(1, rows + 1), size)])
-    def rec(idx, acc):
-        if idx == len(per_column):
-            yield Diagram(frozenset(acc))
-            return
-        for choice in per_column[idx]:
-            yield from rec(idx + 1, acc | choice)
-    yield from rec(0, frozenset())
+    picks = [combinations(range(1, rows + 1), len(d.col(c))) for c in range(1, cols + 1)]
+    for choice in product(*picks):
+        yield Diagram(frozenset((c, r) for c, pick in enumerate(choice, start=1)
+                                for r in pick))
 
 
 def _membership_case(cols: int, t_rows: int, d: Diagram) -> tuple[int, list[str]]:
@@ -209,10 +214,8 @@ def verify_membership(box: tuple[int, int] = (3, 3), t_rows: int = 4,
     diagrams = southwest_in_box(cols, rows)
     candidates = sum(prod(comb(t_rows, len(d.col(c))) for c in range(1, cols + 1))
                      for d in diagrams)
-    if candidates > (limit := _max_diagrams(None)):
-        raise ResourceBoundError(f"--t-rows {t_rows} gives {candidates} membership "
-                                 f"candidates, over the budget of {limit} "
-                                 f"(KOHNERT_MAX_DIAGRAMS)")
+    _check_budget(candidates, f"--t-rows {t_rows} gives {candidates} membership "
+                              f"candidates")
     return _sweep("membership", diagrams,
                   partial(_membership_case, cols, t_rows), jobs)
 
@@ -379,6 +382,7 @@ def _vexillary_case(case) -> tuple[int, list[str]]:
 def verify_vexillary(box: tuple[int, int] = (3, 3), n: int = 4,
                      jobs: int = 1) -> SuiteResult:
     """Single-term key expansions, row chains, and 2143 avoidance."""
+    _check_budget(count := factorial(n), f"--n {n} gives {count} permutations")
     cases = southwest_in_box(*box) + list(all_permutations(n))
     return _sweep("vexillary", cases, _vexillary_case, jobs)
 

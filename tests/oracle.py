@@ -23,7 +23,7 @@ with the refinement and dominance orders it filters by.
 so property tests can draw southwest diagrams.
 
 ``_bracket``, ``row_pairing`` and ``column_pairing`` are the pairing
-code that ``kohnert.crystal._unpaired`` replaced: they box every pair
+code that the bracket scan ``kohnert.crystal._lone`` replaced: they box every pair
 and sort every result.  ``oracle_raising``, ``oracle_rectify_step``,
 ``oracle_ssyt_lower``, ``oracle_ssyt_raise`` and ``oracle_sskt_raise``
 are the five operators as they were built on them, so differential

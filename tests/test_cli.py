@@ -150,6 +150,18 @@ def test_crystal_dot_bytes_are_pinned(capsys):
         "d6f96cb142990ef65a4367ba9f2917a9f91e1b0e027de7cae4be402acaba9503"
 
 
+@pytest.mark.parametrize("basis, terms, digest", [
+    ("key", 24, "cb20ab7a25cacfc81ab6f0e8e22c2ab05108b59a5ebef74a453d47e2a7e449d7"),
+    ("slide", 161, "ac412062c4b165affedf889d3070e214b0a292cb205778b6b0ba7437f778cc2d"),
+])
+def test_expand_bytes_are_pinned(capsys, basis, terms, digest):
+    assert main(["expand", "--perm", "2,1,5,4,3,8,7,6", "--check", "--basis", basis]) == 0
+    out = capsys.readouterr().out
+    counts = [line.partition(" x") for line in out.splitlines()[:-1]]
+    assert sum(int(count or 1) for _, _, count in counts) == terms
+    assert hashlib.sha256(out.encode()).hexdigest() == digest
+
+
 def test_membership_member(tmp_path, capsys):
     t_file = write(tmp_path, "t.txt", MEMBERS["K"].to_grid() + "\n")
     d_file = write(tmp_path, "d.txt", D5_GRID)
@@ -313,6 +325,24 @@ def test_verify_membership_budget_follows_the_environment(monkeypatch, capsys):
     err = capsys.readouterr().err
     assert "--t-rows 6 gives 216258 membership candidates" in err
     assert "budget of 200000" in err
+
+
+@pytest.mark.parametrize("argv, message", [
+    (["schubert", "--n", "6"], "--n 6 gives 720 permutations"),
+    (["vexillary", "--n", "6"], "--n 6 gives 720 permutations"),
+    (["kohnert-vs-pi"], "--max-size 6 --max-parts 4 give 330 compositions"),
+    (["commute", "--samples", "200"], "--samples 200 asks for 200 random diagrams"),
+])
+def test_verify_case_counts_over_the_budget_exit_3(monkeypatch, capsys, argv, message):
+    # the cases are counted before any is built, so each run stops at once
+    monkeypatch.setenv("KOHNERT_MAX_DIAGRAMS", "100")
+    start = perf_counter()
+    assert main(["verify", *argv]) == 3
+    assert perf_counter() - start < 5
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err.startswith(f"error: {message}, over the budget of 100")
+    assert "KOHNERT_MAX_DIAGRAMS" in captured.err
 
 
 @pytest.mark.parametrize("value", ["abc", "0", "-1"])

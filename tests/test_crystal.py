@@ -7,6 +7,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from kohnert.crystal import (
+    _lone,
     crystal_graph,
     crystal_to_dot,
     is_rectified,
@@ -28,9 +29,9 @@ from golden import (
     RAISING_EDGES,
     RECTIFIED,
 )
-from oracle import (crystal_components_json, oracle_crystal_graph, oracle_is_rectified,
-                    oracle_raising, oracle_rectify, oracle_rectify_column,
-                    oracle_rectify_step, southwest_hull)
+from oracle import (_bracket, crystal_components_json, oracle_crystal_graph,
+                    oracle_is_rectified, oracle_raising, oracle_rectify,
+                    oracle_rectify_column, oracle_rectify_step, southwest_hull)
 
 cell_sets = st.sets(st.tuples(st.integers(1, 5), st.integers(1, 5)), max_size=8)
 southwest_diagrams = st.sets(st.tuples(st.integers(1, 4), st.integers(1, 5)),
@@ -79,6 +80,24 @@ def test_operators_match_the_bracket_oracle(cells):
         assert rectify_column(d, k) == oracle_rectify_column(d, k), k
     assert is_rectified(d) == oracle_is_rectified(d)
     assert rectify(d) == oracle_rectify(d)
+
+
+def _mirror(mask: int, bits: int) -> int:
+    """The mask with its lowest ``bits`` bits in reverse order."""
+    return int(format(mask, f"0{bits}b")[::-1], 2)
+
+
+@settings(max_examples=500, deadline=None)
+@given(st.integers(0, (1 << 12) - 1), st.integers(0, (1 << 12) - 1))
+def test_lone_and_its_mirrored_scan_match_the_bracket_oracle(openers, closers):
+    closers &= ~openers
+    # scanning from the high bit down is scan key -k for bit k
+    _, free, lone = _bracket([(-k, k) for k in range(12) if openers >> k & 1],
+                             [(-k, k) for k in range(12) if closers >> k & 1])
+    assert _lone(openers, closers) == sum(1 << k for k in lone)
+    # the free openers of a scan are the lone closers of the mirrored scan
+    mirrored = _lone(_mirror(closers, 12), _mirror(openers, 12))
+    assert _mirror(mirrored, 12) == sum(1 << k for k in free)
 
 
 def test_raising_matches_hand_table():

@@ -134,23 +134,23 @@ def test_super_standard_labeling_diagram_round_trips(cells):
 def test_label_pairing_examples():
     t = Diagram.of((1, 2), (1, 3), (2, 2))
     lab = Labeling.of(t, {(1, 2): 1, (1, 3): 2, (2, 2): 2})
-    p = label_pairing(t, lab, 1)
-    assert p.pairs == (((2, 2), (1, 3)),)
-    assert p.unpaired == ()
+    partner, unpaired = label_pairing(lab, 1)
+    assert partner == {(2, 2): (1, 3)}
+    assert unpaired == []
     # no weakly lower label available above: the right cell stays unpaired
     lab2 = Labeling.of(t, {(1, 2): 2, (1, 3): 3, (2, 2): 1})
-    p2 = label_pairing(t, lab2, 1)
-    assert p2.pairs == ()
-    assert p2.unpaired == ((2, 2),)
+    partner2, unpaired2 = label_pairing(lab2, 1)
+    assert partner2 == {}
+    assert unpaired2 == [(2, 2)]
     with pytest.raises(ValueError):
-        label_pairing(t, lab, 0)
+        label_pairing(lab, 0)
 
 
 def test_relabel_rectify_moves_cells_with_labels():
     t = Diagram.of((2, 1))
     lab = Labeling.of(t, {(2, 1): 5})
-    moved, relabeled = relabel_rectify(t, lab, 1)
-    assert moved == Diagram.of((1, 1))
+    relabeled = relabel_rectify(lab, 1)
+    assert relabeled.base == Diagram.of((1, 1))
     assert relabeled.label_map == {(1, 1): 5}
 
 
@@ -161,11 +161,11 @@ def test_worked_example_labeling():
 
 def test_worked_example_rectified_labeling():
     lab = Labeling.of(T14, L14_MAP)
-    base, rl = rect_labeling(T14, lab)
-    assert base == Diagram.of(*RECT14_MAP)
+    rl = rect_labeling(lab)
+    assert rl.base == Diagram.of(*RECT14_MAP)
     assert rl.label_map == RECT14_MAP
     # the output is a fixed point
-    assert rect_labeling(base, rl) == (base, rl)
+    assert rect_labeling(rl) == rl
 
 
 def test_worked_example_kohnert_tableau():
@@ -180,8 +180,8 @@ def test_rectified_labels_can_merge_after_cells_settle():
     t = Diagram.of((1, 1), (2, 1))
     lab = kohnert_labeling(t, d)
     assert lab.label_map == {(1, 1): 1, (2, 1): 2}
-    base, rl = rect_labeling(t, lab)
-    assert base == t
+    rl = rect_labeling(lab)
+    assert rl.base == t
     assert rl.label_map == {(1, 1): 1, (2, 1): 1}
     assert t in yamanouchi_diagrams(d)
     assert demazure_expansion(d) == [(1, 1), (2, 0)]
@@ -289,7 +289,7 @@ def test_rectified_labels_are_constant_per_component():
     for letters, a in ((COMPONENT_SMALL, (0, 3, 2)), (COMPONENT_LARGE, (0, 3, 1, 1))):
         for key in letters:
             member = MEMBERS[key]
-            _, rl = rect_labeling(member, kohnert_labeling(member, D5))
+            rl = rect_labeling(kohnert_labeling(member, D5))
             assert labeling_diagram(rl) == composition_diagram(a), key
             assert is_kohnert_tableau(rl, a), key
 
