@@ -1,9 +1,8 @@
 """Kohnert diagrams, their polynomials, and their Demazure crystals."""
 
 from .compositions import Composition, compositions_of, compositions_up_to
-from .crystal import (CrystalGraph, crystal_graph, crystal_to_dot,
-                      is_rectified, raising, rectify, rectify_column,
-                      rectify_step)
+from .crystal import (CrystalGraph, crystal_graph, crystal_to_dot, raising,
+                      rectify, rectify_column, rectify_step)
 from .diagrams import (Cell, Diagram, GridParseError, column_weights,
                        composition_diagram, is_composition_diagram,
                        is_southwest, rothe_diagram, weight)

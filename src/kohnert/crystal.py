@@ -11,9 +11,11 @@ which that scan order is the high bit down:
 * Row masks carry raising.  For a width w >= max_col, the mask of row r
   has bit w - c set when (c, r) is a cell, so the leftmost column is
   the high bit.  A row key holds the row masks side by side, row r in
-  bits (r - 1) * w to r * w - 1.  A raise at i flips one bit in the
-  fields of rows i and i+1, so ``crystal_graph`` finds each edge by
-  looking the flipped key up among the members' keys.
+  bits (r - 1) * w to r * w - 1.  One scan, ``_raises``, walks a row key
+  from row 1 upward and yields each row at which raising moves a cell;
+  ``_highest`` keeps the members it yields nothing for.  A raise at i
+  flips one bit in the fields of rows i and i+1, so ``crystal_graph``
+  finds each edge by looking the flipped key up among the members' keys.
 * Column masks carry rectification.  The mask of column c has bit r set
   when (c, r) is a cell; they are the fields of a packed closure state
   of ``kohnert.moves``, so rectified members compare with a closure
@@ -30,8 +32,8 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 
-from .diagrams import Diagram, is_southwest
-from .moves import KohnertSet, _columns, _pack
+from .diagrams import Diagram, _columns, is_southwest
+from .moves import KohnertSet, _pack
 
 
 def _lone(openers: int, closers: int) -> int:
@@ -94,18 +96,24 @@ def raising(diagram: Diagram, i: int) -> Diagram | None:
     return diagram.move_cell((c, i + 1), (c, i))
 
 
+def _raises(key: int, width: int):
+    """Walk a row key from row 1 upward and yield (i, bit) for each row i
+    at which raising moves a cell: ``bit`` marks its column in the masks
+    of rows i and i+1."""
+    field = (1 << width) - 1
+    i = 1
+    while above := key >> width:
+        bit = _raise_bit(key & field, above & field)
+        if bit:
+            yield i, bit
+        key = above
+        i += 1
+
+
 def _highest(diagrams) -> list[Diagram]:
     """The diagrams that no raising operator moves."""
     width = max((t.max_col for t in diagrams), default=0)
-    field = (1 << width) - 1
-    tops = []
-    for t in diagrams:
-        rows = _row_key(t, width)
-        while rows and not _raise_bit(rows & field, rows >> width & field):
-            rows >>= width
-        if not rows:
-            tops.append(t)
-    return tops
+    return [t for t in diagrams if not any(_raises(_row_key(t, width), width))]
 
 
 def _unpaired_right(diagram: Diagram, c: int) -> int:
@@ -154,12 +162,6 @@ def _rectify(cols: list[int]) -> list[int]:
     return cols
 
 
-def is_rectified(diagram: Diagram) -> bool:
-    """No column has a cell left unpaired against the column to its left."""
-    cols = _columns(diagram)
-    return not any(_lone(left, right) for left, right in zip(cols, cols[1:]))
-
-
 def rectify(diagram: Diagram) -> Diagram:
     """Fully rectify by right-to-left column sweeps."""
     cols = _rectify(_columns(diagram))
@@ -193,20 +195,12 @@ def crystal_graph(kset: KohnertSet) -> CrystalGraph:
     if not is_southwest(source):
         raise ValueError("source diagram is not southwest")
     members = kset.members
-    max_index = max(source.max_row - 1, 0)
     width = source.max_col                 # moves and raises keep every column
-    field = (1 << width) - 1
     keys = [_row_key(t, width) for t in members]
     index = {key: n for n, key in enumerate(keys)}
     edges = []                             # (member, i, member) by position
     for n, key in enumerate(keys):
-        rows = key
-        for i in range(1, max_index + 1):
-            above = rows >> width
-            bit = _raise_bit(rows & field, above & field)
-            rows = above
-            if not bit:
-                continue
+        for i, bit in _raises(key, width):
             m = index.get(key ^ (bit << width | bit) << (i - 1) * width)
             if m is None:
                 raise AssertionError(f"southwest closure not stable under raising "
@@ -242,7 +236,7 @@ def crystal_graph(kset: KohnertSet) -> CrystalGraph:
         highest.append(members[tops[0]])
     return CrystalGraph(source=source,
                         members=members,
-                        max_index=max_index,
+                        max_index=max(source.max_row - 1, 0),
                         edges=frozenset((members[n], i, members[m]) for n, i, m in edges),
                         components=tuple(frozenset(members[n] for n in group)
                                          for group in groups),

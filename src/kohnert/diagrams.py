@@ -89,19 +89,8 @@ class Diagram:
         return Diagram(self.cells - {src} | {dst})
 
     def to_grid(self) -> str:
-        """Render as text, one line per row from the top row down to row 1.
-
-        Cells print as 'O', gaps as '.'; the grid is the minimal bounding
-        width and height.  The empty diagram renders as the empty string.
-        """
-        if not self.cells:
-            return ""
-        width = self.max_col
-        lines = []
-        for r in range(self.max_row, 0, -1):
-            occupied = set(self.row(r))
-            lines.append("".join("O" if c in occupied else "." for c in range(1, width + 1)))
-        return "\n".join(lines)
+        """Render as text with ``render_grid``, every cell printing as 'O'."""
+        return render_grid(dict.fromkeys(self.cells, "O"))
 
     def dot_label(self) -> str:
         """The grid as a left-justified DOT label; '(empty)' for no cells."""
@@ -119,6 +108,19 @@ class Diagram:
                     raise GridParseError(
                         f"line {idx}, column {col0 + 1}: unexpected character {ch!r}")
         return Diagram.of(*cells)
+
+
+def render_grid(marks: dict[Cell, str]) -> str:
+    """One line per row, from the top row down to row 1, with each cell's
+    mark and '.' in the gaps; no cells render as the empty string."""
+    if not marks:
+        return ""
+    width = max(c for c, _ in marks)
+    height = max(r for _, r in marks)
+    lines = [["."] * width for _ in range(height)]
+    for (c, r), mark in marks.items():
+        lines[height - r][c - 1] = mark
+    return "\n".join(map("".join, lines))
 
 
 def grid_rows(text: str):
@@ -174,17 +176,23 @@ def rothe_diagram(w: Permutation) -> Diagram:
     return Diagram.of(*cells)
 
 
+def _columns(diagram: Diagram) -> list[int]:
+    """Column masks, column 1 first: bit r of a mask is set when row r holds a cell."""
+    cols = [0] * diagram.max_col
+    for c, r in diagram.cells:
+        cols[c - 1] |= 1 << r
+    return cols
+
+
 def is_southwest(diagram: Diagram) -> bool:
     """Whenever (c1, r2) and (c2, r1) are cells with c1 < c2 and r1 < r2,
-    the corner (c1, r1) must also be a cell."""
-    by_col = diagram.by_col
-    for c1, rows1 in by_col.items():
-        for c2, rows2 in by_col.items():
-            if c1 >= c2:
-                continue
-            have1 = set(rows1)
-            for r2 in rows1:
-                for r1 in rows2:
-                    if r1 < r2 and r1 not in have1:
-                        return False
+    the corner (c1, r1) must also be a cell.  On column masks, in one pass
+    from the right: each column holds every row below its top cell that
+    some column to its right holds."""
+    right = 0                              # rows held by some column to the right
+    for col in reversed(_columns(diagram)):
+        below_top = ((1 << col.bit_length()) - 1) >> 1
+        if right & below_top & ~col:
+            return False
+        right |= col
     return True

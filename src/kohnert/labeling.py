@@ -18,7 +18,7 @@ from .compositions import Composition, pad
 from .crystal import _highest, _rectified_states, crystal_graph, rectify_column
 from .diagrams import (Cell, Diagram, GridParseError, column_weights,
                        composition_diagram, grid_rows, is_composition_diagram,
-                       is_southwest, weight)
+                       is_southwest, render_grid, weight)
 from .moves import _closure, _max_diagrams, generate_kd, kohnert_polynomial
 from .perms import sort_and_minimal_perm
 from .polynomials import expand_in_basis
@@ -62,19 +62,8 @@ class Labeling:
     def to_grid(self) -> str:
         """The diagram grid with labels in place of 'O'; labels past 9
         print bracketed, like '[12]'."""
-        if not self.base.cells:
-            return ""
-        lines = []
-        for r in range(self.base.max_row, 0, -1):
-            row = []
-            for c in range(1, self.base.max_col + 1):
-                if (c, r) in self.base:
-                    v = self.label((c, r))
-                    row.append(str(v) if v <= 9 else f"[{v}]")
-                else:
-                    row.append(".")
-            lines.append("".join(row))
-        return "\n".join(lines)
+        return render_grid({cell: str(v) if v <= 9 else f"[{v}]"
+                            for cell, v in self.labels})
 
     @staticmethod
     def from_grid(text: str) -> "Labeling":
@@ -257,13 +246,12 @@ def _yamanouchi_core(y: Diagram, d: Diagram) -> bool:
         all(v == r for (_, r), v in rl.labels)
 
 
-def yamanouchi_diagrams(d: Diagram, max_diagrams=None) -> list[Diagram]:
+def yamanouchi_diagrams(d: Diagram) -> list[Diagram]:
     """The Yamanouchi members of the closure of d, sorted: a scan of every
     member, kept as the reference demazure_expansion is checked against."""
     if not is_southwest(d):
         raise ValueError("Yamanouchi analysis requires a southwest diagram")
-    kset = generate_kd(d, max_diagrams)
-    return [t for t in kset.members if _yamanouchi_core(t, d)]
+    return [t for t in generate_kd(d).members if _yamanouchi_core(t, d)]
 
 
 def _component_key(u: Diagram, d: Diagram) -> Composition:
@@ -308,13 +296,12 @@ def _quasi_yamanouchi_core(t: Diagram, d: Diagram) -> bool:
     return True
 
 
-def quasi_yamanouchi_diagrams(d: Diagram, max_diagrams=None) -> list[Diagram]:
+def quasi_yamanouchi_diagrams(d: Diagram) -> list[Diagram]:
     """The quasi-Yamanouchi members of the closure of d, sorted: a scan of
     every member, kept as the reference slide_expansion is checked against."""
     if not is_southwest(d):
         raise ValueError("slide analysis requires a southwest diagram")
-    kset = generate_kd(d, max_diagrams)
-    return [t for t in kset.members if _quasi_yamanouchi_core(t, d)]
+    return [t for t in generate_kd(d).members if _quasi_yamanouchi_core(t, d)]
 
 
 def slide_expansion(d: Diagram, max_diagrams=None) -> list[Composition]:

@@ -20,7 +20,7 @@ import os
 from dataclasses import dataclass
 from functools import cached_property
 
-from .diagrams import Diagram
+from .diagrams import Diagram, _columns
 from .polynomials import IntPolynomial
 
 DEFAULT_MAX_DIAGRAMS = 10 ** 6
@@ -76,14 +76,6 @@ class KohnertSet:
         width = self.source.max_row + 1
         member = {_pack(_columns(t), width): t for t in self.members}
         return frozenset((member[s], member[t], r) for s, t, r in moves)
-
-
-def _columns(diagram: Diagram) -> list[int]:
-    """Column masks, column 1 first: bit r of a mask is set when row r holds a cell."""
-    cols = [0] * diagram.max_col
-    for c, r in diagram.cells:
-        cols[c - 1] |= 1 << r
-    return cols
 
 
 def _pack(columns: list[int], width: int) -> int:

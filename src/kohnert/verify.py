@@ -13,8 +13,9 @@ import os
 import random
 from dataclasses import dataclass, field
 from functools import partial
-from itertools import combinations, product
-from math import comb, factorial, prod
+from itertools import accumulate, combinations, product
+from math import comb, prod
+from operator import mul
 
 from .compositions import compositions_up_to
 from .crystal import crystal_graph, raising, rectify, rectify_step
@@ -31,6 +32,9 @@ from .polynomials import (IntPolynomial, demazure_character,
 from .tableaux import TableauCrystal, demazure_subset, ssyt_raise
 
 
+MAX_DUMPED = 5                             # counterexamples a summary prints
+
+
 @dataclass
 class SuiteResult:
     name: str
@@ -41,25 +45,31 @@ class SuiteResult:
     def ok(self) -> bool:
         return not self.failures
 
-    def summary(self, max_dumped: int = 5) -> str:
+    def summary(self) -> str:
         status = "PASS" if self.ok else "FAIL"
         line = f"{status} {self.name}: {self.checked} cases checked"
         if self.failures:
             line += f", {len(self.failures)} failures"
-            for item in self.failures[:max_dumped]:
+            for item in self.failures[:MAX_DUMPED]:
                 line += f"\n  counterexample: {item}"
-            if len(self.failures) > max_dumped:
-                line += f"\n  ... and {len(self.failures) - max_dumped} more"
+            if len(self.failures) > MAX_DUMPED:
+                line += f"\n  ... and {len(self.failures) - MAX_DUMPED} more"
         return line
 
 
-def _check_budget(count: int, what: str) -> None:
-    """Refuse a sweep that would build more than the closure budget of
-    cases or candidates, before it builds any; ``what`` names the flag
-    and the count."""
-    if count > (limit := _max_diagrams(None)):
-        raise ResourceBoundError(f"{what}, over the budget of {limit} "
-                                 f"(KOHNERT_MAX_DIAGRAMS)")
+def _check_budget(counts, before: str, after: str) -> None:
+    """Refuse a sweep that would build more than the closure budget of cases
+    or candidates, before it builds any.  ``counts`` rises to the exact count
+    and is read only until it passes the budget and 10^18, the most printed."""
+    limit = _max_diagrams(None)
+    count = 0
+    for count in counts:
+        if count > max(limit, 10 ** 18):
+            break
+    if count > limit:
+        shown = count if count <= 10 ** 18 else "more than 10^18"
+        raise ResourceBoundError(f"{before} {shown} {after}, over the budget of "
+                                 f"{limit} (KOHNERT_MAX_DIAGRAMS)")
 
 
 def southwest_in_box(cols: int, rows: int,
@@ -68,9 +78,10 @@ def southwest_in_box(cols: int, rows: int,
     with more cell subsets to scan than the closure budget is refused."""
     grid = [(c, r) for c in range(1, cols + 1) for r in range(1, rows + 1)]
     top = len(grid) if max_cells is None else min(max_cells, len(grid))
-    subsets = sum(comb(len(grid), k) for k in range(top + 1))
-    _check_budget(subsets, f"box {cols}x{rows} has {subsets} cell subsets of at "
-                           f"most {top} cells")
+    subsets = [1 << top] if top == len(grid) else \
+        accumulate(comb(len(grid), k) for k in range(top + 1))
+    _check_budget(subsets, f"box {cols}x{rows} has",
+                  f"cell subsets of at most {top} cells")
     found = []
     for k in range(top + 1):
         for cells in combinations(grid, k):
@@ -119,10 +130,12 @@ def _kohnert_vs_pi_case(a) -> tuple[int, list[str]]:
 def verify_kohnert_vs_pi(max_parts: int = 4, max_size: int = 6,
                          jobs: int = 1) -> SuiteResult:
     """Generating polynomial of KD(D(a)) against the Demazure character."""
-    # the sum over L <= max_parts of C(max_size + L, L), the compositions of length L
-    count = comb(max_size + max_parts + 1, max_parts)
-    _check_budget(count, f"--max-size {max_size} --max-parts {max_parts} give "
-                         f"{count} compositions")
+    # C(max_size + 1 + j, j) for j up to max_parts: the last is the sum over
+    # L <= max_parts of C(max_size + L, L), the compositions of length L
+    count = accumulate(range(1, max_parts + 1),
+                       lambda c, j: c * (max_size + 1 + j) // j, initial=1)
+    _check_budget(count, f"--max-size {max_size} --max-parts {max_parts} give",
+                  "compositions")
     return _sweep("kohnert-vs-pi", list(compositions_up_to(max_size, max_parts)),
                   _kohnert_vs_pi_case, jobs)
 
@@ -137,7 +150,8 @@ def _schubert_case(w) -> tuple[int, list[str]]:
 
 def verify_schubert(n: int = 4, jobs: int = 1) -> SuiteResult:
     """Kohnert rule on Rothe diagrams against divided differences."""
-    _check_budget(count := factorial(n), f"--n {n} gives {count} permutations")
+    _check_budget(accumulate(range(1, n + 1), mul, initial=1), f"--n {n} gives",
+                  "permutations")
     return _sweep("schubert", list(all_permutations(n)), _schubert_case, jobs)
 
 
@@ -177,7 +191,7 @@ def _commute_case(box: tuple[int, int], t: Diagram) -> tuple[int, list[str]]:
 def verify_commute(samples: int = 1000, box: tuple[int, int] = (5, 5),
                    seed: int = 2023, jobs: int = 1) -> SuiteResult:
     """Raising commutes with single rectification steps, on random input."""
-    _check_budget(samples, f"--samples {samples} asks for {samples} random diagrams")
+    _check_budget([samples], f"--samples {samples} asks for", "random diagrams")
     cols, rows = box
     rng = random.Random(seed)
     cases = [random_diagram(rng, cols, rows) for _ in range(samples)]
@@ -212,10 +226,9 @@ def verify_membership(box: tuple[int, int] = (3, 3), t_rows: int = 4,
     More candidates to check than the closure budget are refused."""
     cols, rows = box
     diagrams = southwest_in_box(cols, rows)
-    candidates = sum(prod(comb(t_rows, len(d.col(c))) for c in range(1, cols + 1))
-                     for d in diagrams)
-    _check_budget(candidates, f"--t-rows {t_rows} gives {candidates} membership "
-                              f"candidates")
+    candidates = accumulate(prod(comb(t_rows, len(d.col(c))) for c in range(1, cols + 1))
+                            for d in diagrams)
+    _check_budget(candidates, f"--t-rows {t_rows} gives", "membership candidates")
     return _sweep("membership", diagrams,
                   partial(_membership_case, cols, t_rows), jobs)
 
@@ -382,7 +395,8 @@ def _vexillary_case(case) -> tuple[int, list[str]]:
 def verify_vexillary(box: tuple[int, int] = (3, 3), n: int = 4,
                      jobs: int = 1) -> SuiteResult:
     """Single-term key expansions, row chains, and 2143 avoidance."""
-    _check_budget(count := factorial(n), f"--n {n} gives {count} permutations")
+    _check_budget(accumulate(range(1, n + 1), mul, initial=1), f"--n {n} gives",
+                  "permutations")
     cases = southwest_in_box(*box) + list(all_permutations(n))
     return _sweep("vexillary", cases, _vexillary_case, jobs)
 

@@ -20,7 +20,10 @@ of |a| that the direct construction in ``kohnert.polynomials`` replaced,
 with the refinement and dominance orders it filters by.
 
 ``southwest_hull`` closes a set of cells under the southwest condition,
-so property tests can draw southwest diagrams.
+so property tests can draw southwest diagrams.  ``oracle_is_southwest``
+tests the condition on every pair of columns, the pairwise loop that the
+one right-to-left pass over column masks in ``kohnert.diagrams``
+replaced.
 
 ``_bracket``, ``row_pairing`` and ``column_pairing`` are the pairing
 code that the bracket scan ``kohnert.crystal._lone`` replaced: they box every pair
@@ -31,7 +34,8 @@ tests can hold the operators to the old bracket matching.
 ``oracle_rectify_column`` iterates ``oracle_rectify_step`` to a
 fixpoint, and ``oracle_is_rectified`` is the dominance count, the two
 that the single bracket pass per column in ``kohnert.crystal`` replaced;
-``oracle_rectify`` sweeps the one until the other holds.
+``oracle_rectify`` sweeps the one until the other holds.  The package
+keeps no rectified test of its own, since only tests asked it.
 ``oracle_crystal_graph`` builds the raising graph of a closure from
 ``oracle_raising`` on whole diagrams, and
 ``oracle_component_demazure_data`` is ``component_demazure_data`` as it
@@ -222,6 +226,22 @@ def southwest_hull(cells) -> Diagram:
         if not corners:
             return Diagram.of(*cells)
         cells |= corners
+
+
+def oracle_is_southwest(diagram: Diagram) -> bool:
+    """Whenever (c1, r2) and (c2, r1) are cells with c1 < c2 and r1 < r2,
+    the corner (c1, r1) must also be a cell: every pair of columns."""
+    by_col = diagram.by_col
+    for c1, rows1 in by_col.items():
+        for c2, rows2 in by_col.items():
+            if c1 >= c2:
+                continue
+            have1 = set(rows1)
+            for r2 in rows1:
+                for r1 in rows2:
+                    if r1 < r2 and r1 not in have1:
+                        return False
+    return True
 
 
 def identity(n: int) -> Permutation:

@@ -162,6 +162,31 @@ def test_expand_bytes_are_pinned(capsys, basis, terms, digest):
     assert hashlib.sha256(out.encode()).hexdigest() == digest
 
 
+@pytest.mark.parametrize("argv, digest", [
+    (["kd", "--comp", "0,2,1", "--list"],
+     "121dd206bd3086f2ae4a0530fc7a9be7a2dca0807c5139d04d21075b658997d1"),
+    (["kd", "--perm", "2,1,4,3", "--dot"],
+     "ddb30c84549f5b79851d332adb972b6f14e590f84f639f3e5fcf51eadf8bb91b"),
+])
+def test_kd_grid_bytes_are_pinned(capsys, argv, digest):
+    assert main(argv) == 0
+    out = capsys.readouterr().out
+    assert hashlib.sha256(out.encode()).hexdigest() == digest
+
+
+def test_membership_explain_bytes_are_pinned(tmp_path, capsys):
+    # one cell in row 10, labeled against itself, prints bracketed as [10]
+    grid = write(tmp_path, "row10.txt", "O\n" + ".\n" * 9)
+    assert main(["membership", grid, grid, "--explain"]) == 0
+    out = capsys.readouterr().out
+    assert out.startswith("member\n[10]\n.\n")
+    assert hashlib.sha256(out.encode()).hexdigest() == \
+        "51a1887c60fae467564fb44cd40bd887093896dacec0e4223ec2b5cd995e2d33"
+    nine = write(tmp_path, "row9.txt", "O\n" + ".\n" * 8)
+    assert main(["membership", nine, nine, "--explain"]) == 0
+    assert capsys.readouterr().out == "member\n9\n" + ".\n" * 8
+
+
 def test_membership_member(tmp_path, capsys):
     t_file = write(tmp_path, "t.txt", MEMBERS["K"].to_grid() + "\n")
     d_file = write(tmp_path, "d.txt", D5_GRID)
@@ -342,6 +367,25 @@ def test_verify_case_counts_over_the_budget_exit_3(monkeypatch, capsys, argv, me
     captured = capsys.readouterr()
     assert captured.out == ""
     assert captured.err.startswith(f"error: {message}, over the budget of 100")
+    assert "KOHNERT_MAX_DIAGRAMS" in captured.err
+
+
+@pytest.mark.parametrize("argv, flag", [
+    (["schubert", "--n", "2000"], "--n 2000"),
+    (["vexillary", "--n", "3000"], "--n 3000"),
+    (["kohnert-vs-pi", "--max-size", "50000", "--max-parts", "30000"],
+     "--max-size 50000 --max-parts 30000"),
+    (["components", "--box", "150x150"], "box 150x150"),
+])
+def test_verify_absurd_sizes_exit_3_without_counting_them(capsys, argv, flag):
+    # counts far past the budget are neither finished nor printed in full
+    start = perf_counter()
+    assert main(["verify", *argv]) == 3
+    assert perf_counter() - start < 5
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err.startswith(f"error: {flag} ")
+    assert "more than 10^18" in captured.err
     assert "KOHNERT_MAX_DIAGRAMS" in captured.err
 
 

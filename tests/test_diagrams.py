@@ -1,7 +1,7 @@
 """Tests for the Diagram type, grid parsing, and standard constructions."""
 
 import pytest
-from hypothesis import given
+from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from kohnert.diagrams import (
@@ -17,7 +17,7 @@ from kohnert.diagrams import (
 )
 from kohnert.perms import all_permutations, lehmer_code
 
-from oracle import EMPTY
+from oracle import EMPTY, oracle_is_southwest
 
 cell_sets = st.sets(st.tuples(st.integers(1, 6), st.integers(1, 6)), max_size=10)
 
@@ -118,6 +118,21 @@ def test_is_southwest_examples():
     assert is_southwest(Diagram.of((1, 1), (2, 2)))
     assert not is_southwest(Diagram.of((1, 2), (2, 1)))
     assert is_southwest(EMPTY)
+
+
+@pytest.mark.parametrize("cols, rows", [(3, 3), (4, 3)])
+def test_is_southwest_matches_the_pairwise_oracle_on_every_box_subset(cols, rows):
+    grid = [(c, r) for c in range(1, cols + 1) for r in range(1, rows + 1)]
+    for pick in range(1 << len(grid)):
+        d = Diagram(frozenset(cell for k, cell in enumerate(grid) if pick >> k & 1))
+        assert is_southwest(d) == oracle_is_southwest(d), d.sorted_cells
+
+
+@settings(max_examples=500)
+@given(st.sets(st.tuples(st.integers(1, 5), st.integers(1, 5))))
+def test_is_southwest_matches_the_pairwise_oracle_on_random_cells(cells):
+    d = Diagram(frozenset(cells))
+    assert is_southwest(d) == oracle_is_southwest(d)
 
 
 def test_standard_constructions_are_southwest():
