@@ -7,6 +7,17 @@ A labeling attaches a positive integer to every cell.  Rectifying a
 labeled diagram re-labels cells column by column before they slide
 left, so that the final labels record which row of the source diagram
 each cell came from.
+
+The labelling engine works on a column form: a list with one
+``{row: label}`` dict per column, column 1 first.  ``_label`` labels a
+diagram in that form, ``_pair`` pairs two columns by their labels,
+``_relabel_rectify`` re-labels one column pair and moves its cells in
+place (by the unlabeled bracket rule ``crystal._lone`` on the two row
+masks), and ``_rect_labels`` sweeps to a joint fixpoint.  The key
+expansion, the membership test and the Yamanouchi and quasi-Yamanouchi
+tests call them directly.  ``Labeling``, a frozen map from cell to
+label, is the type the public functions take and return; they convert
+to and from the column form at that boundary only.
 """
 
 from __future__ import annotations
@@ -15,10 +26,10 @@ from dataclasses import dataclass
 from functools import cached_property
 
 from .compositions import Composition, pad
-from .crystal import _highest, _rectified_states, crystal_graph, rectify_column
-from .diagrams import (Cell, Diagram, GridParseError, column_weights,
-                       composition_diagram, grid_rows, is_composition_diagram,
-                       is_southwest, render_grid, weight)
+from .crystal import _highest, _lone, _rectified_states, crystal_graph
+from .diagrams import (Cell, Diagram, GridParseError, composition_diagram,
+                       grid_rows, is_composition_diagram, is_southwest,
+                       render_grid, weight)
 from .moves import _closure, _max_diagrams, generate_kd, kohnert_polynomial
 from .perms import sort_and_minimal_perm
 from .polynomials import expand_in_basis
@@ -99,11 +110,66 @@ def is_flagged(lab: Labeling) -> bool:
     return all(v >= r for (_, r), v in lab.labels)
 
 
+Columns = list[dict[int, int]]
+
+
+def _columns_of(lab: Labeling, width: int = 0) -> Columns:
+    """The column form of a labeling: column c's rows and labels at index
+    c - 1, padded with empty columns out to ``width``."""
+    cols: Columns = [{} for _ in range(max(lab.base.max_col, width))]
+    for (c, r), v in lab.labels:
+        cols[c - 1][r] = v
+    return cols
+
+
+def _labeling_of(cols: Columns) -> Labeling:
+    """The labeling with the rows and labels of a column form."""
+    labels = {(k + 1, r): v for k, col in enumerate(cols) for r, v in col.items()}
+    return Labeling.of(Diagram(frozenset(labels)), labels)
+
+
+def _mask(col: dict[int, int]) -> int:
+    """The row mask of a column: bit r set when row r holds a cell."""
+    mask = 0
+    for r in col:
+        mask |= 1 << r
+    return mask
+
+
+def _label_diagram(cols: Columns) -> Diagram:
+    """The diagram with a cell (c, r) when column c carries label r."""
+    cells = frozenset((k + 1, v) for k, col in enumerate(cols) for v in col.values())
+    if len(cells) != sum(map(len, cols)):
+        raise ValueError("labeling diagram requires a strict labeling")
+    return Diagram(cells)
+
+
 def labeling_diagram(lab: Labeling) -> Diagram:
     """The diagram with a cell (c, r) when column c carries label r."""
-    if not lab.is_strict():
-        raise ValueError("labeling diagram requires a strict labeling")
-    return Diagram.of(*((c, v) for (c, _), v in lab.labels))
+    return _label_diagram(_columns_of(lab))
+
+
+def _pair(left: dict[int, int], right: dict[int, int]) -> tuple[dict[int, int], list[int]]:
+    """Pair the rows of a right column, top to bottom, each with the
+    available left row weakly above it carrying the largest label that
+    stays weakly below its own; label ties break toward the lower row.
+    Returns each paired row's partner row, and the unpaired rows top down."""
+    avail = dict(left)
+    partner = {}
+    unpaired = []
+    for r in sorted(right, reverse=True):
+        lx = right[r]
+        best = 0
+        top = 0
+        for s, ls in avail.items():
+            if s >= r and ls <= lx and (ls > top or ls == top and s < best):
+                best, top = s, ls
+        if best:
+            partner[r] = best
+            del avail[best]
+        else:
+            unpaired.append(r)
+    return partner, unpaired
 
 
 def label_pairing(lab: Labeling, c: int) -> tuple[dict[Cell, Cell], list[Cell]]:
@@ -113,22 +179,42 @@ def label_pairing(lab: Labeling, c: int) -> tuple[dict[Cell, Cell], list[Cell]]:
     Returns each paired cell's partner, and the unpaired cells top down."""
     if c < 1:
         raise ValueError("column index must be >= 1")
-    t = lab.base
-    avail = set(t.col(c))
-    partner = {}
-    unpaired = []
-    for r in sorted(t.col(c + 1), reverse=True):
-        x = (c + 1, r)
-        lx = lab.label(x)
-        cands = [(lab.label((c, s)), -s, s) for s in avail
-                 if s >= r and lab.label((c, s)) <= lx]
-        if cands:
-            s = max(cands)[2]
-            avail.discard(s)
-            partner[x] = (c, s)
-        else:
-            unpaired.append(x)
-    return partner, unpaired
+    cols = _columns_of(lab, c + 1)
+    partner, unpaired = _pair(cols[c - 1], cols[c])
+    return ({(c + 1, r): (c, s) for r, s in partner.items()},
+            [(c + 1, r) for r in unpaired])
+
+
+def _relabel_rectify(cols: Columns, k: int) -> bool:
+    """``relabel_rectify`` on the columns at indices k and k+1 of a column
+    form, in place; says whether anything changed.  The cells that move
+    are those the unlabeled bracket rule ``_lone`` leaves unpaired."""
+    left, right = cols[k], cols[k + 1]
+    if not right:
+        return False
+    partner, unpaired = _pair(left, right)
+    new = dict(right)
+    for x in unpaired:
+        while True:
+            z = 0
+            for y in partner:
+                if y > x and left[partner[y]] <= new[x] < new[y] and \
+                        (not z or new[y] > new[z] or new[y] == new[z] and y > z):
+                    z = y
+            if not z:
+                break
+            new[x], new[z] = new[z], new[x]
+    for z, y in partner.items():
+        new[z] = left[y]
+    lone = _lone(_mask(left), _mask(right))
+    while lone:
+        bit = lone & -lone
+        lone ^= bit
+        r = bit.bit_length() - 1
+        left[r] = new.pop(r)
+    changed = new != right
+    cols[k + 1] = new
+    return changed
 
 
 def relabel_rectify(lab: Labeling, c: int) -> Labeling:
@@ -139,22 +225,23 @@ def relabel_rectify(lab: Labeling, c: int) -> Labeling:
     adopts its partner's original label; then the unpaired cells slide
     left carrying their new labels.
     """
-    partner, unpaired = label_pairing(lab, c)
-    new = dict(lab.label_map)
-    for x in unpaired:
-        while True:
-            cands = [z for z, y in partner.items()
-                     if z[1] > x[1] and lab.label(y) <= new[x] < new[z]]
-            if not cands:
-                break
-            z = max(cands, key=lambda cell: (new[cell], cell[1]))
-            new[x], new[z] = new[z], new[x]
-    for z, y in partner.items():
-        new[z] = lab.label(y)
-    moved = rectify_column(lab.base, c)
-    carried = {cell: new[cell] if cell in lab.base else new[(c + 1, cell[1])]
-               for cell in moved}
-    return Labeling.of(moved, carried)
+    if c < 1:
+        raise ValueError("column index must be >= 1")
+    cols = _columns_of(lab, c + 1)
+    _relabel_rectify(cols, c - 1)
+    return _labeling_of(cols)
+
+
+def _rect_labels(cols: Columns) -> Columns:
+    """Fully rectify a column form in place by right-to-left column
+    sweeps, to a joint fixpoint of cells and labels, and return it."""
+    for _ in range(4 + sum(map(len, cols)) * max(len(cols), 1)):
+        changed = False
+        for k in range(len(cols) - 2, -1, -1):
+            changed |= _relabel_rectify(cols, k)
+        if not changed:
+            return cols
+    raise ValueError("labeling failed to stabilise under rectification")
 
 
 def rect_labeling(lab: Labeling) -> Labeling:
@@ -163,18 +250,36 @@ def rect_labeling(lab: Labeling) -> Labeling:
     The re-labeling phases can rewrite labels even after the cells stop
     moving, so sweeps continue to a joint fixpoint of cells and labels.
     """
-    for _ in range(4 + len(lab.base) * max(lab.base.max_col, 1)):
-        before = lab
-        for c in range(lab.base.max_col - 1, 0, -1):
-            lab = relabel_rectify(lab, c)
-        if lab == before:
-            return lab
-    raise ValueError("labeling failed to stabilise under rectification")
+    return _labeling_of(_rect_labels(_columns_of(lab)))
 
 
 def _equal_column_weights(t: Diagram, d: Diagram) -> bool:
-    n = max(t.max_col, d.max_col)
-    return n == 0 or column_weights(t, n) == column_weights(d, n)
+    return {c: len(rs) for c, rs in t.by_col.items()} == \
+        {c: len(rs) for c, rs in d.by_col.items()}
+
+
+def _label(t: Diagram, d: Diagram) -> tuple[Columns | None, str | None]:
+    """``labeling_with_reason`` in column form."""
+    if not _equal_column_weights(t, d):
+        raise ValueError("diagrams must have equal column weights")
+    width = t.max_col                      # labeled first, and never left empty
+    assigned: Columns = [{} for _ in range(width)]
+    for k in range(width - 1, -1, -1):
+        anchor: dict[int, int] = {}
+        if k + 1 < width:
+            first = _rect_labels([dict(col) for col in assigned[k + 1:]])[0]
+            anchor = {v: r for r, v in sorted(first.items())}
+        avail = list(t.col(k + 1))
+        for r in d.col(k + 1):
+            floor = anchor.get(r, 0)
+            for s in avail:
+                if s >= floor:
+                    break
+            else:
+                return None, f"label {r} has no admissible cell in column {k + 1}"
+            avail.remove(s)
+            assigned[k][s] = r
+    return assigned, None
 
 
 def labeling_with_reason(t: Diagram, d: Diagram) -> tuple[Labeling | None, str | None]:
@@ -186,25 +291,8 @@ def labeling_with_reason(t: Diagram, d: Diagram) -> tuple[Labeling | None, str |
     each to the lowest unlabeled column-c cell lying weakly above the
     like-labeled cell of that rectified part, when present.
     """
-    if not _equal_column_weights(t, d):
-        raise ValueError("diagrams must have equal column weights")
-    assigned: dict[Cell, int] = {}
-    for c in range(t.max_col, 0, -1):
-        right = [(cc, r) for cc, r in t if cc > c]
-        anchor: dict[int, int] = {}
-        if right:
-            part = {(cc - c, r): assigned[(cc, r)] for cc, r in right}
-            rlab = rect_labeling(Labeling.of(Diagram.of(*part), part))
-            anchor = {rlab.label((1, r)): r for r in rlab.base.col(1)}
-        avail = sorted(t.col(c))
-        for r in sorted(d.col(c)):
-            floor = anchor.get(r)
-            cands = [s for s in avail if floor is None or s >= floor]
-            if not cands:
-                return None, f"label {r} has no admissible cell in column {c}"
-            avail.remove(cands[0])
-            assigned[(c, cands[0])] = r
-    return Labeling.of(t, assigned), None
+    cols, reason = _label(t, d)
+    return (None if cols is None else _labeling_of(cols)), reason
 
 
 def kohnert_labeling(t: Diagram, d: Diagram) -> Labeling | None:
@@ -228,12 +316,14 @@ def membership_report(t: Diagram, d: Diagram) -> tuple[bool, str]:
         raise ValueError("membership test requires a southwest diagram")
     if not _equal_column_weights(t, d):
         return False, "column weights differ"
-    lab, reason = labeling_with_reason(t, d)
-    if lab is None:
+    cols, reason = _label(t, d)
+    if cols is None:
         return False, f"no labeling exists: {reason}"
-    for (c, r), v in lab.labels:
-        if v < r:
-            return False, f"labeling is not flagged: label {v} below row {r} at column {c}"
+    for k, col in enumerate(cols):
+        for r, v in sorted(col.items()):
+            if v < r:
+                return False, (f"labeling is not flagged: label {v} below row {r} "
+                               f"at column {k + 1}")
     return True, "member"
 
 
@@ -241,9 +331,9 @@ def _yamanouchi_core(y: Diagram, d: Diagram) -> bool:
     """Whether rectifying the labeling of y, a member of the closure of
     d, lands on a super-standard composition diagram; such members index
     the Demazure expansion."""
-    rl = rect_labeling(kohnert_labeling(y, d))
-    return is_composition_diagram(rl.base) and \
-        all(v == r for (_, r), v in rl.labels)
+    rl = _rect_labels(_label(y, d)[0])
+    return all(v == r for col in rl for r, v in col.items()) and \
+        all(rl[k + 1].keys() <= rl[k].keys() for k in range(len(rl) - 1))
 
 
 def yamanouchi_diagrams(d: Diagram) -> list[Diagram]:
@@ -257,11 +347,10 @@ def yamanouchi_diagrams(d: Diagram) -> list[Diagram]:
 def _component_key(u: Diagram, d: Diagram) -> Composition:
     """The key index a of the crystal component whose highest member is u:
     the weight of the labeling diagram of u's rectified labeling."""
-    lab = kohnert_labeling(u, d)
-    if lab is None or not is_flagged(lab):
+    cols, _ = _label(u, d)
+    if cols is None or any(v < r for col in cols for r, v in col.items()):
         raise ValueError("component contains a non-member")
-    rl = rect_labeling(lab)
-    label_dgm = labeling_diagram(rl)
+    label_dgm = _label_diagram(_rect_labels(cols))
     if not is_composition_diagram(label_dgm):
         raise AssertionError("rectified labels are not a composition diagram")
     return weight(label_dgm)
@@ -286,12 +375,12 @@ def _quasi_yamanouchi_core(t: Diagram, d: Diagram) -> bool:
     must carry label r there; failing rows could slide up, so t would
     not contribute a fundamental slide term.
     """
-    lab = kohnert_labeling(t, d)
+    cols, _ = _label(t, d)
     for r in sorted({r for _, r in t}):
         leftmost = min(t.row(r))
         if any(c >= leftmost for c in t.row(r + 1)):
             continue
-        if lab.label((leftmost, r)) != r:
+        if cols[leftmost - 1][r] != r:
             return False
     return True
 

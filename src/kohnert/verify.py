@@ -21,10 +21,9 @@ from .compositions import compositions_up_to
 from .crystal import crystal_graph, raising, rectify, rectify_step
 from .diagrams import (Diagram, composition_diagram, is_southwest,
                        rothe_diagram, weight)
-from .labeling import (component_demazure_data, demazure_expansion,
-                       is_vexillary_diagram, membership,
-                       quasi_yamanouchi_diagrams, slide_expansion,
-                       yamanouchi_diagrams)
+from .labeling import (_quasi_yamanouchi_core, _yamanouchi_core,
+                       component_demazure_data, demazure_expansion,
+                       is_vexillary_diagram, membership, slide_expansion)
 from .moves import ResourceBoundError, _max_diagrams, generate_kd, kohnert_polynomial
 from .perms import all_permutations, contains_2143, lehmer_code
 from .polynomials import (IntPolynomial, demazure_character,
@@ -318,12 +317,13 @@ def verify_components(box: tuple[int, int] = (3, 3), jobs: int = 1) -> SuiteResu
 
 
 def _yamanouchi_case(d: Diagram) -> tuple[int, list[str]]:
+    kset = generate_kd(d)
     try:
-        components = crystal_graph(generate_kd(d)).components
+        components = crystal_graph(kset).components
         key_terms = demazure_expansion(d)
     except AssertionError as exc:
         return 1, [f"D={d.sorted_cells}: {exc}"]
-    yams = yamanouchi_diagrams(d)
+    yams = [y for y in kset.members if _yamanouchi_core(y, d)]
     if len(yams) != len(components):
         return 1, [f"D={d.sorted_cells}: {len(yams)} Yamanouchi members, "
                    f"{len(components)} components"]
@@ -348,7 +348,8 @@ def verify_yamanouchi(box: tuple[int, int] = (3, 3), jobs: int = 1) -> SuiteResu
 
 def _slide_case(d: Diagram) -> tuple[int, list[str]]:
     n = d.max_row
-    qys = quasi_yamanouchi_diagrams(d)
+    members = generate_kd(d).members
+    qys = [t for t in members if _quasi_yamanouchi_core(t, d)]
     total = sum((fundamental_slide(weight(t, n), n) for t in qys),
                 start=IntPolynomial.zero(n))
     failures = []
@@ -361,7 +362,7 @@ def _slide_case(d: Diagram) -> tuple[int, list[str]]:
     qy_set = set(qys)
     failures.extend(f"D={d.sorted_cells}: Yamanouchi member "
                     f"{y.sorted_cells} is not quasi-Yamanouchi"
-                    for y in yamanouchi_diagrams(d) if y not in qy_set)
+                    for y in members if _yamanouchi_core(y, d) and y not in qy_set)
     return 1, failures
 
 

@@ -56,6 +56,13 @@ weight tableau under lowering, so the tests can hold
 ``character`` sums x^weight over tableaux or diagrams, to compare a
 set of either against a Demazure character.
 
+``oracle_label_pairing``, ``oracle_relabel_rectify``,
+``oracle_rect_labeling`` and ``oracle_labeling_with_reason`` are the
+labelling operators as they were on ``Labeling`` objects, a new
+``Labeling`` per step, before ``kohnert.labeling`` moved them onto one
+``{row: label}`` dict per column; ``oracle_component_key`` is
+``_component_key`` built on them.
+
 ``super_standard`` labels each cell by its row, the labeling a diagram
 gets with respect to itself.  ``is_kohnert_tableau`` is the Kohnert
 tableau test of Assaf and Searles (arXiv:1711.09498), which the
@@ -70,8 +77,9 @@ from itertools import product
 
 from kohnert.compositions import (check_composition, compositions_of, flatten,
                                   pad, strip_trailing_zeros)
-from kohnert.crystal import CrystalGraph
-from kohnert.diagrams import Cell, Diagram, composition_diagram, is_southwest, weight
+from kohnert.crystal import CrystalGraph, rectify_column
+from kohnert.diagrams import (Cell, Diagram, column_weights, composition_diagram,
+                              is_composition_diagram, is_southwest, weight)
 from kohnert.labeling import Labeling, _component_key, is_flagged
 from kohnert.moves import DEFAULT_MAX_DIAGRAMS, ResourceBoundError
 from kohnert.perms import Permutation, sort_and_minimal_perm
@@ -362,6 +370,104 @@ def is_kohnert_tableau(lab: Labeling, a) -> bool:
                     if nxt is None or nxt <= r_lo:
                         return False
     return True
+
+
+def oracle_label_pairing(lab: Labeling, c: int) -> tuple[dict[Cell, Cell], list[Cell]]:
+    """label_pairing on a Labeling: column-(c+1) cells top to bottom, each
+    with the available column-c cell weakly above it carrying the largest
+    label weakly below its own, ties toward the lower cell."""
+    if c < 1:
+        raise ValueError("column index must be >= 1")
+    t = lab.base
+    avail = set(t.col(c))
+    partner = {}
+    unpaired = []
+    for r in sorted(t.col(c + 1), reverse=True):
+        x = (c + 1, r)
+        lx = lab.label(x)
+        cands = [(lab.label((c, s)), -s, s) for s in avail
+                 if s >= r and lab.label((c, s)) <= lx]
+        if cands:
+            s = max(cands)[2]
+            avail.discard(s)
+            partner[x] = (c, s)
+        else:
+            unpaired.append(x)
+    return partner, unpaired
+
+
+def oracle_relabel_rectify(lab: Labeling, c: int) -> Labeling:
+    """relabel_rectify on a Labeling: upward label trades of the unpaired
+    cells, partner labels for the paired ones, then rectify_column moves
+    the cells and each carries its new label."""
+    partner, unpaired = oracle_label_pairing(lab, c)
+    new = dict(lab.label_map)
+    for x in unpaired:
+        while True:
+            cands = [z for z, y in partner.items()
+                     if z[1] > x[1] and lab.label(y) <= new[x] < new[z]]
+            if not cands:
+                break
+            z = max(cands, key=lambda cell: (new[cell], cell[1]))
+            new[x], new[z] = new[z], new[x]
+    for z, y in partner.items():
+        new[z] = lab.label(y)
+    moved = rectify_column(lab.base, c)
+    carried = {cell: new[cell] if cell in lab.base else new[(c + 1, cell[1])]
+               for cell in moved}
+    return Labeling.of(moved, carried)
+
+
+def oracle_rect_labeling(lab: Labeling) -> Labeling:
+    """Right-to-left sweeps of oracle_relabel_rectify until a sweep leaves
+    the Labeling equal."""
+    for _ in range(4 + len(lab.base) * max(lab.base.max_col, 1)):
+        before = lab
+        for c in range(lab.base.max_col - 1, 0, -1):
+            lab = oracle_relabel_rectify(lab, c)
+        if lab == before:
+            return lab
+    raise ValueError("labeling failed to stabilise under rectification")
+
+
+def oracle_labeling_with_reason(t: Diagram, d: Diagram) -> tuple[Labeling | None, str | None]:
+    """labeling_with_reason on Labelings: each column's labels anchored on
+    the oracle_rect_labeling of the part already labeled to its right."""
+    n = max(t.max_col, d.max_col)
+    if n and column_weights(t, n) != column_weights(d, n):
+        raise ValueError("diagrams must have equal column weights")
+    assigned: dict[Cell, int] = {}
+    for c in range(t.max_col, 0, -1):
+        right = [(cc, r) for cc, r in t if cc > c]
+        anchor: dict[int, int] = {}
+        if right:
+            part = {(cc - c, r): assigned[(cc, r)] for cc, r in right}
+            rlab = oracle_rect_labeling(Labeling.of(Diagram.of(*part), part))
+            anchor = {rlab.label((1, r)): r for r in rlab.base.col(1)}
+        avail = sorted(t.col(c))
+        for r in sorted(d.col(c)):
+            floor = anchor.get(r)
+            cands = [s for s in avail if floor is None or s >= floor]
+            if not cands:
+                return None, f"label {r} has no admissible cell in column {c}"
+            avail.remove(cands[0])
+            assigned[(c, cands[0])] = r
+    return Labeling.of(t, assigned), None
+
+
+def oracle_component_key(u: Diagram, d: Diagram):
+    """_component_key through the oracle labeling and rectification, with
+    the same checks and messages."""
+    lab, _ = oracle_labeling_with_reason(u, d)
+    if lab is None or not is_flagged(lab):
+        raise ValueError("component contains a non-member")
+    rl = oracle_rect_labeling(lab)
+    if not rl.is_strict():
+        raise ValueError("labeling diagram requires a strict labeling")
+    label_dgm = Diagram.of(*((c, v) for (c, _), v in rl.labels))
+    if not is_composition_diagram(label_dgm):
+        raise AssertionError("rectified labels are not a composition diagram")
+    return weight(label_dgm)
 
 
 def _bracket(openers, closers):

@@ -1,5 +1,7 @@
 """Tests for diagram labelings: membership, Yamanouchi members, expansions."""
 
+from itertools import islice
+
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
@@ -8,11 +10,15 @@ from kohnert.diagrams import (
     Diagram,
     GridParseError,
     composition_diagram,
+    is_composition_diagram,
     rothe_diagram,
     weight,
 )
 from kohnert.labeling import (
     Labeling,
+    _component_key,
+    _quasi_yamanouchi_core,
+    _yamanouchi_core,
     component_demazure_data,
     demazure_expansion,
     is_flagged,
@@ -36,8 +42,10 @@ from kohnert.perms import all_permutations, contains_2143
 from kohnert.verify import _column_weight_candidates, southwest_in_box
 
 from golden import COMPONENT_LARGE, COMPONENT_SMALL, D5, LETTER, MEMBERS
-from oracle import (is_kohnert_tableau, oracle_component_demazure_data, southwest_hull,
-                    super_standard)
+from oracle import (is_kohnert_tableau, oracle_component_demazure_data,
+                    oracle_component_key, oracle_label_pairing,
+                    oracle_labeling_with_reason, oracle_rect_labeling,
+                    oracle_relabel_rectify, southwest_hull, super_standard)
 
 southwest_diagrams = st.sets(st.tuples(st.integers(1, 4), st.integers(1, 5)),
                              max_size=6).map(southwest_hull)
@@ -142,6 +150,9 @@ def test_label_pairing_examples():
     partner2, unpaired2 = label_pairing(lab2, 1)
     assert partner2 == {}
     assert unpaired2 == [(2, 2)]
+    # equal labels weakly above: the tie goes to the lower cell
+    tied = Labeling.of(Diagram.of((1, 2), (1, 3), (2, 1)), {(1, 2): 1, (1, 3): 1, (2, 1): 2})
+    assert label_pairing(tied, 1) == ({(2, 1): (1, 2)}, [])
     with pytest.raises(ValueError):
         label_pairing(lab, 0)
 
@@ -236,6 +247,53 @@ def _greedy_labeling(t, a):
             avail.remove(pick)
             labels[(c, r)] = pick
     return labels
+
+
+def _outcome(data, *args):
+    try:
+        return data(*args)
+    except (AssertionError, ValueError) as exc:
+        return type(exc), str(exc)
+
+
+def _labels_like_the_oracle(t, d):
+    lab, reason = labeling_with_reason(t, d)
+    assert (lab, reason) == oracle_labeling_with_reason(t, d), (t, d)
+    assert _outcome(_component_key, t, d) == _outcome(oracle_component_key, t, d)
+    if lab is None:
+        return
+    rl = rect_labeling(lab)
+    assert rl == oracle_rect_labeling(lab), (t, d)
+    assert _yamanouchi_core(t, d) == (
+        is_composition_diagram(rl.base) and all(v == r for (_, r), v in rl.labels))
+    assert _quasi_yamanouchi_core(t, d) == all(
+        lab.label((min(t.row(r)), r)) == r for r in {r for _, r in t}
+        if not any(c >= min(t.row(r)) for c in t.row(r + 1)))
+
+
+@settings(deadline=None, max_examples=40)
+@given(southwest_diagrams)
+def test_column_labeling_matches_the_oracle(d):
+    kset = generate_kd(d)
+    for t in kset.members:
+        _labels_like_the_oracle(t, d)
+    outsiders = (t for t in _column_weight_candidates(d, d.max_col, d.max_row + 1)
+                 if t not in kset.member_set)
+    for t in islice(outsiders, 30):
+        _labels_like_the_oracle(t, d)
+
+
+@settings(deadline=None, max_examples=200)
+@given(st.dictionaries(st.tuples(st.integers(1, 4), st.integers(1, 5)),
+                       st.integers(1, 6), min_size=1, max_size=10))
+def test_labeling_operators_match_the_oracle_on_any_labeling(mapping):
+    # labels from a short range repeat within columns, so label ties and
+    # non-strict labelings come up
+    lab = Labeling.of(Diagram.of(*mapping), mapping)
+    for c in range(1, lab.base.max_col + 2):
+        assert label_pairing(lab, c) == oracle_label_pairing(lab, c)
+        assert relabel_rectify(lab, c) == oracle_relabel_rectify(lab, c)
+    assert _outcome(rect_labeling, lab) == _outcome(oracle_rect_labeling, lab)
 
 
 def test_labeling_matches_greedy_reference():
@@ -370,13 +428,6 @@ def test_component_demazure_data_validation():
         component_demazure_data([], D5)
     with pytest.raises(ValueError):
         component_demazure_data(set(small) | set(large), D5)
-
-
-def _outcome(data, component, d):
-    try:
-        return data(component, d)
-    except (AssertionError, ValueError) as exc:
-        return type(exc), str(exc)
 
 
 @settings(deadline=None, max_examples=40)
