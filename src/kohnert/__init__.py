@@ -2,16 +2,13 @@
 
 from .compositions import Composition, compositions_of, compositions_up_to
 from .crystal import (CrystalGraph, crystal_graph, crystal_to_dot, raising,
-                      rectify, rectify_column, rectify_step)
+                      rectify, rectify_step)
 from .diagrams import (Cell, Diagram, GridParseError, column_weights,
                        composition_diagram, is_composition_diagram,
                        is_southwest, rothe_diagram, weight)
-from .labeling import (Labeling, component_demazure_data, demazure_expansion,
-                       is_flagged, is_vexillary_diagram, kohnert_labeling,
-                       label_pairing, labeling_diagram, labeling_with_reason,
-                       membership, membership_report,
-                       quasi_yamanouchi_diagrams, rect_labeling,
-                       relabel_rectify, slide_expansion, yamanouchi_diagrams)
+from .labeling import (component_demazure_data, demazure_expansion,
+                       is_vexillary_diagram, label_grid, labeling_with_reason,
+                       membership, membership_report, slide_expansion)
 from .moves import (DEFAULT_MAX_DIAGRAMS, KohnertSet, MaxDiagramsError,
                     ResourceBoundError, generate_kd, kd_to_dot, kd_to_json,
                     kohnert_polynomial)

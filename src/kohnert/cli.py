@@ -23,7 +23,8 @@ from .crystal import crystal_graph, crystal_to_dot
 from .diagrams import Diagram, GridParseError, composition_diagram, \
     is_southwest, rothe_diagram
 from .labeling import (component_demazure_data, demazure_expansion,
-                       kohnert_labeling, membership_report, slide_expansion)
+                       label_grid, labeling_with_reason, membership_report,
+                       slide_expansion)
 from .moves import MaxDiagramsError, ResourceBoundError, generate_kd, \
     kd_to_dot, kd_to_json, kohnert_polynomial
 from .perms import check_permutation
@@ -201,7 +202,7 @@ def cmd_membership(args) -> int:
     if member:
         print("member")
         if args.explain:
-            print(kohnert_labeling(t, d).to_grid() or "(empty)")
+            print(label_grid(labeling_with_reason(t, d)[0]) or "(empty)")
     else:
         print(f"non-member: {reason}")
     return 0

@@ -19,9 +19,10 @@ which that scan order is the high bit down:
 * Column masks carry rectification.  The mask of column c has bit r set
   when (c, r) is a cell; they are the fields of a packed closure state
   of ``kohnert.moves``, so rectified members compare with a closure
-  without building diagrams.  ``rectify_column`` moves every unpaired
-  column-(c+1) cell at once, and ``rectify`` sweeps right to left until
-  a sweep moves nothing.
+  without building diagrams.  ``_rectify`` moves every unpaired
+  column-(c+1) cell at once, since moving the lowest one turns the last
+  free closer into an opener and changes no other match, and sweeps
+  right to left until a sweep moves nothing.
 
 The ``Diagram`` operators pack their input and call these helpers.  The
 tableau operators in ``kohnert.tableaux`` build column masks of their
@@ -116,33 +117,16 @@ def _highest(diagrams) -> list[Diagram]:
     return [t for t in diagrams if not any(_raises(_row_key(t, width), width))]
 
 
-def _unpaired_right(diagram: Diagram, c: int) -> int:
-    """Mask of the rows of the unpaired column-(c+1) cells against column c."""
-    if c < 1:
-        raise ValueError("column index must be >= 1")
-    return _lone(sum(1 << r for r in diagram.col(c)),
-                 sum(1 << r for r in diagram.col(c + 1)))
-
-
 def rectify_step(diagram: Diagram, c: int) -> Diagram:
     """Move the lowest unpaired column-(c+1) cell left, or return unchanged."""
-    lone = _unpaired_right(diagram, c)
+    if c < 1:
+        raise ValueError("column index must be >= 1")
+    lone = _lone(sum(1 << r for r in diagram.col(c)),
+                 sum(1 << r for r in diagram.col(c + 1)))
     if not lone:
         return diagram
     r = (lone & -lone).bit_length() - 1
     return diagram.move_cell((c + 1, r), (c, r))
-
-
-def rectify_column(diagram: Diagram, c: int) -> Diagram:
-    """Move every unpaired column-(c+1) cell left, or return unchanged.
-
-    Moving the lowest one turns the last free closer into an opener,
-    which changes no other match, so repeated steps move exactly these.
-    """
-    rows = _bits(_unpaired_right(diagram, c))
-    if not rows:
-        return diagram
-    return Diagram(diagram.cells - {(c + 1, r) for r in rows} | {(c, r) for r in rows})
 
 
 def _rectify(cols: list[int]) -> list[int]:

@@ -15,117 +15,24 @@ diagram in that form, ``_pair`` pairs two columns by their labels,
 place (by the unlabeled bracket rule ``crystal._lone`` on the two row
 masks), and ``_rect_labels`` sweeps to a joint fixpoint.  The key
 expansion, the membership test and the Yamanouchi and quasi-Yamanouchi
-tests call them directly.  ``Labeling``, a frozen map from cell to
-label, is the type the public functions take and return; they convert
-to and from the column form at that boundary only.
+tests call them directly.  The one public labelling output,
+``labeling_with_reason``, hands the labels back as a plain
+``{cell: label}`` map, and ``label_grid`` prints such a map.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass
-from functools import cached_property
-
 from .compositions import Composition, pad
 from .crystal import _highest, _lone, _rectified_states, crystal_graph
-from .diagrams import (Cell, Diagram, GridParseError, composition_diagram,
-                       grid_rows, is_composition_diagram, is_southwest,
-                       render_grid, weight)
+from .diagrams import (Cell, Diagram, composition_diagram,
+                       is_composition_diagram, is_southwest, render_grid,
+                       weight)
 from .moves import _closure, _max_diagrams, generate_kd, kohnert_polynomial
 from .perms import sort_and_minimal_perm
 from .polynomials import expand_in_basis
 
 
-@dataclass(frozen=True)
-class Labeling:
-    """A positive integer label on every cell of a base diagram."""
-
-    base: Diagram
-    labels: tuple[tuple[Cell, int], ...]
-
-    def __post_init__(self):
-        items = tuple(sorted(self.labels))
-        object.__setattr__(self, "labels", items)
-        if len(items) != len(self.base) or \
-                {cell for cell, _ in items} != set(self.base.cells):
-            raise ValueError("labels must cover the base diagram exactly")
-        if any(v < 1 for _, v in items):
-            raise ValueError("labels must be positive")
-
-    @staticmethod
-    def of(base: Diagram, mapping) -> "Labeling":
-        return Labeling(base, tuple(dict(mapping).items()))
-
-    @cached_property
-    def label_map(self) -> dict[Cell, int]:
-        return dict(self.labels)
-
-    def label(self, cell: Cell) -> int:
-        return self.label_map[cell]
-
-    def is_strict(self) -> bool:
-        """Distinct labels within every column."""
-        for c in range(1, self.base.max_col + 1):
-            col = [self.label((c, r)) for r in self.base.col(c)]
-            if len(set(col)) != len(col):
-                return False
-        return True
-
-    def to_grid(self) -> str:
-        """The diagram grid with labels in place of 'O'; labels past 9
-        print bracketed, like '[12]'."""
-        return render_grid({cell: str(v) if v <= 9 else f"[{v}]"
-                            for cell, v in self.labels})
-
-    @staticmethod
-    def from_grid(text: str) -> "Labeling":
-        """Parse the labeled grid format; see ``grid_rows``."""
-        cells: dict[Cell, int] = {}
-        for idx, r, line in grid_rows(text):
-            col = 0
-            i = 0
-            while i < len(line):
-                ch = line[i]
-                col += 1
-                if ch == ".":
-                    i += 1
-                elif ch.isdigit() and ch != "0":
-                    cells[(col, r)] = int(ch)
-                    i += 1
-                elif ch == "[":
-                    end = line.find("]", i)
-                    body = line[i + 1:end]
-                    if end < 0 or not body.isdigit() or int(body) < 1:
-                        raise GridParseError(
-                            f"line {idx}, column {col}: bad bracketed label")
-                    cells[(col, r)] = int(body)
-                    i = end + 1
-                else:
-                    raise GridParseError(
-                        f"line {idx}, column {col}: unexpected character {ch!r}")
-        return Labeling.of(Diagram.of(*cells), cells)
-
-
-def is_flagged(lab: Labeling) -> bool:
-    """Every label at least its row index."""
-    return all(v >= r for (_, r), v in lab.labels)
-
-
 Columns = list[dict[int, int]]
-
-
-def _columns_of(lab: Labeling, width: int = 0) -> Columns:
-    """The column form of a labeling: column c's rows and labels at index
-    c - 1, padded with empty columns out to ``width``."""
-    cols: Columns = [{} for _ in range(max(lab.base.max_col, width))]
-    for (c, r), v in lab.labels:
-        cols[c - 1][r] = v
-    return cols
-
-
-def _labeling_of(cols: Columns) -> Labeling:
-    """The labeling with the rows and labels of a column form."""
-    labels = {(k + 1, r): v for k, col in enumerate(cols) for r, v in col.items()}
-    return Labeling.of(Diagram(frozenset(labels)), labels)
 
 
 def _mask(col: dict[int, int]) -> int:
@@ -142,11 +49,6 @@ def _label_diagram(cols: Columns) -> Diagram:
     if len(cells) != sum(map(len, cols)):
         raise ValueError("labeling diagram requires a strict labeling")
     return Diagram(cells)
-
-
-def labeling_diagram(lab: Labeling) -> Diagram:
-    """The diagram with a cell (c, r) when column c carries label r."""
-    return _label_diagram(_columns_of(lab))
 
 
 def _pair(left: dict[int, int], right: dict[int, int]) -> tuple[dict[int, int], list[int]]:
@@ -172,23 +74,16 @@ def _pair(left: dict[int, int], right: dict[int, int]) -> tuple[dict[int, int], 
     return partner, unpaired
 
 
-def label_pairing(lab: Labeling, c: int) -> tuple[dict[Cell, Cell], list[Cell]]:
-    """Pair column-(c+1) cells, top to bottom, each with the available
-    column-c cell weakly above it carrying the largest label that stays
-    weakly below its own.  Label ties break toward the lower cell.
-    Returns each paired cell's partner, and the unpaired cells top down."""
-    if c < 1:
-        raise ValueError("column index must be >= 1")
-    cols = _columns_of(lab, c + 1)
-    partner, unpaired = _pair(cols[c - 1], cols[c])
-    return ({(c + 1, r): (c, s) for r, s in partner.items()},
-            [(c + 1, r) for r in unpaired])
-
-
 def _relabel_rectify(cols: Columns, k: int) -> bool:
-    """``relabel_rectify`` on the columns at indices k and k+1 of a column
-    form, in place; says whether anything changed.  The cells that move
-    are those the unlabeled bracket rule ``_lone`` leaves unpaired."""
+    """Rectify the column at index k+1 of a column form into the one at
+    index k, re-labeling first, in place; says whether anything changed.
+
+    Unpaired cells repeatedly trade labels upward with paired cells
+    whose partner's label fits below their own; then every paired cell
+    adopts its partner's original label; then the cells the unlabeled
+    bracket rule ``_lone`` leaves unpaired slide left carrying their
+    new labels.
+    """
     left, right = cols[k], cols[k + 1]
     if not right:
         return False
@@ -217,24 +112,11 @@ def _relabel_rectify(cols: Columns, k: int) -> bool:
     return changed
 
 
-def relabel_rectify(lab: Labeling, c: int) -> Labeling:
-    """Rectify column c+1 into column c, re-labeling first.
-
-    Unpaired cells repeatedly trade labels upward with paired cells
-    whose partner's label fits below their own; then every paired cell
-    adopts its partner's original label; then the unpaired cells slide
-    left carrying their new labels.
-    """
-    if c < 1:
-        raise ValueError("column index must be >= 1")
-    cols = _columns_of(lab, c + 1)
-    _relabel_rectify(cols, c - 1)
-    return _labeling_of(cols)
-
-
 def _rect_labels(cols: Columns) -> Columns:
     """Fully rectify a column form in place by right-to-left column
-    sweeps, to a joint fixpoint of cells and labels, and return it."""
+    sweeps, and return it.  The re-labeling phases can rewrite labels
+    even after the cells stop moving, so sweeps continue to a joint
+    fixpoint of cells and labels."""
     for _ in range(4 + sum(map(len, cols)) * max(len(cols), 1)):
         changed = False
         for k in range(len(cols) - 2, -1, -1):
@@ -242,15 +124,6 @@ def _rect_labels(cols: Columns) -> Columns:
         if not changed:
             return cols
     raise ValueError("labeling failed to stabilise under rectification")
-
-
-def rect_labeling(lab: Labeling) -> Labeling:
-    """Fully rectify a labeled diagram by right-to-left column sweeps.
-
-    The re-labeling phases can rewrite labels even after the cells stop
-    moving, so sweeps continue to a joint fixpoint of cells and labels.
-    """
-    return _labeling_of(_rect_labels(_columns_of(lab)))
 
 
 def _equal_column_weights(t: Diagram, d: Diagram) -> bool:
@@ -282,7 +155,7 @@ def _label(t: Diagram, d: Diagram) -> tuple[Columns | None, str | None]:
     return assigned, None
 
 
-def labeling_with_reason(t: Diagram, d: Diagram) -> tuple[Labeling | None, str | None]:
+def labeling_with_reason(t: Diagram, d: Diagram) -> tuple[dict[Cell, int] | None, str | None]:
     """Label t with respect to d, or explain why no labeling fits.
 
     Columns are labeled right to left.  The already labeled part right
@@ -292,13 +165,16 @@ def labeling_with_reason(t: Diagram, d: Diagram) -> tuple[Labeling | None, str |
     like-labeled cell of that rectified part, when present.
     """
     cols, reason = _label(t, d)
-    return (None if cols is None else _labeling_of(cols)), reason
+    if cols is None:
+        return None, reason
+    return {(k + 1, r): v for k, col in enumerate(cols) for r, v in col.items()}, None
 
 
-def kohnert_labeling(t: Diagram, d: Diagram) -> Labeling | None:
-    """Label t with respect to d, or None when no labeling fits."""
-    lab, _ = labeling_with_reason(t, d)
-    return lab
+def label_grid(labels: dict[Cell, int]) -> str:
+    """The grid of a labeling with labels in place of 'O'; labels past 9
+    print bracketed, like '[12]'."""
+    return render_grid({cell: str(v) if v <= 9 else f"[{v}]"
+                        for cell, v in labels.items()})
 
 
 def membership(t: Diagram, d: Diagram) -> bool:
@@ -334,14 +210,6 @@ def _yamanouchi_core(y: Diagram, d: Diagram) -> bool:
     rl = _rect_labels(_label(y, d)[0])
     return all(v == r for col in rl for r, v in col.items()) and \
         all(rl[k + 1].keys() <= rl[k].keys() for k in range(len(rl) - 1))
-
-
-def yamanouchi_diagrams(d: Diagram) -> list[Diagram]:
-    """The Yamanouchi members of the closure of d, sorted: a scan of every
-    member, kept as the reference demazure_expansion is checked against."""
-    if not is_southwest(d):
-        raise ValueError("Yamanouchi analysis requires a southwest diagram")
-    return [t for t in generate_kd(d).members if _yamanouchi_core(t, d)]
 
 
 def _component_key(u: Diagram, d: Diagram) -> Composition:
@@ -383,14 +251,6 @@ def _quasi_yamanouchi_core(t: Diagram, d: Diagram) -> bool:
         if cols[leftmost - 1][r] != r:
             return False
     return True
-
-
-def quasi_yamanouchi_diagrams(d: Diagram) -> list[Diagram]:
-    """The quasi-Yamanouchi members of the closure of d, sorted: a scan of
-    every member, kept as the reference slide_expansion is checked against."""
-    if not is_southwest(d):
-        raise ValueError("slide analysis requires a southwest diagram")
-    return [t for t in generate_kd(d).members if _quasi_yamanouchi_core(t, d)]
 
 
 def slide_expansion(d: Diagram, max_diagrams=None) -> list[Composition]:

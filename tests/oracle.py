@@ -56,12 +56,27 @@ weight tableau under lowering, so the tests can hold
 ``character`` sums x^weight over tableaux or diagrams, to compare a
 set of either against a Demazure character.
 
+``Labeling`` is a frozen map from the cells of a base diagram to
+positive labels, which checks that the labels cover the base exactly;
+``is_strict`` and ``is_flagged`` test distinct labels per column and
+labels at least their row, and ``Labeling.from_grid`` parses the grid
+``kohnert.labeling.label_grid`` prints, so the tests can round-trip it.
+``_columns_of`` and ``_labeling_of`` convert a ``Labeling`` to and from
+the one ``{row: label}`` dict per column that the labelling engine in
+``kohnert.labeling`` runs on, so the tests can drive ``_pair``,
+``_relabel_rectify``, ``_rect_labels`` and ``_label`` with a
+``Labeling`` and compare with the oracles below.
+
 ``oracle_label_pairing``, ``oracle_relabel_rectify``,
 ``oracle_rect_labeling`` and ``oracle_labeling_with_reason`` are the
 labelling operators as they were on ``Labeling`` objects, a new
-``Labeling`` per step, before ``kohnert.labeling`` moved them onto one
-``{row: label}`` dict per column; ``oracle_component_key`` is
-``_component_key`` built on them.
+``Labeling`` per step, before ``kohnert.labeling`` moved them onto the
+column form; ``oracle_relabel_rectify`` moves its cells with
+``oracle_rectify_column``, and ``oracle_component_key`` is
+``_component_key`` built on them.  ``oracle_yamanouchi_diagrams`` and
+``oracle_quasi_yamanouchi_diagrams`` scan every member of a closure
+with the Yamanouchi and quasi-Yamanouchi tests, the references that
+``demazure_expansion`` and ``slide_expansion`` are held to.
 
 ``super_standard`` labels each cell by its row, the labeling a diagram
 gets with respect to itself.  ``is_kohnert_tableau`` is the Kohnert
@@ -72,16 +87,18 @@ rectified labelings of a closure's members must pass.
 import json
 from collections import deque
 from dataclasses import dataclass
-from functools import lru_cache
+from functools import cached_property, lru_cache
 from itertools import product
 
 from kohnert.compositions import (check_composition, compositions_of, flatten,
                                   pad, strip_trailing_zeros)
-from kohnert.crystal import CrystalGraph, rectify_column
-from kohnert.diagrams import (Cell, Diagram, column_weights, composition_diagram,
+from kohnert.crystal import CrystalGraph
+from kohnert.diagrams import (Cell, Diagram, GridParseError, column_weights,
+                              composition_diagram, grid_rows,
                               is_composition_diagram, is_southwest, weight)
-from kohnert.labeling import Labeling, _component_key, is_flagged
-from kohnert.moves import DEFAULT_MAX_DIAGRAMS, ResourceBoundError
+from kohnert.labeling import (_component_key, _quasi_yamanouchi_core,
+                              _yamanouchi_core)
+from kohnert.moves import DEFAULT_MAX_DIAGRAMS, ResourceBoundError, generate_kd
 from kohnert.perms import Permutation, sort_and_minimal_perm
 from kohnert.polynomials import IntPolynomial, monomial_generating
 from kohnert.tableaux import (Tableau, TableauCrystal, highest_weight_tableau,
@@ -333,6 +350,91 @@ def character(elements, n: int) -> IntPolynomial:
     return monomial_generating(weights, n)
 
 
+@dataclass(frozen=True)
+class Labeling:
+    """A positive integer label on every cell of a base diagram."""
+
+    base: Diagram
+    labels: tuple[tuple[Cell, int], ...]
+
+    def __post_init__(self):
+        items = tuple(sorted(self.labels))
+        object.__setattr__(self, "labels", items)
+        if len(items) != len(self.base) or \
+                {cell for cell, _ in items} != set(self.base.cells):
+            raise ValueError("labels must cover the base diagram exactly")
+        if any(v < 1 for _, v in items):
+            raise ValueError("labels must be positive")
+
+    @staticmethod
+    def of(base: Diagram, mapping) -> "Labeling":
+        return Labeling(base, tuple(dict(mapping).items()))
+
+    @cached_property
+    def label_map(self) -> dict[Cell, int]:
+        return dict(self.labels)
+
+    def label(self, cell: Cell) -> int:
+        return self.label_map[cell]
+
+    def is_strict(self) -> bool:
+        """Distinct labels within every column."""
+        for c in range(1, self.base.max_col + 1):
+            col = [self.label((c, r)) for r in self.base.col(c)]
+            if len(set(col)) != len(col):
+                return False
+        return True
+
+    @staticmethod
+    def from_grid(text: str) -> "Labeling":
+        """Parse the labeled grid format: digits 1-9 or bracketed labels
+        like '[12]' for cells, '.' for gaps; see ``grid_rows``."""
+        cells: dict[Cell, int] = {}
+        for idx, r, line in grid_rows(text):
+            col = 0
+            i = 0
+            while i < len(line):
+                ch = line[i]
+                col += 1
+                if ch == ".":
+                    i += 1
+                elif ch.isdigit() and ch != "0":
+                    cells[(col, r)] = int(ch)
+                    i += 1
+                elif ch == "[":
+                    end = line.find("]", i)
+                    body = line[i + 1:end]
+                    if end < 0 or not body.isdigit() or int(body) < 1:
+                        raise GridParseError(
+                            f"line {idx}, column {col}: bad bracketed label")
+                    cells[(col, r)] = int(body)
+                    i = end + 1
+                else:
+                    raise GridParseError(
+                        f"line {idx}, column {col}: unexpected character {ch!r}")
+        return Labeling.of(Diagram.of(*cells), cells)
+
+
+def is_flagged(lab: Labeling) -> bool:
+    """Every label at least its row index."""
+    return all(v >= r for (_, r), v in lab.labels)
+
+
+def _columns_of(lab: Labeling, width: int = 0) -> list[dict[int, int]]:
+    """The column form of a labeling: column c's rows and labels at index
+    c - 1, padded with empty columns out to ``width``."""
+    cols: list[dict[int, int]] = [{} for _ in range(max(lab.base.max_col, width))]
+    for (c, r), v in lab.labels:
+        cols[c - 1][r] = v
+    return cols
+
+
+def _labeling_of(cols: list[dict[int, int]]) -> Labeling:
+    """The labeling with the rows and labels of a column form."""
+    labels = {(k + 1, r): v for k, col in enumerate(cols) for r, v in col.items()}
+    return Labeling.of(Diagram(frozenset(labels)), labels)
+
+
 def super_standard(d: Diagram) -> Labeling:
     """Label r on every cell of row r."""
     return Labeling.of(d, {(c, r): r for c, r in d})
@@ -373,7 +475,7 @@ def is_kohnert_tableau(lab: Labeling, a) -> bool:
 
 
 def oracle_label_pairing(lab: Labeling, c: int) -> tuple[dict[Cell, Cell], list[Cell]]:
-    """label_pairing on a Labeling: column-(c+1) cells top to bottom, each
+    """Pair the column-(c+1) cells of a Labeling top to bottom, each
     with the available column-c cell weakly above it carrying the largest
     label weakly below its own, ties toward the lower cell."""
     if c < 1:
@@ -397,9 +499,9 @@ def oracle_label_pairing(lab: Labeling, c: int) -> tuple[dict[Cell, Cell], list[
 
 
 def oracle_relabel_rectify(lab: Labeling, c: int) -> Labeling:
-    """relabel_rectify on a Labeling: upward label trades of the unpaired
-    cells, partner labels for the paired ones, then rectify_column moves
-    the cells and each carries its new label."""
+    """Rectify column c+1 into column c of a Labeling: upward label trades
+    of the unpaired cells, partner labels for the paired ones, then
+    oracle_rectify_column moves the cells and each carries its new label."""
     partner, unpaired = oracle_label_pairing(lab, c)
     new = dict(lab.label_map)
     for x in unpaired:
@@ -412,7 +514,7 @@ def oracle_relabel_rectify(lab: Labeling, c: int) -> Labeling:
             new[x], new[z] = new[z], new[x]
     for z, y in partner.items():
         new[z] = lab.label(y)
-    moved = rectify_column(lab.base, c)
+    moved = oracle_rectify_column(lab.base, c)
     carried = {cell: new[cell] if cell in lab.base else new[(c + 1, cell[1])]
                for cell in moved}
     return Labeling.of(moved, carried)
@@ -431,7 +533,7 @@ def oracle_rect_labeling(lab: Labeling) -> Labeling:
 
 
 def oracle_labeling_with_reason(t: Diagram, d: Diagram) -> tuple[Labeling | None, str | None]:
-    """labeling_with_reason on Labelings: each column's labels anchored on
+    """labeling_with_reason as a Labeling: each column's labels anchored on
     the oracle_rect_labeling of the part already labeled to its right."""
     n = max(t.max_col, d.max_col)
     if n and column_weights(t, n) != column_weights(d, n):
@@ -468,6 +570,22 @@ def oracle_component_key(u: Diagram, d: Diagram):
     if not is_composition_diagram(label_dgm):
         raise AssertionError("rectified labels are not a composition diagram")
     return weight(label_dgm)
+
+
+def oracle_yamanouchi_diagrams(d: Diagram) -> list[Diagram]:
+    """The Yamanouchi members of the closure of d, sorted: a scan of every
+    member."""
+    if not is_southwest(d):
+        raise ValueError("Yamanouchi analysis requires a southwest diagram")
+    return [t for t in generate_kd(d).members if _yamanouchi_core(t, d)]
+
+
+def oracle_quasi_yamanouchi_diagrams(d: Diagram) -> list[Diagram]:
+    """The quasi-Yamanouchi members of the closure of d, sorted: a scan of
+    every member."""
+    if not is_southwest(d):
+        raise ValueError("slide analysis requires a southwest diagram")
+    return [t for t in generate_kd(d).members if _quasi_yamanouchi_core(t, d)]
 
 
 def _bracket(openers, closers):

@@ -12,10 +12,9 @@ from kohnert.crystal import (
     crystal_to_dot,
     raising,
     rectify,
-    rectify_column,
     rectify_step,
 )
-from kohnert.diagrams import Diagram, composition_diagram, is_composition_diagram
+from kohnert.diagrams import Diagram, _columns, composition_diagram, is_composition_diagram
 from kohnert.moves import generate_kd
 from kohnert.verify import southwest_in_box
 
@@ -69,14 +68,23 @@ def test_pairing_index_range():
         rectify_step(d, 0)
 
 
+def _drained(d: Diagram, k: int) -> int:
+    """Mask of the rows of the column-(k+1) cells that
+    oracle_rectify_column moves into column k."""
+    after = oracle_rectify_column(d, k)
+    return sum(1 << r for r in d.col(k + 1) if r not in after.col(k + 1))
+
+
 @settings(max_examples=300, deadline=None)
 @given(cell_sets)
 def test_operators_match_the_bracket_oracle(cells):
     d = Diagram.of(*cells)
+    cols = _columns(d) + [0] * 6
     for k in range(1, 6):
         assert raising(d, k) == oracle_raising(d, k), k
         assert rectify_step(d, k) == oracle_rectify_step(d, k), k
-        assert rectify_column(d, k) == oracle_rectify_column(d, k), k
+        # the one-pass column rule that rectify relies on
+        assert _lone(cols[k - 1], cols[k]) == _drained(d, k), k
     assert rectify(d) == oracle_rectify(d)
 
 
@@ -116,7 +124,9 @@ def test_rectify_step_moves_lowest_unpaired_cell():
 
 def test_rectify_column_drains_a_column():
     d = Diagram.of((2, 1), (2, 3))
-    assert rectify_column(d, 1) == Diagram.of((1, 1), (1, 3))
+    left, right = _columns(d)
+    assert _lone(left, right) == right == _drained(d, 1)
+    assert oracle_rectify_column(d, 1) == Diagram.of((1, 1), (1, 3))
 
 
 def test_rectified_members_match_hand_table():
