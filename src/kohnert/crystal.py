@@ -162,7 +162,6 @@ def _rectified_states(diagrams, width: int) -> set[int]:
 class CrystalGraph:
     source: Diagram
     members: tuple[Diagram, ...]
-    max_index: int
     edges: frozenset[tuple[Diagram, int, Diagram]]      # raising edges
     components: tuple[frozenset[Diagram], ...]          # by (size, least member)
     highest: tuple[Diagram, ...]                        # one per component
@@ -220,7 +219,6 @@ def crystal_graph(kset: KohnertSet) -> CrystalGraph:
         highest.append(members[tops[0]])
     return CrystalGraph(source=source,
                         members=members,
-                        max_index=max(source.max_row - 1, 0),
                         edges=frozenset((members[n], i, members[m]) for n, i, m in edges),
                         components=tuple(frozenset(members[n] for n in group)
                                          for group in groups),
@@ -230,17 +228,14 @@ def crystal_graph(kset: KohnertSet) -> CrystalGraph:
 _EDGE_COLORS = ["blue", "purple", "violet", "red", "green", "orange", "brown"]
 
 
-def crystal_to_dot(graph: CrystalGraph, component_labels=None) -> str:
+def crystal_to_dot(graph: CrystalGraph, component_labels) -> str:
     index = {t: i for i, t in enumerate(graph.members)}
     lines = ["digraph kohnert_crystal {",
              '  node [shape=box fontname="monospace"];']
     for ci, comp in enumerate(graph.components):
-        label = f"component {ci}"
-        if component_labels is not None:
-            label = f"{label}: {component_labels[ci]}"
         lines.append(f"  subgraph cluster_{ci} {{")
-        lines.append(f'    label="{label}";')
-        for t in sorted(comp):
+        lines.append(f'    label="component {ci}: {component_labels[ci]}";')
+        for t in sorted(comp, key=index.__getitem__):
             lines.append(f'    n{index[t]} [label="{t.dot_label()}"];')
         lines.append("  }")
     for t, i, u in sorted(graph.edges, key=lambda e: (index[e[0]], e[1], index[e[2]])):

@@ -41,9 +41,9 @@ class IntPolynomial:
         return IntPolynomial(n, {(0,) * n: 1})
 
     @staticmethod
-    def monomial(exps, coef: int = 1) -> "IntPolynomial":
+    def monomial(exps) -> "IntPolynomial":
         exps = tuple(exps)
-        return IntPolynomial(len(exps), {exps: coef})
+        return IntPolynomial(len(exps), {exps: 1})
 
     @staticmethod
     def variable(i: int, n: int) -> "IntPolynomial":

@@ -71,10 +71,8 @@ class Tableau:
         return self.rows < other.rows
 
 
-def is_sskt(t: Tableau, shape: Composition | None = None) -> bool:
+def is_sskt(t: Tableau) -> bool:
     """Key tableau validity, including distinct column entries."""
-    if shape is not None and t.shape != tuple(shape):
-        return False
     for c, r, v in t.cells():
         if v < 1 or v > r:
             return False
@@ -146,22 +144,15 @@ def ssyt_raise(t: Tableau, i: int) -> Tableau | None:
 
 @dataclass(frozen=True)
 class TableauCrystal:
-    """A set of tableaux with its lowering edges (t, i, f_i(t))."""
+    """A set of tableaux with its highest weight element; its lowering is
+    ``ssyt_lower`` wherever the image stays in the set."""
 
-    n: int
     elements: tuple[Tableau, ...]
-    edges: frozenset[tuple[Tableau, int, Tableau]]
     highest: Tableau
 
     @cached_property
     def element_set(self) -> frozenset:
         return frozenset(self.elements)
-
-    def lowering_map(self) -> dict:
-        out: dict[Tableau, dict[int, Tableau]] = {t: {} for t in self.elements}
-        for t, i, u in self.edges:
-            out[t][i] = u
-        return out
 
 
 def demazure_set_op(elements, i: int) -> frozenset:
@@ -180,9 +171,8 @@ def demazure_subset(lam: Composition, w: Permutation, n: int,
     """The Demazure crystal B_w(lam) inside B(lam).
 
     Starting from the highest weight tableau, each letter of a reduced
-    word of w in turn closes the set downward along its i-strings.
-    Lowering edges that leave the subset are omitted.  The ``last`` flag
-    picks the alternative canonical word, for cross-checking.
+    word of w in turn closes the set downward along its i-strings.  The
+    ``last`` flag picks the alternative canonical word, for cross-checking.
     """
     top = highest_weight_tableau(lam)
     if len(top.rows) > n:
@@ -192,10 +182,7 @@ def demazure_subset(lam: Composition, w: Permutation, n: int,
     elements: frozenset[Tableau] = frozenset([top])
     for i in reduced_word(w, last=last):
         elements = demazure_set_op(elements, i)
-    edges = {(t, i, u) for t in elements for i in range(1, n)
-             if (u := ssyt_lower(t, i)) is not None and u in elements}
-    return TableauCrystal(n=n, elements=tuple(sorted(elements)),
-                          edges=frozenset(edges), highest=top)
+    return TableauCrystal(elements=tuple(sorted(elements)), highest=top)
 
 
 def enumerate_sskt(a: Composition) -> list[Tableau]:

@@ -322,25 +322,21 @@ def enumerate_ssyt(lam, n: int) -> list[Tableau]:
 
 
 def build_crystal(lam, n: int) -> TableauCrystal:
-    """The full crystal on SSYT_n(lam): closure of u_lam under lowering."""
+    """The full crystal on SSYT_n(lam) as a set: the closure of u_lam
+    under lowering."""
     top = highest_weight_tableau(lam)
     if len(top.rows) > n:
         raise ValueError("shape has more rows than allowed entries")
     elements = {top}
-    edges = []
     frontier = [top]
     while frontier:
         t = frontier.pop()
         for i in range(1, n):
             u = ssyt_lower(t, i)
-            if u is None:
-                continue
-            edges.append((t, i, u))
-            if u not in elements:
+            if u is not None and u not in elements:
                 elements.add(u)
                 frontier.append(u)
-    return TableauCrystal(n=n, elements=tuple(sorted(elements)),
-                          edges=frozenset(edges), highest=top)
+    return TableauCrystal(elements=tuple(sorted(elements)), highest=top)
 
 
 def character(elements, n: int) -> IntPolynomial:
@@ -714,8 +710,7 @@ def oracle_crystal_graph(kset) -> CrystalGraph:
     components ordered by (size, least member), each with its one member
     that no operator raises."""
     members = kset.members
-    max_index = max(kset.source.max_row - 1, 0)
-    edges = frozenset((t, i, u) for t in members for i in range(1, max_index + 1)
+    edges = frozenset((t, i, u) for t in members for i in range(1, kset.source.max_row)
                       if (u := oracle_raising(t, i)) is not None)
     neighbours = {t: set() for t in members}
     for t, _, u in edges:
@@ -738,9 +733,8 @@ def oracle_crystal_graph(kset) -> CrystalGraph:
     for comp in components:
         (top,) = [t for t in comp if t not in has_out]
         highest.append(top)
-    return CrystalGraph(source=kset.source, members=members, max_index=max_index,
-                        edges=edges, components=tuple(components),
-                        highest=tuple(highest))
+    return CrystalGraph(source=kset.source, members=members, edges=edges,
+                        components=tuple(components), highest=tuple(highest))
 
 
 def oracle_component_demazure_data(component, d: Diagram):

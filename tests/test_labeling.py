@@ -34,8 +34,9 @@ from kohnert.labeling import (
 )
 from kohnert.compositions import compositions_up_to
 from kohnert.crystal import crystal_graph
-from kohnert.moves import ResourceBoundError, generate_kd
+from kohnert.moves import ResourceBoundError, generate_kd, kohnert_polynomial
 from kohnert.perms import all_permutations, contains_2143
+from kohnert.polynomials import expand_in_basis
 from kohnert.verify import _column_weight_candidates, southwest_in_box
 
 from golden import COMPONENT_LARGE, COMPONENT_SMALL, D5, LETTER, MEMBERS
@@ -383,6 +384,14 @@ def test_key_expansion_matches_the_yamanouchi_oracle(d):
     n = d.max_row
     assert demazure_expansion(d) == \
         sorted(weight(y, n) for y in oracle_yamanouchi_diagrams(d))
+
+
+@settings(deadline=None, max_examples=40)
+@given(southwest_diagrams)
+def test_key_expansion_matches_the_key_peel_of_the_polynomial(d):
+    # no labelling and no crystal graph: keys peeled off the polynomial
+    peeled = expand_in_basis(kohnert_polynomial(d, d.max_row), "key")
+    assert demazure_expansion(d) == sorted(a for a, c in peeled.items() for _ in range(c))
 
 
 @settings(deadline=None, max_examples=50)

@@ -61,8 +61,9 @@ def test_is_sskt_examples():
     assert not is_sskt(Tableau.of((1,), (1, 1)))        # column repeats
     # the smaller entry on top needs a larger one right of the lower cell
     assert not is_sskt(Tableau.of((), (2, 2), (1, 1)))
-    assert is_sskt(Tableau.of((1,), (2, 1)), shape=(1, 2))
-    assert not is_sskt(Tableau.of((1,), (2, 1)), shape=(2, 1))
+    t = Tableau.of((1,), (2, 1))
+    assert t.shape == (1, 2) and is_sskt(t)
+    assert not (t.shape == (2, 1) and is_sskt(t))
 
 
 def test_highest_weight_tableau():
@@ -152,7 +153,7 @@ def test_enumerate_sskt_counts_and_characters():
     for a, count in (((0, 3, 2), 9), ((3, 0, 2), 3), ((3, 2, 0), 1)):
         tabs = enumerate_sskt(a)
         assert len(tabs) == count
-        assert all(is_sskt(t, shape=a) for t in tabs)
+        assert all(t.shape == tuple(a) and is_sskt(t) for t in tabs)
         assert character(tabs, len(a)) == demazure_character(a)
 
 

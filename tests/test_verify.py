@@ -96,7 +96,7 @@ def _leftmost_raise_bit(low, high):
 
 def test_crystal_invariant_failures_are_counterexamples(monkeypatch):
     monkeypatch.setattr(crystal, "_raise_bit", _leftmost_raise_bit)
-    for name in ("components", "yamanouchi", "vexillary"):
+    for name in ("closure", "components", "yamanouchi", "vexillary"):
         result = run_suite(name, **TINY[name])       # serial: no pool
         assert result.summary().startswith(f"FAIL {name}:")
         assert result.failures == ["D=((1, 2), (2, 2)): southwest closure not stable "
