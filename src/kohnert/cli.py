@@ -22,9 +22,8 @@ from .compositions import check_composition
 from .crystal import crystal_graph, crystal_to_dot
 from .diagrams import Diagram, GridParseError, composition_diagram, \
     is_southwest, rothe_diagram
-from .labeling import (component_demazure_data, demazure_expansion,
-                       label_grid, labeling_with_reason, membership_report,
-                       slide_expansion)
+from .labeling import (_membership, component_demazure_data,
+                       demazure_expansion, label_grid, slide_expansion)
 from .moves import MaxDiagramsError, ResourceBoundError, generate_kd, \
     kd_to_dot, kd_to_json, kohnert_polynomial
 from .perms import check_permutation
@@ -198,11 +197,11 @@ def cmd_verify(args) -> int:
 def cmd_membership(args) -> int:
     t = _read_diagram_file(args.t_file)
     d = _read_diagram_file(args.d_file)
-    member, reason = membership_report(t, d)
-    if member:
+    labels, reason = _membership(t, d)
+    if labels is not None:
         print("member")
         if args.explain:
-            print(label_grid(labeling_with_reason(t, d)[0]) or "(empty)")
+            print(label_grid(labels) or "(empty)")
     else:
         print(f"non-member: {reason}")
     return 0

@@ -5,28 +5,29 @@ Raising at i pairs each cell of row i+1 with a cell of row i to its
 left; rectification at c pairs each cell of column c+1 with a cell of
 column c above it.  Bits set in both masks pair off; then a counter of
 free openers walks the rest from the high bit down, and a closer that
-finds it at zero is unpaired.  Each operator reads its own layout, in
-which that scan order is the high bit down:
+finds it at zero is unpaired.
 
-* Row masks carry raising.  For a width w >= max_col, the mask of row r
-  has bit w - c set when (c, r) is a cell, so the leftmost column is
-  the high bit.  A row key holds the row masks side by side, row r in
-  bits (r - 1) * w to r * w - 1.  One scan, ``_raises``, walks a row key
-  from row 1 upward and yields each row at which raising moves a cell;
-  ``_highest`` keeps the members it yields nothing for.  A raise at i
-  flips one bit in the fields of rows i and i+1, so ``crystal_graph``
-  finds each edge by looking the flipped key up among the members' keys.
-* Column masks carry rectification.  The mask of column c has bit r set
-  when (c, r) is a cell; they are the fields of a packed closure state
-  of ``kohnert.moves``, so rectified members compare with a closure
-  without building diagrams.  ``_rectify`` moves every unpaired
-  column-(c+1) cell at once, since moving the lowest one turns the last
-  free closer into an opener and changes no other match, and sweeps
-  right to left until a sweep moves nothing.
+Both operators read the one packed layout of ``kohnert.moves``: a state
+holds a row bitmask per column, column 1 in the high field.
 
-The ``Diagram`` operators pack their input and call these helpers.  The
-tableau operators in ``kohnert.tableaux`` build column masks of their
-two entries and scan them with ``_lone`` too.
+* Raising reads rows out of a state.  With ``spread`` holding bit 0 of
+  every field, ``state >> i & spread`` is the mask of row i with one bit
+  per column and the leftmost column as the high bit, the order the
+  bracket scan wants.  One scan, ``_raises``, walks a state from row 1
+  upward and yields each row at which raising moves a cell, with the
+  two bits whose flip raises it.  ``_crystal`` builds the raising graph
+  of a closure by looking each raised state up among the members'
+  states, and ``_highest`` keeps the diagrams a scan yields nothing for.
+* Column masks carry rectification: the fields of a state.
+  ``_rectify`` moves every unpaired column-(c+1) cell at once, since
+  moving the lowest one turns the last free closer into an opener and
+  changes no other match, and sweeps right to left until a sweep moves
+  nothing; rectified members compare with a closure as states.
+
+The ``Diagram`` operators build the masks they need from their input
+and call these helpers.  The tableau operators in ``kohnert.tableaux``
+build column masks of their two entries and scan them with ``_lone``
+too.
 """
 
 from __future__ import annotations
@@ -34,7 +35,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 from .diagrams import Diagram, _columns, is_southwest
-from .moves import KohnertSet, _pack
+from .moves import KohnertSet, _cells, _pack
 
 
 def _lone(openers: int, closers: int) -> int:
@@ -70,14 +71,6 @@ def _raise_bit(low: int, high: int) -> int:
     return lone & -lone
 
 
-def _row_key(diagram: Diagram, width: int) -> int:
-    """The row masks of a diagram side by side, ``width`` bits each."""
-    key = 0
-    for c, r in diagram.cells:
-        key |= 1 << (r * width - c)
-    return key
-
-
 def _bits(mask: int) -> list[int]:
     """Positions of the set bits, lowest first."""
     return [k for k in range(mask.bit_length()) if mask >> k & 1]
@@ -88,33 +81,52 @@ def raising(diagram: Diagram, i: int) -> Diagram | None:
     if i < 1:
         raise ValueError("row index must be >= 1")
     width = diagram.max_col
-    field = (1 << width) - 1
-    rows = _row_key(diagram, width) >> (i - 1) * width
-    bit = _raise_bit(rows & field, rows >> width & field)
+    low = sum(1 << width - c for c in diagram.row(i))
+    high = sum(1 << width - c for c in diagram.row(i + 1))
+    bit = _raise_bit(low, high) if high & ~low else 0
     if not bit:
         return None
     c = width + 1 - bit.bit_length()
     return diagram.move_cell((c, i + 1), (c, i))
 
 
-def _raises(key: int, width: int):
-    """Walk a row key from row 1 upward and yield (i, bit) for each row i
-    at which raising moves a cell: ``bit`` marks its column in the masks
-    of rows i and i+1."""
-    field = (1 << width) - 1
-    i = 1
-    while above := key >> width:
-        bit = _raise_bit(key & field, above & field)
-        if bit:
-            yield i, bit
-        key = above
-        i += 1
+def _spread(width: int, ncols: int) -> int:
+    """Bit 0 of each of the ``ncols`` fields, ``width`` bits each, of a state."""
+    return sum(1 << k * width for k in range(ncols))
+
+
+def _raises(state: int, spread: int, width: int, flips: dict[int, int]):
+    """Walk a packed state from row 1 upward and yield (i, flip) for each
+    row i at which raising moves a cell; ``state ^ flip`` is the raised
+    state.  ``spread`` holds bit 0 of every column field.  ``flips`` maps
+    the rows i and i+1 of a state, shifted down to bits 0 and 1 of each
+    field, to their flip shifted down alike (0 for none); closure states
+    share few such slices, so one dict serves every state of a scan."""
+    pairs = spread * 3
+    for i in range(1, width - 1):
+        pair = state >> i & pairs
+        flip = flips.get(pair)
+        if flip is None:
+            low, high = pair & spread, pair >> 1 & spread
+            flip = flips[pair] = _raise_bit(low, high) * 3 if high & ~low else 0
+        if flip:
+            yield i, flip << i
 
 
 def _highest(diagrams) -> list[Diagram]:
     """The diagrams that no raising operator moves."""
-    width = max((t.max_col for t in diagrams), default=0)
-    return [t for t in diagrams if not any(_raises(_row_key(t, width), width))]
+    width = max((t.max_row for t in diagrams), default=0) + 1
+    ncols = max((t.max_col for t in diagrams), default=0)
+    spread = _spread(width, ncols)
+    flips: dict[int, int] = {}
+    tops = []
+    for t in diagrams:
+        state = 0
+        for c, r in t.cells:
+            state |= 1 << (ncols - c) * width + r
+        if not any(_raises(state, spread, width, flips)):
+            tops.append(t)
+    return tops
 
 
 def rectify_step(diagram: Diagram, c: int) -> Diagram:
@@ -154,8 +166,15 @@ def rectify(diagram: Diagram) -> Diagram:
 
 def _rectified_states(diagrams, width: int) -> set[int]:
     """Each diagram rectified and packed as a closure state, in fields
-    ``width`` bits wide, which must exceed every row."""
-    return {_pack(_rectify(_columns(t)), width) for t in diagrams}
+    ``width`` bits wide, which must exceed every row.  Trailing empty
+    columns are dropped, as a closure has none."""
+    states = set()
+    for t in diagrams:
+        cols = _rectify(_columns(t))
+        while cols and not cols[-1]:
+            cols.pop()
+        states.add(_pack(cols, width))
+    return states
 
 
 @dataclass(frozen=True)
@@ -165,6 +184,58 @@ class CrystalGraph:
     edges: frozenset[tuple[Diagram, int, Diagram]]      # raising edges
     components: tuple[frozenset[Diagram], ...]          # by (size, least member)
     highest: tuple[Diagram, ...]                        # one per component
+
+
+def _crystal(states, width: int, ncols: int):
+    """The raising graph on packed closure states of ``ncols`` columns,
+    each field ``width`` bits wide.
+
+    Returns the edges as (position, i, position), the components as lists
+    of positions ordered by (size, least position), and the position of
+    each component's one member that no operator raises.  Raises
+    AssertionError when a raise leaves the states, or when a component
+    has no unique highest member.
+    """
+    spread = _spread(width, ncols)
+    flips: dict[int, int] = {}
+    index = {state: n for n, state in enumerate(states)}
+    edges = []
+    for n, state in enumerate(states):
+        for i, flip in _raises(state, spread, width, flips):
+            m = index.get(state ^ flip)
+            if m is None:
+                raise AssertionError(f"southwest closure not stable under raising "
+                                     f"at i={i}: {_cells(state, width, ncols)}")
+            edges.append((n, i, m))
+    # connected components over the undirected edge relation
+    neighbours: list[list[int]] = [[] for _ in states]
+    for n, _, m in edges:
+        neighbours[n].append(m)
+        neighbours[m].append(n)
+    seen = [False] * len(states)
+    groups = []
+    for seed in range(len(states)):
+        if seen[seed]:
+            continue
+        seen[seed] = True
+        group = [seed]
+        for n in group:                    # grows as the search reaches members
+            for m in neighbours[n]:
+                if not seen[m]:
+                    seen[m] = True
+                    group.append(m)
+        groups.append(group)
+    # seeds come least position first, so a stable sort by size orders
+    # components by (size, least position)
+    groups.sort(key=len)
+    has_out = {n for n, _, _ in edges}
+    highest = []
+    for group in groups:
+        tops = [n for n in group if n not in has_out]
+        if len(tops) != 1:
+            raise AssertionError("component without a unique highest weight")
+        highest.append(tops[0])
+    return edges, groups, highest
 
 
 def crystal_graph(kset: KohnertSet) -> CrystalGraph:
@@ -178,51 +249,14 @@ def crystal_graph(kset: KohnertSet) -> CrystalGraph:
     if not is_southwest(source):
         raise ValueError("source diagram is not southwest")
     members = kset.members
-    width = source.max_col                 # moves and raises keep every column
-    keys = [_row_key(t, width) for t in members]
-    index = {key: n for n, key in enumerate(keys)}
-    edges = []                             # (member, i, member) by position
-    for n, key in enumerate(keys):
-        for i, bit in _raises(key, width):
-            m = index.get(key ^ (bit << width | bit) << (i - 1) * width)
-            if m is None:
-                raise AssertionError(f"southwest closure not stable under raising "
-                                     f"at i={i}: {members[n].sorted_cells}")
-            edges.append((n, i, m))
-    # connected components over the undirected edge relation
-    neighbours: list[list[int]] = [[] for _ in keys]
-    for n, _, m in edges:
-        neighbours[n].append(m)
-        neighbours[m].append(n)
-    seen = [False] * len(keys)
-    groups = []
-    for seed in range(len(keys)):
-        if seen[seed]:
-            continue
-        seen[seed] = True
-        group = [seed]
-        for n in group:                    # grows as the search reaches members
-            for m in neighbours[n]:
-                if not seen[m]:
-                    seen[m] = True
-                    group.append(m)
-        groups.append(group)
-    # members are sorted, so seeds come least member first and a stable
-    # sort by size orders components by (size, least member)
-    groups.sort(key=len)
-    has_out = {n for n, _, _ in edges}
-    highest = []
-    for group in groups:
-        tops = [n for n in group if n not in has_out]
-        if len(tops) != 1:
-            raise AssertionError("component without a unique highest weight")
-        highest.append(members[tops[0]])
+    # members are sorted, so positions order like members
+    edges, groups, highest = _crystal(kset.states, source.max_row + 1, source.max_col)
     return CrystalGraph(source=source,
                         members=members,
                         edges=frozenset((members[n], i, members[m]) for n, i, m in edges),
                         components=tuple(frozenset(members[n] for n in group)
                                          for group in groups),
-                        highest=tuple(highest))
+                        highest=tuple(members[n] for n in highest))
 
 
 _EDGE_COLORS = ["blue", "purple", "violet", "red", "green", "orange", "brown"]

@@ -23,11 +23,11 @@ tests call them directly.  The one public labelling output,
 from __future__ import annotations
 
 from .compositions import Composition, pad
-from .crystal import _highest, _lone, _rectified_states, crystal_graph
+from .crystal import _crystal, _highest, _lone, _rectified_states
 from .diagrams import (Cell, Diagram, composition_diagram,
                        is_composition_diagram, is_southwest, render_grid,
                        weight)
-from .moves import _closure, _max_diagrams, generate_kd, kohnert_polynomial
+from .moves import _cells, _closure, _max_diagrams, kohnert_polynomial
 from .perms import sort_and_minimal_perm
 from .polynomials import expand_in_basis
 
@@ -167,7 +167,12 @@ def labeling_with_reason(t: Diagram, d: Diagram) -> tuple[dict[Cell, int] | None
     cols, reason = _label(t, d)
     if cols is None:
         return None, reason
-    return {(k + 1, r): v for k, col in enumerate(cols) for r, v in col.items()}, None
+    return _cell_labels(cols), None
+
+
+def _cell_labels(cols: Columns) -> dict[Cell, int]:
+    """A column form as a plain ``{cell: label}`` map."""
+    return {(k + 1, r): v for k, col in enumerate(cols) for r, v in col.items()}
 
 
 def label_grid(labels: dict[Cell, int]) -> str:
@@ -188,19 +193,26 @@ def membership_report(t: Diagram, d: Diagram) -> tuple[bool, str]:
     A failed labeling and an unflagged labeling both mean non-member,
     but the diagnostics tell them apart.
     """
+    labels, reason = _membership(t, d)
+    return labels is not None, reason
+
+
+def _membership(t: Diagram, d: Diagram) -> tuple[dict[Cell, int] | None, str]:
+    """``membership_report`` with the labels of a member in place of True,
+    from one labelling."""
     if not is_southwest(d):
         raise ValueError("membership test requires a southwest diagram")
     if not _equal_column_weights(t, d):
-        return False, "column weights differ"
+        return None, "column weights differ"
     cols, reason = _label(t, d)
     if cols is None:
-        return False, f"no labeling exists: {reason}"
+        return None, f"no labeling exists: {reason}"
     for k, col in enumerate(cols):
         for r, v in sorted(col.items()):
             if v < r:
-                return False, (f"labeling is not flagged: label {v} below row {r} "
-                               f"at column {k + 1}")
-    return True, "member"
+                return None, (f"labeling is not flagged: label {v} below row {r} "
+                              f"at column {k + 1}")
+    return _cell_labels(cols), "member"
 
 
 def _yamanouchi_core(y: Diagram, d: Diagram) -> bool:
@@ -228,11 +240,16 @@ def demazure_expansion(d: Diagram, max_diagrams=None) -> list[Composition]:
     """The multiset e with kohnert_polynomial(d) equal to the sum of
     Demazure characters over e: one key index per crystal component,
     read off its highest member.  Each component holds exactly one
-    Yamanouchi member, whose weight this is."""
+    Yamanouchi member, whose weight this is.  The crystal is built on the
+    packed closure states; only highest members become diagrams."""
     if not is_southwest(d):
         raise ValueError("Yamanouchi analysis requires a southwest diagram")
-    graph = crystal_graph(generate_kd(d, max_diagrams))
-    return sorted(pad(_component_key(u, d), d.max_row) for u in graph.highest)
+    states, _ = _closure(d, _max_diagrams(max_diagrams))
+    states = list(states)
+    width, ncols = d.max_row + 1, d.max_col
+    _, _, highest = _crystal(states, width, ncols)
+    tops = (Diagram(frozenset(_cells(states[n], width, ncols))) for n in highest)
+    return sorted(pad(_component_key(u, d), d.max_row) for u in tops)
 
 
 def _quasi_yamanouchi_core(t: Diagram, d: Diagram) -> bool:

@@ -1,16 +1,18 @@
 """Kohnert moves and the closure of a diagram under them.
 
 The closure comes from one breadth-first search over packed states.  A
-state is one integer that holds a row bitmask per column: with
-W = max_row + 1, column c owns bits (c - 1) * W up to c * W - 1, and bit r
-of that field is set when (c, r) is a cell.  A move at row r takes the
-rightmost column whose field has bit r, the highest clear bit below r in
-that field, and flips the two bits.  Each state carries its row weight,
-packed the same way with one field per row, and a move updates it by -1
-in row r and +1 in the row it drops to.  ``Diagram`` objects are made only
-at the API boundary, by ``generate_kd`` and ``KohnertSet.edges``.  The
-fields of a state are a diagram's column masks, the layout on which
-``kohnert.crystal`` rectifies.
+state is one integer that holds a row bitmask per column, column 1 in
+the high field: with W = max_row + 1 and n = max_col, column c owns bits
+(n - c) * W up to (n - c + 1) * W - 1, and bit r of that field is set
+when (c, r) is a cell.  A move at row r takes the rightmost column whose
+field has bit r, the highest clear bit below r in that field, and flips
+the two bits.  Each state carries its row weight, packed the same way
+with one field per row, and a move updates it by -1 in row r and +1 in
+the row it drops to.  ``Diagram`` objects are made only at the API
+boundary, by ``generate_kd`` and ``KohnertSet.edges``.  The states are
+the one packed layout of the package: ``kohnert.crystal`` raises and
+rectifies on them too, so a closure is checked without building
+diagrams.
 """
 
 from __future__ import annotations
@@ -60,6 +62,7 @@ def _max_diagrams(explicit: int | None) -> int:
 class KohnertSet:
     source: Diagram
     members: tuple[Diagram, ...]          # sorted canonically
+    states: tuple[int, ...]               # the packed state of each member
 
     def __contains__(self, diagram: Diagram) -> bool:
         return diagram in self.member_set
@@ -73,14 +76,17 @@ class KohnertSet:
         """Every move (from, to, row moved) between members, found on demand."""
         moves = []
         _closure(self.source, len(self.members), moves)
-        width = self.source.max_row + 1
-        member = {_pack(_columns(t), width): t for t in self.members}
+        member = dict(zip(self.states, self.members))
         return frozenset((member[s], member[t], r) for s, t, r in moves)
 
 
 def _pack(columns: list[int], width: int) -> int:
-    """The packed state whose fields, ``width`` bits each, are these column masks."""
-    return sum(col << k * width for k, col in enumerate(columns))
+    """The packed state whose fields, ``width`` bits each, are these column
+    masks, the first column in the high field."""
+    state = 0
+    for col in columns:
+        state = state << width | col
+    return state
 
 
 def _closure(diagram: Diagram, limit: int,
@@ -99,7 +105,7 @@ def _closure(diagram: Diagram, limit: int,
     delta = {src | dst: unit[dst] - unit[src] for src in unit for dst in unit if dst < src}
     start = _pack(_columns(diagram), width)
     start_weight = sum(unit[1 << r] for _, r in diagram.cells)
-    shifts = [c * width for c in range(diagram.max_col - 1, -1, -1)]
+    shifts = [k * width for k in range(diagram.max_col)]    # rightmost column first
 
     def expand(states, weights, seen, counts, depth):
         """The states first reached, at this depth, by one move from ``states``."""
@@ -151,24 +157,29 @@ def _closure(diagram: Diagram, limit: int,
                   for w, k in counts.items()}
 
 
-def _cells(state: int, width: int) -> tuple[tuple[int, int], ...]:
-    """Cells of a packed state in sorted (col, row) order."""
+def _cells(state: int, width: int, ncols: int) -> tuple[tuple[int, int], ...]:
+    """Cells of a packed state of ``ncols`` columns in sorted (col, row) order."""
+    field = (1 << width) - 1
     cells = []
-    while state:
-        bit = state & -state
-        state ^= bit
-        c, r = divmod(bit.bit_length() - 1, width)
-        cells.append((c + 1, r))
+    for c in range(1, ncols + 1):
+        mask = state >> (ncols - c) * width & field
+        while mask:
+            bit = mask & -mask
+            mask ^= bit
+            cells.append((c, bit.bit_length() - 1))
     return tuple(cells)
 
 
 def generate_kd(diagram: Diagram, max_diagrams: int | None = None) -> KohnertSet:
     """Breadth-first closure of a diagram under Kohnert moves."""
     seen, _ = _closure(diagram, _max_diagrams(max_diagrams))
-    width = diagram.max_row + 1
-    members = sorted(_cells(state, width) for state in seen)
+    width, ncols = diagram.max_row + 1, diagram.max_col
+    states = list(seen)
+    cells = [_cells(state, width, ncols) for state in states]
+    order = sorted(range(len(states)), key=cells.__getitem__)
     return KohnertSet(source=diagram,
-                      members=tuple(Diagram(frozenset(cells)) for cells in members))
+                      members=tuple(Diagram(frozenset(cells[k])) for k in order),
+                      states=tuple(states[k] for k in order))
 
 
 def kohnert_polynomial(diagram: Diagram, n: int | None = None,

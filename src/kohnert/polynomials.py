@@ -7,6 +7,7 @@ exponent tuples of length n to nonzero integer coefficients.
 from __future__ import annotations
 
 import json
+from heapq import heapify, heappop, heappush
 from itertools import accumulate
 
 from .compositions import check_composition, flatten, pad
@@ -257,25 +258,35 @@ def expand_in_basis(f: IntPolynomial, basis: str) -> dict[tuple[int, ...], int]:
 
     Works by repeatedly stripping the basis element indexed by the
     surviving monomial that is last in the dominance order (largest when
-    exponent tuples are compared reversed).  Raises ExpansionError if a
-    negative coefficient turns up, or if a basis element leaves its own
-    leading monomial in place, which would pick that monomial forever.
+    exponent tuples are compared reversed).  A heap keyed on the negated
+    reversed exponents yields that monomial: a monomial is pushed when a
+    subtraction first creates it, and entries for monomials gone since
+    are skipped.  Raises ExpansionError if a negative coefficient turns
+    up, or if a basis element leaves its own leading monomial in place,
+    which would pick that monomial forever.
     """
     if basis not in _BASES:
         raise ValueError(f"unknown basis {basis!r}")
     gen = _BASES[basis]
     rest = dict(f.terms)
+    heap = [(tuple(-x for x in reversed(e)), e) for e in rest]
+    heapify(heap)
     out: dict[tuple[int, ...], int] = {}
-    while rest:
-        a = max(rest, key=lambda e: e[::-1])
-        coef = rest[a]
+    while heap:
+        a = heappop(heap)[1]
+        coef = rest.get(a)
+        if coef is None:
+            continue
         if coef < 0:
             raise ExpansionError("not nonnegative in this basis")
         out[a] = coef
         for e, c in gen(a, f.n).terms.items():
-            left = rest.get(e, 0) - coef * c
+            held = rest.get(e, 0)
+            left = held - coef * c
             if left:
                 rest[e] = left
+                if not held:
+                    heappush(heap, (tuple(-x for x in reversed(e)), e))
             else:
                 del rest[e]
         if a in rest:

@@ -18,6 +18,9 @@ side.  ``crystal_components_json`` summarises each crystal component
 ``oracle_fundamental_slide`` is the filter over every weak composition
 of |a| that the direct construction in ``kohnert.polynomials`` replaced,
 with the refinement and dominance orders it filters by.
+``oracle_expand_in_basis`` peels basis elements off a polynomial with a
+scan of every surviving monomial per term, the loop that the heap in
+``kohnert.polynomials.expand_in_basis`` replaced.
 
 ``southwest_hull`` closes a set of cells under the southwest condition,
 so property tests can draw southwest diagrams.  ``oracle_is_southwest``
@@ -100,7 +103,8 @@ from kohnert.labeling import (_component_key, _quasi_yamanouchi_core,
                               _yamanouchi_core)
 from kohnert.moves import DEFAULT_MAX_DIAGRAMS, ResourceBoundError, generate_kd
 from kohnert.perms import Permutation, sort_and_minimal_perm
-from kohnert.polynomials import IntPolynomial, monomial_generating
+from kohnert.polynomials import (_BASES, ExpansionError, IntPolynomial,
+                                 monomial_generating)
 from kohnert.tableaux import (Tableau, TableauCrystal, highest_weight_tableau,
                               ssyt_lower)
 
@@ -240,6 +244,30 @@ def oracle_fundamental_slide(a, n: int) -> IntPolynomial:
     fa = flatten(a)
     return IntPolynomial(n, {b: 1 for b, fb in _flattened_compositions(sum(a), n)
                              if dominates(b, a) and refines(fb, fa)})
+
+
+def oracle_expand_in_basis(f: IntPolynomial, basis: str) -> dict[tuple[int, ...], int]:
+    """Expand f in the key or slide basis by stripping, term by term, the
+    basis element of the surviving monomial largest in reversed exponents."""
+    gen = _BASES[basis]
+    rest = dict(f.terms)
+    out: dict[tuple[int, ...], int] = {}
+    while rest:
+        a = max(rest, key=lambda e: e[::-1])
+        coef = rest[a]
+        if coef < 0:
+            raise ExpansionError("not nonnegative in this basis")
+        out[a] = coef
+        for e, c in gen(a, f.n).terms.items():
+            left = rest.get(e, 0) - coef * c
+            if left:
+                rest[e] = left
+            else:
+                del rest[e]
+        if a in rest:
+            raise ExpansionError(f"basis element {a} does not cancel "
+                                 f"its own leading monomial")
+    return out
 
 
 def southwest_hull(cells) -> Diagram:

@@ -11,7 +11,7 @@ from time import perf_counter
 import pytest
 
 import kohnert
-from kohnert import cli
+from kohnert import cli, labeling
 from kohnert.cli import main
 from kohnert.moves import kohnert_polynomial
 from kohnert.polynomials import demazure_character
@@ -196,6 +196,22 @@ def test_membership_member(tmp_path, capsys):
     out = capsys.readouterr().out
     assert out.startswith("member\n")
     assert any(ch.isdigit() for ch in out)
+
+
+def test_membership_explain_labels_once(tmp_path, capsys, monkeypatch):
+    calls = []
+    label = labeling._label
+
+    def counted(t, d):
+        calls.append(t)
+        return label(t, d)
+
+    monkeypatch.setattr(labeling, "_label", counted)
+    t_file = write(tmp_path, "t.txt", MEMBERS["K"].to_grid() + "\n")
+    d_file = write(tmp_path, "d.txt", D5_GRID)
+    assert main(["membership", t_file, d_file, "--explain"]) == 0
+    assert capsys.readouterr().out.startswith("member\n")
+    assert len(calls) == 1
 
 
 def test_membership_non_member(tmp_path, capsys):

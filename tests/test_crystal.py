@@ -7,7 +7,10 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from kohnert.crystal import (
+    _crystal,
     _lone,
+    _raises,
+    _spread,
     crystal_graph,
     crystal_to_dot,
     raising,
@@ -15,7 +18,7 @@ from kohnert.crystal import (
     rectify_step,
 )
 from kohnert.diagrams import Diagram, _columns, composition_diagram, is_composition_diagram
-from kohnert.moves import generate_kd
+from kohnert.moves import _cells, _closure, _pack, generate_kd
 from kohnert.verify import southwest_in_box
 
 from golden import (
@@ -204,6 +207,28 @@ def test_packed_operators_match_the_oracles_on_southwest_closures(d):
     assert crystal_graph(kset) == oracle_crystal_graph(kset)
     for t in kset.members:
         assert rectify(t) == oracle_rectify(t)
+
+
+@settings(deadline=None, max_examples=60)
+@given(southwest_diagrams)
+def test_packed_key_path_matches_the_diagram_path(d):
+    width, ncols = d.max_row + 1, d.max_col
+    kset = generate_kd(d)
+    assert kset.states == tuple(_pack(_columns(t), width) for t in kset.members)
+    states, _ = _closure(d, len(kset.members))
+    states = list(states)
+    _, _, highest = _crystal(states, width, ncols)
+    assert sorted(_cells(states[n], width, ncols) for n in highest) == \
+        sorted(t.sorted_cells for t in crystal_graph(kset).highest)
+    spread = _spread(width, ncols)
+    for t, state in zip(kset.members, kset.states):
+        raised = dict(_raises(state, spread, width, {}))
+        for i in range(1, d.max_row + 1):
+            u = oracle_raising(t, i)
+            flip = raised.get(i)
+            assert (u is None) == (flip is None), (t, i)
+            if u is not None:
+                assert _cells(state ^ flip, width, ncols) == u.sorted_cells
 
 
 def test_crystal_dot_output():

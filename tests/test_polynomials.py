@@ -1,7 +1,7 @@
 """Tests for sparse polynomials, divided differences, and the named families."""
 
 import pytest
-from hypothesis import given
+from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from kohnert import polynomials
@@ -29,7 +29,7 @@ from kohnert.polynomials import (
     schubert_polynomial,
 )
 
-from oracle import oracle_fundamental_slide
+from oracle import oracle_expand_in_basis, oracle_fundamental_slide
 
 
 @st.composite
@@ -266,6 +266,33 @@ def test_expand_in_basis_round_trips():
     for a, coef in slide.items():
         rebuilt = rebuilt + fundamental_slide(a, 4).scale(coef)
     assert rebuilt == f
+
+
+@st.composite
+def key_sums(draw, n=4):
+    """Nonnegative sums of key polynomials, sometimes with one monomial
+    added, so that some sums fail to expand."""
+    f = IntPolynomial.zero(n)
+    for a in draw(st.lists(st.tuples(*(st.integers(0, 3),) * n), max_size=4)):
+        f = f + demazure_character(a, n).scale(draw(st.integers(1, 2)))
+    extra = draw(st.one_of(st.none(), st.tuples(*(st.integers(0, 3),) * n)))
+    if extra is not None:
+        f = f + IntPolynomial.monomial(extra).scale(draw(st.integers(-1, 1)))
+    return f
+
+
+def _expansion_or_error(expand, f, basis):
+    try:
+        return expand(f, basis)
+    except ExpansionError as exc:
+        return str(exc)
+
+
+@settings(deadline=None, max_examples=60)
+@given(key_sums(), st.sampled_from(["key", "slide"]))
+def test_heap_peel_matches_the_scan_oracle(f, basis):
+    assert _expansion_or_error(expand_in_basis, f, basis) == \
+        _expansion_or_error(oracle_expand_in_basis, f, basis)
 
 
 def test_expand_in_basis_errors():

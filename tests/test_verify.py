@@ -8,8 +8,8 @@ import pytest
 
 from kohnert import crystal, verify
 from kohnert.crystal import crystal_graph
-from kohnert.diagrams import is_southwest
-from kohnert.labeling import component_demazure_data
+from kohnert.diagrams import Diagram, is_southwest
+from kohnert.labeling import component_demazure_data, demazure_expansion
 from kohnert.moves import generate_kd
 from kohnert.tableaux import demazure_subset
 from kohnert.verify import (SUITES, SuiteResult, component_isomorphic, random_diagram,
@@ -101,6 +101,14 @@ def test_crystal_invariant_failures_are_counterexamples(monkeypatch):
         assert result.summary().startswith(f"FAIL {name}:")
         assert result.failures == ["D=((1, 2), (2, 2)): southwest closure not stable "
                                    "under raising at i=1: ((1, 2), (2, 2))"], name
+
+
+def test_key_expansion_keeps_its_crystal_checks(monkeypatch):
+    monkeypatch.setattr(crystal, "_raise_bit", _leftmost_raise_bit)
+    with pytest.raises(AssertionError) as info:
+        demazure_expansion(Diagram.of((1, 2), (2, 2)))
+    assert str(info.value) == ("southwest closure not stable under raising at i=1: "
+                               "((1, 2), (2, 2))")
 
 
 def test_sweeps_hold_the_expansion_routes_to_their_oracles(monkeypatch):
