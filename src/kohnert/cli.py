@@ -27,9 +27,9 @@ from .labeling import (_membership, component_demazure_data,
 from .moves import MaxDiagramsError, ResourceBoundError, generate_kd, \
     kd_to_dot, kd_to_json, kohnert_polynomial
 from .perms import check_permutation
-from .polynomials import IntPolynomial, demazure_character, \
-    fundamental_slide, schubert_polynomial
-from .verify import SUITES, run_suite, suite_bounds
+from .polynomials import basis_sum, demazure_character, fundamental_slide, \
+    schubert_polynomial
+from .verify import SUITES, _check_budget, run_suite, suite_bounds
 
 
 class UsageError(ValueError):
@@ -120,6 +120,8 @@ def cmd_kd(args) -> int:
 
 
 def cmd_poly(args) -> int:
+    if args.n is not None:
+        _check_budget([args.n], f"--n {args.n} asks for", "variables")
     if args.diagram is not None:
         d = _read_diagram_file(args.diagram)
         f = kohnert_polynomial(d, args.n, args.max_diagrams)
@@ -148,9 +150,7 @@ def cmd_expand(args) -> int:
         print(",".join(map(str, comp)) + suffix)
     if args.check:
         n = d.max_row
-        gen = demazure_character if args.basis == "key" else fundamental_slide
-        total = sum((gen(a, n) for a in expansion),
-                    start=IntPolynomial.zero(n))
+        total = basis_sum(expansion, args.basis, n)
         if not total.matches(kohnert_polynomial(d, n, args.max_diagrams)):
             print("check: FAIL, expansion does not reproduce the polynomial")
             return 1

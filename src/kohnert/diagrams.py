@@ -147,15 +147,6 @@ def weight(diagram: Diagram, n: int | None = None) -> tuple[int, ...]:
     return tuple(len(diagram.row(r)) for r in range(1, n + 1))
 
 
-def column_weights(diagram: Diagram, n: int | None = None) -> tuple[int, ...]:
-    """Cells per column, from column 1 out to column n."""
-    if n is None:
-        n = diagram.max_col
-    elif n < diagram.max_col:
-        raise ValueError(f"diagram has cells beyond column {n}")
-    return tuple(len(diagram.col(c)) for c in range(1, n + 1))
-
-
 def composition_diagram(a) -> Diagram:
     """Left-justified diagram with a_r cells in row r."""
     a = check_composition(a)

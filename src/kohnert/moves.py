@@ -102,7 +102,8 @@ def _closure(diagram: Diagram, limit: int,
     field = (1 << width) - 1
     wbits = len(diagram).bit_length()      # a row holds at most len(diagram) cells
     unit = {1 << r: 1 << (wbits * (r - 1)) for r in range(1, width)}
-    delta = {src | dst: unit[dst] - unit[src] for src in unit for dst in unit if dst < src}
+    delta = {}      # weight change per move, filled as moves occur, since a
+                    # full table is quadratic in the number of rows
     start = _pack(_columns(diagram), width)
     start_weight = sum(unit[1 << r] for _, r in diagram.cells)
     shifts = [k * width for k in range(diagram.max_col)]    # rightmost column first
@@ -133,7 +134,11 @@ def _closure(diagram: Diagram, limit: int,
                             f"closure exceeds {limit} diagrams (KOHNERT_MAX_DIAGRAMS): "
                             f"reached {len(seen) + 1} members at BFS depth {depth}")
                     seen.add(nxt)
-                    nxt_weight = weight + delta[move]
+                    try:
+                        step = delta[move]
+                    except KeyError:
+                        step = delta[move] = unit[move ^ src] - unit[src]
+                    nxt_weight = weight + step
                     counts[nxt_weight] = counts.get(nxt_weight, 0) + 1
                     next_states.append(nxt)
                     next_weights.append(nxt_weight)

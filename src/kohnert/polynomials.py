@@ -7,6 +7,7 @@ exponent tuples of length n to nonzero integer coefficients.
 from __future__ import annotations
 
 import json
+from collections import Counter
 from heapq import heapify, heappop, heappush
 from itertools import accumulate
 
@@ -46,11 +47,6 @@ class IntPolynomial:
         exps = tuple(exps)
         return IntPolynomial(len(exps), {exps: 1})
 
-    @staticmethod
-    def variable(i: int, n: int) -> "IntPolynomial":
-        exps = tuple(1 if j == i else 0 for j in range(1, n + 1))
-        return IntPolynomial(n, {exps: 1})
-
     def is_zero(self) -> bool:
         return not self.terms
 
@@ -69,29 +65,6 @@ class IntPolynomial:
             terms[exps] = terms.get(exps, 0) + coef
         return IntPolynomial(self.n, terms)
 
-    def __neg__(self) -> "IntPolynomial":
-        return IntPolynomial(self.n, {e: -c for e, c in self.terms.items()})
-
-    def __sub__(self, other: "IntPolynomial") -> "IntPolynomial":
-        return self + (-other)
-
-    def scale(self, k: int) -> "IntPolynomial":
-        return IntPolynomial(self.n, {e: k * c for e, c in self.terms.items()})
-
-    def __mul__(self, other) -> "IntPolynomial":
-        if isinstance(other, int):
-            return self.scale(other)
-        if self.n != other.n:
-            raise ValueError("variable count mismatch")
-        terms: dict[tuple[int, ...], int] = {}
-        for e1, c1 in self.terms.items():
-            for e2, c2 in other.terms.items():
-                e = tuple(a + b for a, b in zip(e1, e2))
-                terms[e] = terms.get(e, 0) + c1 * c2
-        return IntPolynomial(self.n, terms)
-
-    __rmul__ = __mul__
-
     def pad_to(self, n: int) -> "IntPolynomial":
         if n == self.n:
             return self
@@ -101,18 +74,6 @@ class IntPolynomial:
         """Equality after padding both to a common number of variables."""
         n = max(self.n, other.n)
         return self.pad_to(n).terms == other.pad_to(n).terms
-
-    def swap_vars(self, i: int) -> "IntPolynomial":
-        """Apply the substitution exchanging x_i and x_{i+1}."""
-        if not 1 <= i < self.n:
-            raise ValueError(f"need 1 <= i < n, got i={i}, n={self.n}")
-        out: dict[tuple[int, ...], int] = {}
-        for e, c in self.terms.items():
-            s = list(e)
-            s[i - 1], s[i] = s[i], s[i - 1]
-            key = tuple(s)
-            out[key] = out.get(key, 0) + c
-        return IntPolynomial(self.n, out)
 
     def eval_ones(self) -> int:
         return sum(self.terms.values())
@@ -208,7 +169,9 @@ def fundamental_slide(a, n: int | None = None) -> IntPolynomial:
 
     The terms are built directly: each nonzero part of a is split into
     consecutive positive pieces, placed left to right, and a branch is
-    cut as soon as a prefix sum of b falls below that of a.
+    cut as soon as a prefix sum of b falls below that of a.  The search
+    keeps its own stack, so its depth is not bounded by the recursion
+    limit, and a branch ends with zeros once every part is placed.
     """
     a = check_composition(a)
     if n is None:
@@ -217,33 +180,26 @@ def fundamental_slide(a, n: int | None = None) -> IntPolynomial:
         raise ValueError("n smaller than the number of parts")
     a = pad(a, n)
     parts = flatten(a) + (0,)      # a 0 after the last part: nothing left to place
+    last = len(parts) - 1
     floor = list(accumulate(a))
     terms: dict[tuple[int, ...], int] = {}
-    b = [0] * n
-
-    def place(i: int, j: int, left: int, total: int) -> None:
-        # b[:i] is set and sums to total; part j has `left` still to place
-        if i == n:
-            terms[tuple(b)] = 1     # total == floor[-1]: every part is placed
-            return
-        for v in range(max(floor[i] - total, 0), left + 1):
-            b[i] = v
-            if v == left and v:
-                place(i + 1, j + 1, parts[j + 1], total + v)
+    # (prefix of b, part j, what is left of part j, sum of the prefix);
+    # left > 0 until j == last.  Larger v go on first, so the terms come
+    # out in increasing lexicographic order.
+    stack = [((), 0, parts[0], 0)]
+    push = stack.append
+    while stack:
+        prefix, j, left, total = stack.pop()
+        i = len(prefix)
+        if j == last:
+            terms[prefix + (0,) * (n - i)] = 1
+            continue
+        short = floor[i] - total    # what b lacks of a's prefix sum: v makes it up
+        for v in range(left, short - 1 if short > 0 else -1, -1):
+            if v == left:
+                push((prefix + (v,), j + 1, parts[j + 1], total + v))
             else:
-                place(i + 1, j, left - v, total + v)
-        b[i] = 0
-
-    place(0, 0, parts[0], 0)
-    return IntPolynomial(n, terms)
-
-
-def monomial_generating(weights, n: int) -> IntPolynomial:
-    """Sum of x^wt over a multiset of weights, padded to n variables."""
-    terms: dict[tuple[int, ...], int] = {}
-    for wt in weights:
-        e = pad(tuple(wt), n)
-        terms[e] = terms.get(e, 0) + 1
+                push((prefix + (v,), j, left - v, total + v))
     return IntPolynomial(n, terms)
 
 
@@ -293,3 +249,18 @@ def expand_in_basis(f: IntPolynomial, basis: str) -> dict[tuple[int, ...], int]:
             raise ExpansionError(f"basis element {a} does not cancel "
                                  f"its own leading monomial")
     return out
+
+
+def basis_sum(compositions, basis: str, n: int) -> IntPolynomial:
+    """Sum of the key or slide polynomials in n variables indexed by a
+    multiset of compositions: an iterable, or a map to multiplicities
+    such as ``expand_in_basis`` returns.  The terms are added up in one
+    dict, with one basis polynomial per distinct composition."""
+    if basis not in _BASES:
+        raise ValueError(f"unknown basis {basis!r}")
+    gen = _BASES[basis]
+    terms: dict[tuple[int, ...], int] = {}
+    for a, count in Counter(compositions).items():
+        for e, c in gen(a, n).terms.items():
+            terms[e] = terms.get(e, 0) + count * c
+    return IntPolynomial(n, terms)

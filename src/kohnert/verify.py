@@ -26,8 +26,7 @@ from .labeling import (_quasi_yamanouchi_core, _yamanouchi_core,
                        is_vexillary_diagram, membership, slide_expansion)
 from .moves import ResourceBoundError, _max_diagrams, generate_kd, kohnert_polynomial
 from .perms import all_permutations, contains_2143, lehmer_code
-from .polynomials import (IntPolynomial, demazure_character,
-                          fundamental_slide, schubert_polynomial)
+from .polynomials import basis_sum, demazure_character, schubert_polynomial
 from .tableaux import TableauCrystal, demazure_subset, ssyt_lower, ssyt_raise
 
 
@@ -328,8 +327,7 @@ def _yamanouchi_case(d: Diagram) -> tuple[int, list[str]]:
                 f"one Yamanouchi member"
                 for comp in components if sum(1 for y in yams if y in comp) != 1]
     n = d.max_row
-    total = sum((demazure_character(weight(y, n), n) for y in yams),
-                start=IntPolynomial.zero(n))
+    total = basis_sum((weight(y, n) for y in yams), "key", n)
     if not total.matches(kohnert_polynomial(d, n)):
         failures.append(f"D={d.sorted_cells}: key sum differs from polynomial")
     if key_terms != sorted(weight(y, n) for y in yams):
@@ -347,8 +345,7 @@ def _slide_case(d: Diagram) -> tuple[int, list[str]]:
     n = d.max_row
     members = generate_kd(d).members
     qys = [t for t in members if _quasi_yamanouchi_core(t, d)]
-    total = sum((fundamental_slide(weight(t, n), n) for t in qys),
-                start=IntPolynomial.zero(n))
+    total = basis_sum((weight(t, n) for t in qys), "slide", n)
     failures = []
     if not total.matches(kohnert_polynomial(d, n)):
         failures.append(f"D={d.sorted_cells}: slide sum differs from polynomial")

@@ -48,6 +48,14 @@ route that the packed row and column masks in ``kohnert.crystal``
 replaced.
 
 ``EMPTY`` is the diagram with no cells, for the edge-case tests.
+``variable``, ``poly_scale``, ``poly_sub``, ``poly_mul`` and
+``swap_vars`` are the ring operations on ``IntPolynomial`` that only
+tests use: the ring laws, the definition of the divided difference and
+the symmetric polynomials that the Demazure operator fixes are stated
+with them.
+``monomial_generating`` sums x^weight over a multiset of weights, the
+polynomial a closure is compared with, and ``column_weights`` counts the
+cells per column, the precondition of ``oracle_labeling_with_reason``.
 ``identity``, ``inverse`` and ``act`` are the permutation basics the
 tests of ``compose``, ``reduced_word`` and ``sort_and_minimal_perm``
 are stated with.
@@ -96,19 +104,74 @@ from itertools import product
 from kohnert.compositions import (check_composition, compositions_of, flatten,
                                   pad, strip_trailing_zeros)
 from kohnert.crystal import CrystalGraph
-from kohnert.diagrams import (Cell, Diagram, GridParseError, column_weights,
+from kohnert.diagrams import (Cell, Diagram, GridParseError,
                               composition_diagram, grid_rows,
                               is_composition_diagram, is_southwest, weight)
 from kohnert.labeling import (_component_key, _quasi_yamanouchi_core,
                               _yamanouchi_core)
 from kohnert.moves import DEFAULT_MAX_DIAGRAMS, ResourceBoundError, generate_kd
 from kohnert.perms import Permutation, sort_and_minimal_perm
-from kohnert.polynomials import (_BASES, ExpansionError, IntPolynomial,
-                                 monomial_generating)
+from kohnert.polynomials import _BASES, ExpansionError, IntPolynomial
 from kohnert.tableaux import (Tableau, TableauCrystal, highest_weight_tableau,
                               ssyt_lower)
 
 EMPTY = Diagram(frozenset())
+
+
+def variable(i: int, n: int) -> IntPolynomial:
+    """x_i as a polynomial in n variables."""
+    return IntPolynomial(n, {tuple(int(j == i) for j in range(1, n + 1)): 1})
+
+
+def poly_scale(f: IntPolynomial, k: int) -> IntPolynomial:
+    return IntPolynomial(f.n, {e: k * c for e, c in f.terms.items()})
+
+
+def poly_sub(f: IntPolynomial, g: IntPolynomial) -> IntPolynomial:
+    return f + poly_scale(g, -1)
+
+
+def poly_mul(f: IntPolynomial, g: IntPolynomial) -> IntPolynomial:
+    """The product, multiplying every pair of terms."""
+    if f.n != g.n:
+        raise ValueError("variable count mismatch")
+    terms: dict[tuple[int, ...], int] = {}
+    for e1, c1 in f.terms.items():
+        for e2, c2 in g.terms.items():
+            e = tuple(a + b for a, b in zip(e1, e2))
+            terms[e] = terms.get(e, 0) + c1 * c2
+    return IntPolynomial(f.n, terms)
+
+
+def swap_vars(f: IntPolynomial, i: int) -> IntPolynomial:
+    """Apply the substitution exchanging x_i and x_{i+1}."""
+    if not 1 <= i < f.n:
+        raise ValueError(f"need 1 <= i < n, got i={i}, n={f.n}")
+    out: dict[tuple[int, ...], int] = {}
+    for e, c in f.terms.items():
+        s = list(e)
+        s[i - 1], s[i] = s[i], s[i - 1]
+        key = tuple(s)
+        out[key] = out.get(key, 0) + c
+    return IntPolynomial(f.n, out)
+
+
+def monomial_generating(weights, n: int) -> IntPolynomial:
+    """Sum of x^wt over a multiset of weights, padded to n variables."""
+    terms: dict[tuple[int, ...], int] = {}
+    for wt in weights:
+        e = pad(tuple(wt), n)
+        terms[e] = terms.get(e, 0) + 1
+    return IntPolynomial(n, terms)
+
+
+def column_weights(diagram: Diagram, n: int | None = None) -> tuple[int, ...]:
+    """Cells per column, from column 1 out to column n."""
+    if n is None:
+        n = diagram.max_col
+    elif n < diagram.max_col:
+        raise ValueError(f"diagram has cells beyond column {n}")
+    return tuple(len(diagram.col(c)) for c in range(1, n + 1))
 
 
 def kohnert_move(diagram: Diagram, r: int) -> Diagram | None:

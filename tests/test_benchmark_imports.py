@@ -1,10 +1,10 @@
 """The benchmark scripts still find every package name they use.
 
-The scripts under ``benchmarks/`` import names from ``kohnert`` and wrap
-the public functions of the modules listed in ``tracing.LAYERS``.  A name
-deleted from the package would fail every benchmark operation, so these
-tests parse the scripts (without running or changing them) and resolve
-each such import.
+The scripts under ``benchmarks/`` import names from ``kohnert``, wrap
+the public functions of the modules listed in ``tracing.LAYERS`` and wrap
+the methods listed in ``tracing.METHODS``.  A name deleted from the
+package would fail every benchmark operation, so these tests parse the
+scripts (without running or changing them) and resolve each such name.
 """
 
 import ast
@@ -31,13 +31,13 @@ def _package_imports(path: Path):
                     yield alias.name, None
 
 
-def _tracing_layers() -> tuple:
+def _tracing_constant(name: str):
     tree = ast.parse((BENCHMARKS / "tracing.py").read_text())
     for node in tree.body:
         if isinstance(node, ast.Assign) and any(
-                isinstance(t, ast.Name) and t.id == "LAYERS" for t in node.targets):
+                isinstance(t, ast.Name) and t.id == name for t in node.targets):
             return ast.literal_eval(node.value)
-    raise AssertionError("benchmarks/tracing.py defines no LAYERS")
+    raise AssertionError(f"benchmarks/tracing.py defines no {name}")
 
 
 def test_benchmark_scripts_are_found():
@@ -55,7 +55,19 @@ def test_benchmark_package_imports_resolve(path):
 
 
 def test_tracing_layers_import():
-    layers = _tracing_layers()
+    layers = _tracing_constant("LAYERS")
     assert "crystal" in layers
     for layer in layers:
         importlib.import_module(f"kohnert.{layer}")
+
+
+def test_tracing_methods_are_defined_on_their_classes():
+    # Tracer.install reads cls.__dict__[meth], so an inherited or deleted
+    # method would raise KeyError in every traced run
+    methods = _tracing_constant("METHODS")
+    assert ("Diagram", "move_cell") in methods["diagrams"]
+    for layer, entries in methods.items():
+        module = importlib.import_module(f"kohnert.{layer}")
+        for cls_name, meth in entries:
+            cls = getattr(module, cls_name)
+            assert meth in cls.__dict__, f"kohnert.{layer}.{cls_name}.{meth} is gone"

@@ -97,6 +97,31 @@ def test_poly_slide(capsys):
         '{"n": 3, "terms": [{"exps": [1, 1, 0], "coef": 1}]}\n'
 
 
+def test_poly_slide_in_more_variables_than_the_recursion_limit(capsys):
+    assert main(["poly", "--slide", "0,2", "--n", "5000"]) == 0
+    zeros = [0] * 4998
+    assert json.loads(capsys.readouterr().out) == {"n": 5000, "terms": [
+        {"exps": [2, 0] + zeros, "coef": 1}, {"exps": [1, 1] + zeros, "coef": 1},
+        {"exps": [0, 2] + zeros, "coef": 1}]}
+
+
+def test_poly_n_over_the_budget_exits_3(monkeypatch, capsys):
+    # refused before any exponent tuple of that length is built
+    monkeypatch.delenv("KOHNERT_MAX_DIAGRAMS", raising=False)
+    start = perf_counter()
+    assert main(["poly", "--key", "0,2", "--n", "100000000"]) == 3
+    assert perf_counter() - start < 5
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err.startswith("error: --n 100000000 asks for 100000000 variables, "
+                                   "over the budget of 1000000")
+    assert "KOHNERT_MAX_DIAGRAMS" in captured.err
+    monkeypatch.setenv("KOHNERT_MAX_DIAGRAMS", "5")
+    assert main(["poly", "--slide", "0,2", "--n", "6"]) == 3
+    assert "--n 6 asks for 6 variables, over the budget of 5" in capsys.readouterr().err
+    assert main(["poly", "--slide", "0,2", "--n", "5"]) == 0
+
+
 def test_poly_diagram(tmp_path, capsys):
     source = write(tmp_path, "d.txt", D5_GRID)
     assert main(["poly", "--diagram", source]) == 0
@@ -115,6 +140,13 @@ def test_expand_slide_with_check(tmp_path, capsys):
     out = capsys.readouterr().out
     assert out.endswith("check: OK\n")
     assert len(out.splitlines()) == 8
+
+
+@pytest.mark.parametrize("basis", ["key", "slide"])
+def test_expand_one_cell_above_the_recursion_limit(tmp_path, capsys, basis):
+    source = write(tmp_path, "row1200.txt", "O\n" + ".\n" * 1199)
+    assert main(["expand", "--input", source, "--basis", basis]) == 0
+    assert capsys.readouterr().out == "0," * 1199 + "1\n"
 
 
 def test_expand_reports_multiplicities(tmp_path, capsys):
@@ -160,6 +192,18 @@ def test_expand_bytes_are_pinned(capsys, basis, terms, digest):
     counts = [line.partition(" x") for line in out.splitlines()[:-1]]
     assert sum(int(count or 1) for _, _, count in counts) == terms
     assert hashlib.sha256(out.encode()).hexdigest() == digest
+
+
+def test_expand_slide_check_of_s9_is_pinned_and_linear(capsys):
+    # 2,541 slide polynomials are summed back up: a sum that copies its
+    # running total at every term takes seconds here
+    start = perf_counter()
+    assert main(["expand", "--perm", "3,1,6,5,2,9,8,7,4", "--basis", "slide", "--check"]) == 0
+    assert perf_counter() - start < 5
+    out = capsys.readouterr().out
+    assert out.endswith("check: OK\n")
+    assert hashlib.sha256(out.encode()).hexdigest() == \
+        "1c6f2f545d24a9443308d63b78b9cd4a0304abbdeb6a3d8b62bc98a38155b4bc"
 
 
 @pytest.mark.parametrize("argv, digest", [

@@ -8,7 +8,6 @@ from kohnert.diagrams import (
     Diagram,
     GridParseError,
     check_cell,
-    column_weights,
     composition_diagram,
     is_composition_diagram,
     is_southwest,
@@ -17,7 +16,7 @@ from kohnert.diagrams import (
 )
 from kohnert.perms import all_permutations, lehmer_code
 
-from oracle import EMPTY, oracle_is_southwest
+from oracle import EMPTY, column_weights, oracle_is_southwest
 
 cell_sets = st.sets(st.tuples(st.integers(1, 6), st.integers(1, 6)), max_size=10)
 

@@ -15,10 +15,11 @@ from kohnert.moves import (
     kd_to_json,
     kohnert_polynomial,
 )
-from kohnert.polynomials import demazure_character, monomial_generating
+from kohnert.polynomials import demazure_character
 
 from golden import D5, LETTER, MEMBERS, MOVE_EDGES
-from oracle import kohnert_move, oracle_generate_kd, reverse_kohnert_moves, southwest_hull
+from oracle import (kohnert_move, monomial_generating, oracle_generate_kd,
+                    reverse_kohnert_moves, southwest_hull)
 
 cell_sets = st.sets(st.tuples(st.integers(1, 4), st.integers(1, 4)), max_size=6)
 box_cells = st.sets(st.tuples(st.integers(1, 4), st.integers(1, 5)), max_size=6)
