@@ -17,12 +17,12 @@ holds a row bitmask per column, column 1 in the high field.
   upward and yields each row at which raising moves a cell, with the
   two bits whose flip raises it.  ``_crystal`` builds the raising graph
   of a closure by looking each raised state up among the members'
-  states, and ``_highest`` keeps the diagrams a scan yields nothing for.
+  states; a state the scan yields nothing for is a highest member.
 * Column masks carry rectification: the fields of a state.
   ``_rectify`` moves every unpaired column-(c+1) cell at once, since
   moving the lowest one turns the last free closer into an opener and
   changes no other match, and sweeps right to left until a sweep moves
-  nothing; rectified members compare with a closure as states.
+  nothing; ``labeling._rectified_component`` rectifies states this way.
 
 The ``Diagram`` operators build the masks they need from their input
 and call these helpers.  The tableau operators in ``kohnert.tableaux``
@@ -35,7 +35,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 from .diagrams import Diagram, _columns, is_southwest
-from .moves import KohnertSet, _cells, _pack
+from .moves import KohnertSet, _cells
 
 
 def _lone(openers: int, closers: int) -> int:
@@ -113,22 +113,6 @@ def _raises(state: int, spread: int, width: int, flips: dict[int, int]):
             yield i, flip << i
 
 
-def _highest(diagrams) -> list[Diagram]:
-    """The diagrams that no raising operator moves."""
-    width = max((t.max_row for t in diagrams), default=0) + 1
-    ncols = max((t.max_col for t in diagrams), default=0)
-    spread = _spread(width, ncols)
-    flips: dict[int, int] = {}
-    tops = []
-    for t in diagrams:
-        state = 0
-        for c, r in t.cells:
-            state |= 1 << (ncols - c) * width + r
-        if not any(_raises(state, spread, width, flips)):
-            tops.append(t)
-    return tops
-
-
 def rectify_step(diagram: Diagram, c: int) -> Diagram:
     """Move the lowest unpaired column-(c+1) cell left, or return unchanged."""
     if c < 1:
@@ -162,19 +146,6 @@ def rectify(diagram: Diagram) -> Diagram:
     """Fully rectify by right-to-left column sweeps."""
     cols = _rectify(_columns(diagram))
     return Diagram(frozenset((k + 1, r) for k, col in enumerate(cols) for r in _bits(col)))
-
-
-def _rectified_states(diagrams, width: int) -> set[int]:
-    """Each diagram rectified and packed as a closure state, in fields
-    ``width`` bits wide, which must exceed every row.  Trailing empty
-    columns are dropped, as a closure has none."""
-    states = set()
-    for t in diagrams:
-        cols = _rectify(_columns(t))
-        while cols and not cols[-1]:
-            cols.pop()
-        states.add(_pack(cols, width))
-    return states
 
 
 @dataclass(frozen=True)

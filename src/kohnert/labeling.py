@@ -23,11 +23,11 @@ tests call them directly.  The one public labelling output,
 from __future__ import annotations
 
 from .compositions import Composition, pad
-from .crystal import _crystal, _highest, _lone, _rectified_states
+from .crystal import _crystal, _lone, _raises, _rectify, _spread
 from .diagrams import (Cell, Diagram, composition_diagram,
                        is_composition_diagram, is_southwest, render_grid,
                        weight)
-from .moves import _cells, _closure, _max_diagrams, kohnert_polynomial
+from .moves import _cells, _closure, _max_diagrams, _pack, kohnert_polynomial
 from .perms import sort_and_minimal_perm
 from .polynomials import expand_in_basis
 
@@ -288,36 +288,61 @@ def is_vexillary_diagram(d: Diagram) -> bool:
     return all(rows[i] <= rows[i + 1] for i in range(len(rows) - 1))
 
 
+def _rectified_component(states, width: int, ncols: int, d: Diagram):
+    """``component_demazure_data`` on the packed states, ``ncols`` fields
+    ``width`` bits wide, of one component of the closure of d; also the
+    rectified states, in order, in the layout of the closure of D(a)."""
+    spread, flips = _spread(width, ncols), {}
+    tops = [state for state in states if not any(_raises(state, spread, width, flips))]
+    if len(tops) != 1:
+        raise ValueError("not a single crystal component")
+    u = Diagram(frozenset(_cells(tops[0], width, ncols)))
+    a = _component_key(u, d)
+    lam, w = sort_and_minimal_perm(a)
+    if weight(u, len(a)) != lam:
+        raise AssertionError("highest weight does not match the sorted labels")
+    occupied = 0
+    for state in states:
+        occupied |= state
+    # rectification keeps every cell in its row, so no field overflows
+    top_row = max((r for _, r in _cells(occupied, width, ncols)), default=0)
+    field = (1 << width) - 1
+    shifts = range((ncols - 1) * width, -1, -width)         # column 1 first
+    images = []
+    for state in states:
+        cols = _rectify([state >> shift & field for shift in shifts])
+        while cols and not cols[-1]:
+            cols.pop()
+        images.append(_pack(cols, top_row + 1))
+    if len(set(images)) != len(images):
+        raise AssertionError("rectification is not injective on the component")
+    # D(a) has top row len(a); equal top rows make equal fields
+    if len(a) != top_row or \
+            set(images) != _closure(composition_diagram(a), _max_diagrams(None))[0]:
+        raise AssertionError("rectified component misses the composition closure")
+    return lam, w, a, images
+
+
 def component_demazure_data(component, d: Diagram):
     """(lam, w, a) for one crystal component of the closure of d.
 
     lam is the weight of the unique highest member, a the weight of the
     labeling diagram after rectifying that member's labeling, and w the
-    minimal permutation carrying sorted a to a.  The rectified members
-    are checked to tile the closure of the composition diagram of a,
-    compared as packed closure states.
+    minimal permutation carrying sorted a to a.  Each member is packed
+    once, in the layout the component needs, and rectified from its
+    fields; the images must tile the closure of D(a) as packed states.
     """
     if not is_southwest(d):
         raise ValueError("component data requires a southwest diagram")
-    comp = set(component)
-    if not comp:
+    cells = [t.cells for t in set(component)]
+    if not cells:
         raise ValueError("component is empty")
-    tops = _highest(comp)
-    if len(tops) != 1:
-        raise ValueError("not a single crystal component")
-    u = tops[0]
-    a = _component_key(u, d)
-    lam, w = sort_and_minimal_perm(a)
-    if weight(u, len(a)) != lam:
-        raise AssertionError("highest weight does not match the sorted labels")
-    # rectification keeps every cell in its row, so no field overflows
-    top_row = max(t.max_row for t in comp)
-    rect_image = _rectified_states(comp, top_row + 1)
-    if len(rect_image) != len(comp):
-        raise AssertionError("rectification is not injective on the component")
-    source = composition_diagram(a)
-    states, _ = _closure(source, _max_diagrams(None))
-    # equal images have equal top rows, and then equal fields
-    if source.max_row != top_row or rect_image != states:
-        raise AssertionError("rectified component misses the composition closure")
-    return lam, w, a
+    width = max((r for cs in cells for _, r in cs), default=0) + 1
+    ncols = max((c for cs in cells for c, _ in cs), default=0)
+    states = []
+    for cs in cells:
+        state = 0
+        for c, r in cs:
+            state |= 1 << (ncols - c) * width + r
+        states.append(state)
+    return _rectified_component(states, width, ncols, d)[:3]

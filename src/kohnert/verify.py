@@ -18,11 +18,11 @@ from math import comb, prod
 from operator import mul
 
 from .compositions import compositions_up_to
-from .crystal import crystal_graph, raising, rectify, rectify_step
+from .crystal import _crystal, _raises, _spread, crystal_graph, raising, rectify_step
 from .diagrams import (Diagram, composition_diagram, is_southwest,
                        rothe_diagram, weight)
-from .labeling import (_quasi_yamanouchi_core, _yamanouchi_core,
-                       component_demazure_data, demazure_expansion,
+from .labeling import (_quasi_yamanouchi_core, _rectified_component,
+                       _yamanouchi_core, demazure_expansion,
                        is_vexillary_diagram, membership, slide_expansion)
 from .moves import ResourceBoundError, _max_diagrams, generate_kd, kohnert_polynomial
 from .perms import all_permutations, contains_2143, lehmer_code
@@ -278,33 +278,37 @@ def component_isomorphic(component, top: Diagram, raised: dict,
 
 
 def _components_case(d: Diagram) -> tuple[int, list[str]]:
+    """Each crystal component of the closure of d rectifies onto the closure
+    of D(a), on packed states; rectifying intertwines raising; and the
+    component matches its Demazure subset of tableaux."""
+    kset = generate_kd(d)
+    members, states = kset.members, kset.states
     try:
-        graph = crystal_graph(generate_kd(d))
+        edges, groups, highest = _crystal(states, d.max_row + 1, d.max_col)
     except AssertionError as exc:
         return 1, [f"D={d.sorted_cells}: {exc}"]
-    raised = {(t, i): u for t, i, u in graph.edges}
+    raised = {(members[n], i): members[m] for n, i, m in edges}
     failures = []
-    for comp, top in zip(graph.components, graph.highest, strict=True):
+    for group, top in zip(groups, highest, strict=True):
         try:
-            lam, w, a = component_demazure_data(comp, d)
+            lam, w, a, images = _rectified_component([states[n] for n in group],
+                                                     d.max_row + 1, d.max_col, d)
         except (AssertionError, ValueError) as exc:
             failures.append(f"D={d.sorted_cells}: {exc}")
             continue
         n = len(a)
-        rectified = {t: rectify(t) for t in comp}
-        for t in comp:
-            for i in range(1, n):
-                lifted = raised.get((t, i))
-                left = raising(rectified[t], i)
-                right = None if lifted is None else rectified[lifted]
-                if (lifted is None) != (left is None) or left != right:
-                    failures.append(f"D={d.sorted_cells}: rectify does not "
-                                    f"intertwine raising {i} at {t.sorted_cells}")
-        problem = component_isomorphic(comp, top, raised,
+        image = {members[k]: x for k, x in zip(group, images)}
+        spread, flips = _spread(n + 1, max(a, default=0)), {}    # the layout of D(a)
+        for t, x in image.items():
+            left = {(i, x ^ flip) for i, flip in _raises(x, spread, n + 1, flips)}
+            right = {(i, image[raised[t, i]]) for i in range(1, n) if (t, i) in raised}
+            failures.extend(f"D={d.sorted_cells}: rectify does not intertwine raising {i} at "
+                            f"{t.sorted_cells}" for i in sorted({i for i, _ in left ^ right}))
+        problem = component_isomorphic(image.keys(), members[top], raised,
                                        demazure_subset(lam, w, n), n)
         if problem is not None:
             failures.append(f"D={d.sorted_cells}, a={a}: {problem}")
-    return len(graph.components), failures
+    return len(groups), failures
 
 
 def verify_components(box: tuple[int, int] = (3, 3), jobs: int = 1) -> SuiteResult:

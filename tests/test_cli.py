@@ -386,6 +386,13 @@ def test_verify_box_over_the_budget_exits_3(capsys):
     assert "KOHNERT_MAX_DIAGRAMS" in captured.err
 
 
+def test_verify_components_on_the_4x3_box(capsys):
+    start = perf_counter()
+    assert main(["verify", "components", "--box", "4x3"]) == 0
+    assert perf_counter() - start < 10
+    assert capsys.readouterr().out == "PASS components: 1701 cases checked\n"
+
+
 def test_verify_box_budget_follows_the_environment(monkeypatch, capsys):
     monkeypatch.setenv("KOHNERT_MAX_DIAGRAMS", "100")
     assert main(["verify", "components", "--box", "3x3"]) == 3

@@ -464,6 +464,11 @@ def test_component_demazure_data_validation():
         component_demazure_data([], D5)
     with pytest.raises(ValueError):
         component_demazure_data(set(small) | set(large), D5)
+    # members are packed by the component's own width, not by D5's three
+    # columns, so the labelling is what refuses a wider diagram's component
+    (wider,) = crystal_graph(generate_kd(composition_diagram((0, 2, 4)))).components
+    with pytest.raises(ValueError, match="^diagrams must have equal column weights$"):
+        component_demazure_data(wider, D5)
 
 
 @settings(deadline=None, max_examples=40)

@@ -5,17 +5,24 @@ import os
 import random
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from kohnert import crystal, verify
 from kohnert.crystal import crystal_graph
 from kohnert.diagrams import Diagram, is_southwest
-from kohnert.labeling import component_demazure_data, demazure_expansion
-from kohnert.moves import generate_kd
+from kohnert.labeling import (_rectified_component, component_demazure_data,
+                              demazure_expansion)
+from kohnert.moves import _cells, generate_kd
 from kohnert.tableaux import demazure_subset
 from kohnert.verify import (SUITES, SuiteResult, component_isomorphic, random_diagram,
                             run_suite, southwest_in_box)
 
 from golden import D5
+from oracle import oracle_raising, oracle_rectify, southwest_hull
+
+southwest_diagrams = st.sets(st.tuples(st.integers(1, 4), st.integers(1, 5)),
+                             max_size=6).map(southwest_hull)
 
 
 def test_suite_result_summary_pass():
@@ -109,6 +116,58 @@ def test_key_expansion_keeps_its_crystal_checks(monkeypatch):
         demazure_expansion(Diagram.of((1, 2), (2, 2)))
     assert str(info.value) == ("southwest closure not stable under raising at i=1: "
                                "((1, 2), (2, 2))")
+
+
+@settings(deadline=None, max_examples=40)
+@given(southwest_diagrams)
+def test_components_sweep_rectifies_like_the_oracle(d):
+    # the sweep's old check, on diagrams, is the reference: rectify each
+    # member, raise the image, and compare with the image of its raise
+    kset = generate_kd(d)
+    graph = crystal_graph(kset)
+    raised = {(t, i): u for t, i, u in graph.edges}
+    position = {t: n for n, t in enumerate(kset.members)}
+    expected = []
+    for comp in graph.components:
+        group = [position[t] for t in comp]
+        _, _, a, images = _rectified_component([kset.states[n] for n in group],
+                                               d.max_row + 1, d.max_col, d)
+        rectified = {t: oracle_rectify(t) for t in comp}
+        for n, state in zip(group, images):
+            t = kset.members[n]
+            assert _cells(state, len(a) + 1, max(a, default=0)) == rectified[t].sorted_cells
+        for t in comp:
+            for i in range(1, len(a)):
+                lifted = raised.get((t, i))
+                left = oracle_raising(rectified[t], i)
+                right = None if lifted is None else rectified[lifted]
+                if (lifted is None) != (left is None) or left != right:
+                    expected.append(f"D={d.sorted_cells}: rectify does not intertwine "
+                                    f"raising {i} at {t.sorted_cells}")
+    checked, failures = verify._components_case(d)
+    assert checked == len(graph.components)
+    assert sorted(failures) == sorted(expected)
+
+
+def _raises_but_row_1(state, spread, width, flips):
+    """The raise scan with every raise at row 1 left out."""
+    return ((i, flip) for i, flip in crystal._raises(state, spread, width, flips)
+            if i != 1)
+
+
+def test_components_sweep_reports_broken_intertwining(monkeypatch):
+    # only the sweep's raise of rectified states breaks; the crystal graph
+    # and the component data keep the true scan
+    monkeypatch.setattr(verify, "_raises", _raises_but_row_1)
+    result = run_suite("components", **TINY["components"])
+    assert result.checked == 15
+    assert result.failures == [
+        f"D={d}: rectify does not intertwine raising 1 at {t}" for d, t in (
+            ("((1, 2),)", "((1, 2),)"),
+            ("((2, 2),)", "((2, 2),)"),
+            ("((1, 2), (2, 2))", "((1, 2), (2, 1))"),
+            ("((1, 2), (2, 2))", "((1, 2), (2, 2))"),
+            ("((1, 1), (1, 2), (2, 2))", "((1, 1), (1, 2), (2, 2))"))]
 
 
 def test_sweeps_hold_the_expansion_routes_to_their_oracles(monkeypatch):
