@@ -288,15 +288,11 @@ def is_vexillary_diagram(d: Diagram) -> bool:
     return all(rows[i] <= rows[i + 1] for i in range(len(rows) - 1))
 
 
-def _rectified_component(states, width: int, ncols: int, d: Diagram):
-    """``component_demazure_data`` on the packed states, ``ncols`` fields
-    ``width`` bits wide, of one component of the closure of d; also the
-    rectified states, in order, in the layout of the closure of D(a)."""
-    spread, flips = _spread(width, ncols), {}
-    tops = [state for state in states if not any(_raises(state, spread, width, flips))]
-    if len(tops) != 1:
-        raise ValueError("not a single crystal component")
-    u = Diagram(frozenset(_cells(tops[0], width, ncols)))
+def _rectified_component(states, top: int, width: int, ncols: int, d: Diagram):
+    """``component_demazure_data`` on a component's packed states, ``ncols``
+    fields ``width`` bits wide, and its highest state ``top``; also the
+    rectified states, in order, as ``_rectified_raises`` reads them."""
+    u = Diagram(frozenset(_cells(top, width, ncols)))
     a = _component_key(u, d)
     lam, w = sort_and_minimal_perm(a)
     if weight(u, len(a)) != lam:
@@ -323,6 +319,14 @@ def _rectified_component(states, width: int, ncols: int, d: Diagram):
     return lam, w, a, images
 
 
+def _rectified_raises(images, a: Composition) -> list[set[tuple[int, int]]]:
+    """The (i, raised state) pairs of each state ``_rectified_component``
+    returns for key a, a member of the closure of D(a) in its layout."""
+    width, flips = len(a) + 1, {}
+    spread = _spread(width, max(a, default=0))
+    return [{(i, x ^ flip) for i, flip in _raises(x, spread, width, flips)} for x in images]
+
+
 def component_demazure_data(component, d: Diagram):
     """(lam, w, a) for one crystal component of the closure of d.
 
@@ -339,10 +343,9 @@ def component_demazure_data(component, d: Diagram):
         raise ValueError("component is empty")
     width = max((r for cs in cells for _, r in cs), default=0) + 1
     ncols = max((c for cs in cells for c, _ in cs), default=0)
-    states = []
-    for cs in cells:
-        state = 0
-        for c, r in cs:
-            state |= 1 << (ncols - c) * width + r
-        states.append(state)
-    return _rectified_component(states, width, ncols, d)[:3]
+    states = [sum(1 << (ncols - c) * width + r for c, r in cs) for cs in cells]
+    spread, flips = _spread(width, ncols), {}
+    tops = [state for state in states if not any(_raises(state, spread, width, flips))]
+    if len(tops) != 1:
+        raise ValueError("not a single crystal component")
+    return _rectified_component(states, tops[0], width, ncols, d)[:3]

@@ -18,10 +18,10 @@ from math import comb, prod
 from operator import mul
 
 from .compositions import compositions_up_to
-from .crystal import _crystal, _raises, _spread, crystal_graph, raising, rectify_step
+from .crystal import _crystal, crystal_graph, raising, rectify_step
 from .diagrams import (Diagram, composition_diagram, is_southwest,
                        rothe_diagram, weight)
-from .labeling import (_quasi_yamanouchi_core, _rectified_component,
+from .labeling import (_quasi_yamanouchi_core, _rectified_component, _rectified_raises,
                        _yamanouchi_core, demazure_expansion,
                        is_vexillary_diagram, membership, slide_expansion)
 from .moves import ResourceBoundError, _max_diagrams, generate_kd, kohnert_polynomial
@@ -291,21 +291,18 @@ def _components_case(d: Diagram) -> tuple[int, list[str]]:
     failures = []
     for group, top in zip(groups, highest, strict=True):
         try:
-            lam, w, a, images = _rectified_component([states[n] for n in group],
+            lam, w, a, images = _rectified_component([states[n] for n in group], states[top],
                                                      d.max_row + 1, d.max_col, d)
         except (AssertionError, ValueError) as exc:
             failures.append(f"D={d.sorted_cells}: {exc}")
             continue
-        n = len(a)
         image = {members[k]: x for k, x in zip(group, images)}
-        spread, flips = _spread(n + 1, max(a, default=0)), {}    # the layout of D(a)
-        for t, x in image.items():
-            left = {(i, x ^ flip) for i, flip in _raises(x, spread, n + 1, flips)}
-            right = {(i, image[raised[t, i]]) for i in range(1, n) if (t, i) in raised}
+        for t, left in zip(image, _rectified_raises(images, a)):
+            right = {(i, image[raised[t, i]]) for i in range(1, len(a)) if (t, i) in raised}
             failures.extend(f"D={d.sorted_cells}: rectify does not intertwine raising {i} at "
                             f"{t.sorted_cells}" for i in sorted({i for i, _ in left ^ right}))
         problem = component_isomorphic(image.keys(), members[top], raised,
-                                       demazure_subset(lam, w, n), n)
+                                       demazure_subset(lam, w, len(a)), len(a))
         if problem is not None:
             failures.append(f"D={d.sorted_cells}, a={a}: {problem}")
     return len(groups), failures

@@ -8,7 +8,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from kohnert import crystal, verify
+from kohnert import crystal, labeling, verify
 from kohnert.crystal import crystal_graph
 from kohnert.diagrams import Diagram, is_southwest
 from kohnert.labeling import (_rectified_component, component_demazure_data,
@@ -128,9 +128,10 @@ def test_components_sweep_rectifies_like_the_oracle(d):
     raised = {(t, i): u for t, i, u in graph.edges}
     position = {t: n for n, t in enumerate(kset.members)}
     expected = []
-    for comp in graph.components:
+    for comp, top in zip(graph.components, graph.highest, strict=True):
         group = [position[t] for t in comp]
         _, _, a, images = _rectified_component([kset.states[n] for n in group],
+                                               kset.states[position[top]],
                                                d.max_row + 1, d.max_col, d)
         rectified = {t: oracle_rectify(t) for t in comp}
         for n, state in zip(group, images):
@@ -156,9 +157,9 @@ def _raises_but_row_1(state, spread, width, flips):
 
 
 def test_components_sweep_reports_broken_intertwining(monkeypatch):
-    # only the sweep's raise of rectified states breaks; the crystal graph
-    # and the component data keep the true scan
-    monkeypatch.setattr(verify, "_raises", _raises_but_row_1)
+    # only the raise of rectified states breaks; the crystal graph keeps
+    # the true scan
+    monkeypatch.setattr(labeling, "_raises", _raises_but_row_1)
     result = run_suite("components", **TINY["components"])
     assert result.checked == 15
     assert result.failures == [
