@@ -19,11 +19,11 @@ from functools import partial
 from pathlib import Path
 
 from .compositions import check_composition
-from .crystal import crystal_graph, crystal_to_dot
+from .crystal import _crystal, crystal_to_dot
 from .diagrams import Diagram, GridParseError, composition_diagram, \
     is_southwest, rothe_diagram
-from .labeling import (_membership, component_demazure_data,
-                       demazure_expansion, label_grid, slide_expansion)
+from .labeling import (_membership, _rectified_component, demazure_expansion,
+                       label_grid, slide_expansion)
 from .moves import MaxDiagramsError, ResourceBoundError, generate_kd, \
     kd_to_dot, kd_to_json, kohnert_polynomial
 from .perms import check_permutation
@@ -163,14 +163,14 @@ def cmd_crystal(args) -> int:
     if not is_southwest(d):
         raise ValueError("diagram is not southwest")
     kset = generate_kd(d, args.max_diagrams)
-    graph = crystal_graph(kset)
+    states, width, ncols = kset.states, d.max_row + 1, d.max_col
+    edges, groups, highest = _crystal(states, width, ncols)
     labels = []
-    for comp in graph.components:
-        lam, w, a = component_demazure_data(comp, d)
-        labels.append("lam=(%s) w=(%s) a=(%s)" % (
-            ",".join(map(str, lam)), ",".join(map(str, w)),
-            ",".join(map(str, a))))
-    sys.stdout.write(crystal_to_dot(graph, labels))
+    for group, top in zip(groups, highest, strict=True):
+        data = _rectified_component([states[n] for n in group], states[top], width, ncols, d)
+        lam, w, a = (",".join(map(str, part)) for part in data[:3])
+        labels.append(f"lam=({lam}) w=({w}) a=({a})")
+    sys.stdout.write(crystal_to_dot(kset.members, edges, groups, labels))
     return 0
 
 

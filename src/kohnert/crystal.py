@@ -16,18 +16,19 @@ holds a row bitmask per column, column 1 in the high field.
   bracket scan wants.  One scan, ``_raises``, walks a state from row 1
   upward and yields each row at which raising moves a cell, with the
   two bits whose flip raises it.  ``_crystal`` builds the raising graph
-  of a closure by looking each raised state up among the members'
-  states; a state the scan yields nothing for is a highest member.
+  of a closure on the positions of its members' states, looking each
+  raised state up; a state the scan yields nothing for is a highest member.
 * Column masks carry rectification: the fields of a state.
   ``_rectify`` moves every unpaired column-(c+1) cell at once, since
   moving the lowest one turns the last free closer into an opener and
   changes no other match, and sweeps right to left until a sweep moves
   nothing; ``labeling._rectified_component`` rectifies states this way.
 
-The ``Diagram`` operators build the masks they need from their input
-and call these helpers.  The tableau operators in ``kohnert.tableaux``
-build column masks of their two entries and scan them with ``_lone``
-too.
+``kohnert crystal``, the sweeps and ``crystal_to_dot`` read the
+positions ``_crystal`` gives.  ``crystal_graph`` and the ``Diagram``
+operators are the ``Diagram``-level API over these helpers.  The
+tableau operators in ``kohnert.tableaux`` scan column masks of their
+two entries with ``_lone`` too.
 """
 
 from __future__ import annotations
@@ -233,18 +234,20 @@ def crystal_graph(kset: KohnertSet) -> CrystalGraph:
 _EDGE_COLORS = ["blue", "purple", "violet", "red", "green", "orange", "brown"]
 
 
-def crystal_to_dot(graph: CrystalGraph, component_labels) -> str:
-    index = {t: i for i, t in enumerate(graph.members)}
+def crystal_to_dot(members, edges, components, component_labels) -> str:
+    """DOT of ``_crystal(kset.states, ...)``'s edges and components, in
+    that order, over ``members = kset.members``; the edges are printed as
+    given, so they must come (n, i) ascending, as ``_crystal`` lists them."""
     lines = ["digraph kohnert_crystal {",
              '  node [shape=box fontname="monospace"];']
-    for ci, comp in enumerate(graph.components):
+    for ci, group in enumerate(components):
         lines.append(f"  subgraph cluster_{ci} {{")
         lines.append(f'    label="component {ci}: {component_labels[ci]}";')
-        for t in sorted(comp, key=index.__getitem__):
-            lines.append(f'    n{index[t]} [label="{t.dot_label()}"];')
+        for n in sorted(group):
+            lines.append(f'    n{n} [label="{members[n].dot_label()}"];')
         lines.append("  }")
-    for t, i, u in sorted(graph.edges, key=lambda e: (index[e[0]], e[1], index[e[2]])):
+    for n, i, m in edges:
         color = _EDGE_COLORS[(i - 1) % len(_EDGE_COLORS)]
-        lines.append(f'  n{index[t]} -> n{index[u]} [label="{i}" color="{color}"];')
+        lines.append(f'  n{n} -> n{m} [label="{i}" color="{color}"];')
     lines.append("}")
     return "\n".join(lines) + "\n"

@@ -18,7 +18,7 @@ from math import comb, prod
 from operator import mul
 
 from .compositions import compositions_up_to
-from .crystal import _crystal, crystal_graph, raising, rectify_step
+from .crystal import _crystal, raising, rectify_step
 from .diagrams import (Diagram, composition_diagram, is_southwest,
                        rothe_diagram, weight)
 from .labeling import (_quasi_yamanouchi_core, _rectified_component, _rectified_raises,
@@ -155,7 +155,7 @@ def verify_schubert(n: int = 4, jobs: int = 1) -> SuiteResult:
 
 def _closure_case(d: Diagram) -> tuple[int, list[str]]:
     try:
-        crystal_graph(generate_kd(d))
+        _crystal(generate_kd(d).states, d.max_row + 1, d.max_col)
     except AssertionError as exc:
         return 1, [f"D={d.sorted_cells}: {exc}"]
     return 1, []
@@ -164,7 +164,7 @@ def _closure_case(d: Diagram) -> tuple[int, list[str]]:
 def verify_closure(box: tuple[int, int] = (4, 4), max_cells: int = 6,
                    jobs: int = 1) -> SuiteResult:
     """Raising operators never leave the closure of a southwest diagram,
-    as ``crystal_graph`` checks when it builds the crystal graph."""
+    as ``_crystal`` checks when it builds the raising graph."""
     return _sweep("closure", southwest_in_box(*box, max_cells),
                   _closure_case, jobs)
 
@@ -316,22 +316,22 @@ def verify_components(box: tuple[int, int] = (3, 3), jobs: int = 1) -> SuiteResu
 def _yamanouchi_case(d: Diagram) -> tuple[int, list[str]]:
     kset = generate_kd(d)
     try:
-        components = crystal_graph(kset).components
+        _, groups, _ = _crystal(kset.states, d.max_row + 1, d.max_col)
         key_terms = demazure_expansion(d)
     except AssertionError as exc:
         return 1, [f"D={d.sorted_cells}: {exc}"]
-    yams = [y for y in kset.members if _yamanouchi_core(y, d)]
-    if len(yams) != len(components):
+    yams = {k for k, y in enumerate(kset.members) if _yamanouchi_core(y, d)}
+    if len(yams) != len(groups):
         return 1, [f"D={d.sorted_cells}: {len(yams)} Yamanouchi members, "
-                   f"{len(components)} components"]
+                   f"{len(groups)} components"]
     failures = [f"D={d.sorted_cells}: component without exactly "
                 f"one Yamanouchi member"
-                for comp in components if sum(1 for y in yams if y in comp) != 1]
+                for group in groups if len(yams.intersection(group)) != 1]
     n = d.max_row
-    total = basis_sum((weight(y, n) for y in yams), "key", n)
-    if not total.matches(kohnert_polynomial(d, n)):
+    weights = [weight(kset.members[k], n) for k in yams]
+    if not basis_sum(weights, "key", n).matches(kohnert_polynomial(d, n)):
         failures.append(f"D={d.sorted_cells}: key sum differs from polynomial")
-    if key_terms != sorted(weight(y, n) for y in yams):
+    if key_terms != sorted(weights):
         failures.append(f"D={d.sorted_cells}: key expansion {key_terms} "
                         f"differs from the Yamanouchi weights")
     return 1, failures

@@ -45,7 +45,9 @@ keeps no rectified test of its own, since only tests asked it.
 was on diagrams, raising every member to find the top and comparing
 the rectified members with the diagram-level closure of D(a), the
 route that the packed row and column masks in ``kohnert.crystal``
-replaced.
+replaced.  ``oracle_crystal_to_dot`` prints a ``CrystalGraph`` as DOT,
+looking each ``Diagram`` up and sorting the edges, as
+``crystal_to_dot`` did before it read ``_crystal``'s positions.
 
 ``EMPTY`` is the diagram with no cells, for the edge-case tests.
 ``variable``, ``poly_scale``, ``poly_sub``, ``poly_mul`` and
@@ -103,7 +105,7 @@ from itertools import product
 
 from kohnert.compositions import (check_composition, compositions_of, flatten,
                                   pad, strip_trailing_zeros)
-from kohnert.crystal import CrystalGraph
+from kohnert.crystal import _EDGE_COLORS, CrystalGraph
 from kohnert.diagrams import (Cell, Diagram, GridParseError,
                               composition_diagram, grid_rows,
                               is_composition_diagram, is_southwest, weight)
@@ -826,6 +828,23 @@ def oracle_crystal_graph(kset) -> CrystalGraph:
         highest.append(top)
     return CrystalGraph(source=kset.source, members=members, edges=edges,
                         components=tuple(components), highest=tuple(highest))
+
+
+def oracle_crystal_to_dot(graph: CrystalGraph, component_labels) -> str:
+    index = {t: i for i, t in enumerate(graph.members)}
+    lines = ["digraph kohnert_crystal {",
+             '  node [shape=box fontname="monospace"];']
+    for ci, comp in enumerate(graph.components):
+        lines.append(f"  subgraph cluster_{ci} {{")
+        lines.append(f'    label="component {ci}: {component_labels[ci]}";')
+        for t in sorted(comp, key=index.__getitem__):
+            lines.append(f'    n{index[t]} [label="{t.dot_label()}"];')
+        lines.append("  }")
+    for t, i, u in sorted(graph.edges, key=lambda e: (index[e[0]], e[1], index[e[2]])):
+        color = _EDGE_COLORS[(i - 1) % len(_EDGE_COLORS)]
+        lines.append(f'  n{index[t]} -> n{index[u]} [label="{i}" color="{color}"];')
+    lines.append("}")
+    return "\n".join(lines) + "\n"
 
 
 def oracle_component_demazure_data(component, d: Diagram):

@@ -182,6 +182,15 @@ def test_crystal_dot_bytes_are_pinned(capsys):
         "d6f96cb142990ef65a4367ba9f2917a9f91e1b0e027de7cae4be402acaba9503"
 
 
+def test_crystal_dot_of_s9_is_pinned(capsys):
+    start = perf_counter()
+    assert main(["crystal", "--perm", "3,1,6,5,2,9,8,7,4"]) == 0
+    assert perf_counter() - start < 5
+    out = capsys.readouterr().out.encode()
+    assert hashlib.sha256(out).hexdigest() == \
+        "590a44cc1a08f0baaa99d8dcd4e24bb800b680e0f9cf7105f57420f27c3b5ae0"
+
+
 @pytest.mark.parametrize("basis, terms, digest", [
     ("key", 24, "cb20ab7a25cacfc81ab6f0e8e22c2ab05108b59a5ebef74a453d47e2a7e449d7"),
     ("slide", 161, "ac412062c4b165affedf889d3070e214b0a292cb205778b6b0ba7437f778cc2d"),
@@ -272,6 +281,22 @@ def test_verify_subcommand(capsys):
     assert capsys.readouterr().out.startswith("PASS closure:")
 
 
+def test_verify_all_output_is_pinned(capsys):
+    assert main(["verify", "all"]) == 0
+    out = capsys.readouterr().out
+    assert out == (
+        "PASS kohnert-vs-pi: 330 cases checked\n"
+        "PASS schubert: 24 cases checked\n"
+        "PASS closure: 2749 cases checked\n"
+        "PASS commute: 1000 cases checked\n"
+        "PASS membership: 14835 cases checked\n"
+        "PASS components: 312 cases checked\n"
+        "PASS yamanouchi: 230 cases checked\n"
+        "PASS slide: 230 cases checked\n"
+        "PASS vexillary: 254 cases checked\n"
+    )
+
+
 def test_verify_refuses_bounds_the_suite_does_not_take(capsys):
     assert main(["verify", "closure", "--box", "2x2", "--samples", "3"]) == 2
     captured = capsys.readouterr()
@@ -346,13 +371,22 @@ def test_poly_n_too_small_for_the_input_is_an_error_line(capsys):
 
 
 def test_crystal_invariant_failure_is_an_error_line(monkeypatch, capsys):
-    def broken(kset):
+    def broken(states, width, ncols):
         raise AssertionError("component without a unique highest weight")
-    monkeypatch.setattr(cli, "crystal_graph", broken)
+    monkeypatch.setattr(cli, "_crystal", broken)
     assert main(["crystal", "--comp", "0,2"]) == 1
     captured = capsys.readouterr()
     assert captured.out == ""
     assert captured.err == "error: component without a unique highest weight\n"
+
+
+def test_crystal_rectification_failure_is_an_error_line(monkeypatch, capsys):
+    # an empty closure of D(a) makes the component check itself fail
+    monkeypatch.setattr(labeling, "_closure", lambda d, limit: (set(), 0))
+    assert main(["crystal", "--comp", "0,2"]) == 1
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err == "error: rectified component misses the composition closure\n"
 
 
 def test_exit_code_for_parse_errors(tmp_path, capsys):

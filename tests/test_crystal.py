@@ -1,11 +1,16 @@
 """Tests for the crystal operators on diagrams and the component graph."""
 
+import io
 import json
+from contextlib import redirect_stdout
+from pathlib import Path
+from tempfile import TemporaryDirectory
 
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from kohnert.cli import main
 from kohnert.crystal import (
     _crystal,
     _lone,
@@ -18,6 +23,7 @@ from kohnert.crystal import (
     rectify_step,
 )
 from kohnert.diagrams import Diagram, _columns, composition_diagram, is_composition_diagram
+from kohnert.labeling import component_demazure_data
 from kohnert.moves import _cells, _closure, _pack, generate_kd
 from kohnert.verify import southwest_in_box
 
@@ -31,8 +37,9 @@ from golden import (
     RECTIFIED,
 )
 from oracle import (_bracket, crystal_components_json, oracle_crystal_graph,
-                    oracle_is_rectified, oracle_raising, oracle_rectify,
-                    oracle_rectify_column, oracle_rectify_step, southwest_hull)
+                    oracle_crystal_to_dot, oracle_is_rectified, oracle_raising,
+                    oracle_rectify, oracle_rectify_column, oracle_rectify_step,
+                    southwest_hull)
 
 cell_sets = st.sets(st.tuples(st.integers(1, 5), st.integers(1, 5)), max_size=8)
 southwest_diagrams = st.sets(st.tuples(st.integers(1, 4), st.integers(1, 5)),
@@ -231,16 +238,38 @@ def test_packed_key_path_matches_the_diagram_path(d):
                 assert _cells(state ^ flip, width, ncols) == u.sorted_cells
 
 
+def _dot_of(d, labels):
+    kset = generate_kd(d)
+    edges, groups, _ = _crystal(kset.states, d.max_row + 1, d.max_col)
+    return crystal_to_dot(kset.members, edges, groups, labels)
+
+
 def test_crystal_dot_output():
-    graph = crystal_graph(generate_kd(D5))
-    text = crystal_to_dot(graph, ["first", "second"])
-    assert text == crystal_to_dot(crystal_graph(generate_kd(D5)), ["first", "second"])
+    text = _dot_of(D5, ["first", "second"])
+    assert text == _dot_of(D5, ["first", "second"])
     assert text.startswith("digraph kohnert_crystal")
     assert "component 0: first" in text
     assert "component 1: second" in text
     assert text.count(" -> ") == len(RAISING_EDGES)
     for color in ("blue", "purple", "violet"):
         assert color in text
+
+
+@settings(deadline=None, max_examples=40)
+@given(southwest_diagrams)
+def test_crystal_command_matches_the_reference_printer(d):
+    kset = generate_kd(d)
+    graph = crystal_graph(kset)
+    labels = ["lam=(%s) w=(%s) a=(%s)" % tuple(",".join(map(str, part)) for part in
+                                               component_demazure_data(comp, d))
+              for comp in graph.components]
+    with TemporaryDirectory() as tmp:
+        source = Path(tmp) / "d.txt"
+        source.write_text(d.to_grid() + "\n")
+        out = io.StringIO()
+        with redirect_stdout(out):
+            assert main(["crystal", "--input", str(source)]) == 0
+    assert out.getvalue() == oracle_crystal_to_dot(graph, labels)
 
 
 def test_crystal_components_json():
