@@ -97,10 +97,6 @@ def _load_diagram(args) -> Diagram:
     return rothe_diagram(_parse_perm(args.perm))
 
 
-def _grid_or_empty(d: Diagram) -> str:
-    return d.to_grid() or "(empty)"
-
-
 def cmd_kd(args) -> int:
     d = _load_diagram(args)
     kset = generate_kd(d, args.max_diagrams)
@@ -110,12 +106,12 @@ def cmd_kd(args) -> int:
     if args.dot:
         sys.stdout.write(kd_to_dot(kset))
         return 0
-    count = len(kset.members)
+    count = len(kset.states)
     print(f"{count} diagram" + ("" if count == 1 else "s"))
     if args.list:
-        for member in kset.members:
+        for n in range(count):
             print()
-            print(_grid_or_empty(member))
+            print(kset.grid(n))
     return 0
 
 
@@ -170,7 +166,7 @@ def cmd_crystal(args) -> int:
         data = _rectified_component([states[n] for n in group], states[top], width, ncols, d)
         lam, w, a = (",".join(map(str, part)) for part in data[:3])
         labels.append(f"lam=({lam}) w=({w}) a=({a})")
-    sys.stdout.write(crystal_to_dot(kset.members, edges, groups, labels))
+    sys.stdout.write(crystal_to_dot(kset, edges, groups, labels))
     return 0
 
 

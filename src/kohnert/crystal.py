@@ -234,17 +234,17 @@ def crystal_graph(kset: KohnertSet) -> CrystalGraph:
 _EDGE_COLORS = ["blue", "purple", "violet", "red", "green", "orange", "brown"]
 
 
-def crystal_to_dot(members, edges, components, component_labels) -> str:
+def crystal_to_dot(kset: KohnertSet, edges, components, component_labels) -> str:
     """DOT of ``_crystal(kset.states, ...)``'s edges and components, in
-    that order, over ``members = kset.members``; the edges are printed as
-    given, so they must come (n, i) ascending, as ``_crystal`` lists them."""
+    that order, each member drawn by ``kset.grid``; the edges are printed
+    as given, so they must come (n, i) ascending, as ``_crystal`` lists them."""
     lines = ["digraph kohnert_crystal {",
              '  node [shape=box fontname="monospace"];']
     for ci, group in enumerate(components):
         lines.append(f"  subgraph cluster_{ci} {{")
         lines.append(f'    label="component {ci}: {component_labels[ci]}";')
         for n in sorted(group):
-            lines.append(f'    n{n} [label="{members[n].dot_label()}"];')
+            lines.append('    n%d [label="%s\\l"];' % (n, kset.grid(n).replace("\n", "\\l")))
         lines.append("  }")
     for n, i, m in edges:
         color = _EDGE_COLORS[(i - 1) % len(_EDGE_COLORS)]

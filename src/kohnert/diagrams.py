@@ -92,10 +92,6 @@ class Diagram:
         """Render as text with ``render_grid``, every cell printing as 'O'."""
         return render_grid(dict.fromkeys(self.cells, "O"))
 
-    def dot_label(self) -> str:
-        """The grid as a left-justified DOT label; '(empty)' for no cells."""
-        return (self.to_grid() or "(empty)").replace("\n", "\\l") + "\\l"
-
     @staticmethod
     def from_grid(text: str) -> "Diagram":
         """Parse the textual grid format; see ``grid_rows``."""

@@ -244,10 +244,13 @@ def demazure_expansion(d: Diagram, max_diagrams=None) -> list[Composition]:
     packed closure states; only highest members become diagrams."""
     if not is_southwest(d):
         raise ValueError("Yamanouchi analysis requires a southwest diagram")
-    states, _ = _closure(d, _max_diagrams(max_diagrams))
-    states = list(states)
+    states = list(_closure(d, _max_diagrams(max_diagrams))[0])
     width, ncols = d.max_row + 1, d.max_col
-    _, _, highest = _crystal(states, width, ncols)
+    return _key_terms(states, _crystal(states, width, ncols)[2], width, ncols, d)
+
+
+def _key_terms(states, highest, width: int, ncols: int, d: Diagram) -> list[Composition]:
+    """``demazure_expansion`` on the positions ``_crystal`` finds highest."""
     tops = (Diagram(frozenset(_cells(states[n], width, ncols))) for n in highest)
     return sorted(pad(_component_key(u, d), d.max_row) for u in tops)
 

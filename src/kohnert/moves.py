@@ -8,11 +8,11 @@ when (c, r) is a cell.  A move at row r takes the rightmost column whose
 field has bit r, the highest clear bit below r in that field, and flips
 the two bits.  Each state carries its row weight, packed the same way
 with one field per row, and a move updates it by -1 in row r and +1 in
-the row it drops to.  ``Diagram`` objects are made only at the API
-boundary, by ``generate_kd`` and ``KohnertSet.edges``.  The states are
-the one packed layout of the package: ``kohnert.crystal`` raises and
-rectifies on them too, so a closure is checked without building
-diagrams.
+the row it drops to.  A ``KohnertSet`` keeps only the states, and makes
+``Diagram`` objects when ``members`` is read; its printers render each
+state.  The states are the one packed layout of the package:
+``kohnert.crystal`` raises and rectifies on them too, so a closure is
+checked without building diagrams.
 """
 
 from __future__ import annotations
@@ -22,7 +22,7 @@ import os
 from dataclasses import dataclass
 from functools import cached_property
 
-from .diagrams import Diagram, _columns
+from .diagrams import Diagram, _columns, render_grid
 from .polynomials import IntPolynomial
 
 DEFAULT_MAX_DIAGRAMS = 10 ** 6
@@ -61,11 +61,16 @@ def _max_diagrams(explicit: int | None) -> int:
 @dataclass(frozen=True)
 class KohnertSet:
     source: Diagram
-    members: tuple[Diagram, ...]          # sorted canonically
-    states: tuple[int, ...]               # the packed state of each member
+    states: tuple[int, ...]               # packed members, sorted canonically
 
     def __contains__(self, diagram: Diagram) -> bool:
         return diagram in self.member_set
+
+    @cached_property
+    def members(self) -> tuple[Diagram, ...]:
+        """The member ``Diagram``s, in the order of ``states``, built on first read."""
+        width, ncols = self.source.max_row + 1, self.source.max_col
+        return tuple(Diagram(frozenset(_cells(s, width, ncols))) for s in self.states)
 
     @cached_property
     def member_set(self) -> frozenset[Diagram]:
@@ -74,10 +79,12 @@ class KohnertSet:
     @cached_property
     def edges(self) -> frozenset[tuple[Diagram, Diagram, int]]:
         """Every move (from, to, row moved) between members, found on demand."""
-        moves = []
-        _closure(self.source, len(self.members), moves)
-        member = dict(zip(self.states, self.members))
-        return frozenset((member[s], member[t], r) for s, t, r in moves)
+        return frozenset((self.members[n], self.members[m], r) for n, m, r in _moves(self))
+
+    def grid(self, n: int) -> str:
+        """Member n as ``render_grid`` text, '(empty)' when it has no cells."""
+        cells = _cells(self.states[n], self.source.max_row + 1, self.source.max_col)
+        return render_grid(dict.fromkeys(cells, "O")) or "(empty)"
 
 
 def _pack(columns: list[int], width: int) -> int:
@@ -176,15 +183,27 @@ def _cells(state: int, width: int, ncols: int) -> tuple[tuple[int, int], ...]:
 
 
 def generate_kd(diagram: Diagram, max_diagrams: int | None = None) -> KohnertSet:
-    """Breadth-first closure of a diagram under Kohnert moves."""
+    """Breadth-first closure of a diagram under Kohnert moves.  Moves keep
+    column sizes, so sorted cell tuples compare column 1 first, and in a
+    column the one holding the lowest differing row is less: members sort
+    descending on their states with each field's bits reversed."""
     seen, _ = _closure(diagram, _max_diagrams(max_diagrams))
     width, ncols = diagram.max_row + 1, diagram.max_col
-    states = list(seen)
-    cells = [_cells(state, width, ncols) for state in states]
-    order = sorted(range(len(states)), key=cells.__getitem__)
-    return KohnertSet(source=diagram,
-                      members=tuple(Diagram(frozenset(cells[k])) for k in order),
-                      states=tuple(states[k] for k in order))
+    field = (1 << width) - 1
+    shifts = tuple(range((ncols - 1) * width, -1, -width))     # column 1 first
+    flipped: dict[int, int] = {}        # field reversals, filled as fields occur
+
+    def key(state: int) -> int:
+        k = 0
+        for shift in shifts:
+            mask = state >> shift & field
+            rev = flipped.get(mask)
+            if rev is None:
+                rev = flipped[mask] = int(f"{mask:0{width}b}"[::-1], 2)
+            k = k << width | rev
+        return k
+
+    return KohnertSet(diagram, tuple(sorted(seen, key=key, reverse=True)))
 
 
 def kohnert_polynomial(diagram: Diagram, n: int | None = None,
@@ -199,24 +218,30 @@ def kohnert_polynomial(diagram: Diagram, n: int | None = None,
     return IntPolynomial(n, {w + pad: k for w, k in weights.items()})
 
 
+def _moves(kset: KohnertSet) -> list[tuple[int, int, int]]:
+    """Every move between members as (position, position, row moved), sorted."""
+    moves = []
+    _closure(kset.source, len(kset.states), moves)
+    index = {state: n for n, state in enumerate(kset.states)}
+    return sorted((index[s], index[t], r) for s, t, r in moves)
+
+
 def kd_to_json(kset: KohnertSet) -> str:
-    index = {t: i for i, t in enumerate(kset.members)}
-    edges = sorted((index[s], index[t], r) for s, t, r in kset.edges)
+    width, ncols = kset.source.max_row + 1, kset.source.max_col
     return json.dumps({
-        "source": index[kset.source],
-        "count": len(kset.members),
-        "members": [sorted(map(list, t.cells)) for t in kset.members],
-        "edges": [list(e) for e in edges],
+        "source": kset.states.index(_pack(_columns(kset.source), width)),
+        "count": len(kset.states),
+        "members": [list(map(list, _cells(s, width, ncols))) for s in kset.states],
+        "edges": [list(e) for e in _moves(kset)],
     })
 
 
 def kd_to_dot(kset: KohnertSet) -> str:
-    index = {t: i for i, t in enumerate(kset.members)}
     lines = ["digraph kohnert_moves {",
              '  node [shape=box fontname="monospace"];']
-    for i, t in enumerate(kset.members):
-        lines.append(f'  n{i} [label="{t.dot_label()}"];')
-    for s, t, r in sorted(kset.edges, key=lambda e: (index[e[0]], index[e[1]], e[2])):
-        lines.append(f"  n{index[s]} -> n{index[t]} [row={r}];")
+    for n in range(len(kset.states)):
+        lines.append('  n%d [label="%s\\l"];' % (n, kset.grid(n).replace("\n", "\\l")))
+    for n, m, r in _moves(kset):
+        lines.append(f"  n{n} -> n{m} [row={r}];")
     lines.append("}")
     return "\n".join(lines) + "\n"

@@ -21,8 +21,8 @@ from .compositions import compositions_up_to
 from .crystal import _crystal, raising, rectify_step
 from .diagrams import (Diagram, composition_diagram, is_southwest,
                        rothe_diagram, weight)
-from .labeling import (_quasi_yamanouchi_core, _rectified_component, _rectified_raises,
-                       _yamanouchi_core, demazure_expansion,
+from .labeling import (_key_terms, _quasi_yamanouchi_core, _rectified_component,
+                       _rectified_raises, _yamanouchi_core, demazure_expansion,
                        is_vexillary_diagram, membership, slide_expansion)
 from .moves import ResourceBoundError, _max_diagrams, generate_kd, kohnert_polynomial
 from .perms import all_permutations, contains_2143, lehmer_code
@@ -316,8 +316,8 @@ def verify_components(box: tuple[int, int] = (3, 3), jobs: int = 1) -> SuiteResu
 def _yamanouchi_case(d: Diagram) -> tuple[int, list[str]]:
     kset = generate_kd(d)
     try:
-        _, groups, _ = _crystal(kset.states, d.max_row + 1, d.max_col)
-        key_terms = demazure_expansion(d)
+        _, groups, highest = _crystal(kset.states, d.max_row + 1, d.max_col)
+        key_terms = _key_terms(kset.states, highest, d.max_row + 1, d.max_col, d)
     except AssertionError as exc:
         return 1, [f"D={d.sorted_cells}: {exc}"]
     yams = {k for k, y in enumerate(kset.members) if _yamanouchi_core(y, d)}

@@ -5,7 +5,10 @@
 objects that the packed search in ``kohnert.moves`` replaced.  It
 applies ``kohnert_move`` and records every edge it walks, so the
 differential tests can hold the packed engine to the same members,
-edges, polynomial and budget boundary.
+edges, polynomial and budget boundary.  ``oracle_kd_to_json`` and
+``oracle_kd_to_dot`` print its ``OracleSet`` by looking each ``Diagram``
+up, as ``kd_to_json`` and ``kd_to_dot`` did before they rendered
+members straight from their packed states.
 
 ``word_to_permutation`` recomposes a word of simple transpositions, so
 the tests can check ``reduced_word``.
@@ -219,6 +222,34 @@ def oracle_generate_kd(diagram: Diagram, max_diagrams: int = DEFAULT_MAX_DIAGRAM
     return OracleSet(source=diagram,
                      members=tuple(sorted(seen)),
                      edges=frozenset(edges))
+
+
+def _dot_label(t: Diagram) -> str:
+    """The grid as a left-justified DOT label; '(empty)' for no cells."""
+    return (t.to_grid() or "(empty)").replace("\n", "\\l") + "\\l"
+
+
+def oracle_kd_to_json(kset: OracleSet) -> str:
+    index = {t: i for i, t in enumerate(kset.members)}
+    edges = sorted((index[s], index[t], r) for s, t, r in kset.edges)
+    return json.dumps({
+        "source": index[kset.source],
+        "count": len(kset.members),
+        "members": [sorted(map(list, t.cells)) for t in kset.members],
+        "edges": [list(e) for e in edges],
+    })
+
+
+def oracle_kd_to_dot(kset: OracleSet) -> str:
+    index = {t: i for i, t in enumerate(kset.members)}
+    lines = ["digraph kohnert_moves {",
+             '  node [shape=box fontname="monospace"];']
+    for i, t in enumerate(kset.members):
+        lines.append(f'  n{i} [label="{_dot_label(t)}"];')
+    for s, t, r in sorted(kset.edges, key=lambda e: (index[e[0]], index[e[1]], e[2])):
+        lines.append(f"  n{index[s]} -> n{index[t]} [row={r}];")
+    lines.append("}")
+    return "\n".join(lines) + "\n"
 
 
 def word_to_permutation(word, n: int) -> Permutation:
@@ -838,7 +869,7 @@ def oracle_crystal_to_dot(graph: CrystalGraph, component_labels) -> str:
         lines.append(f"  subgraph cluster_{ci} {{")
         lines.append(f'    label="component {ci}: {component_labels[ci]}";')
         for t in sorted(comp, key=index.__getitem__):
-            lines.append(f'    n{index[t]} [label="{t.dot_label()}"];')
+            lines.append(f'    n{index[t]} [label="{_dot_label(t)}"];')
         lines.append("  }")
     for t, i, u in sorted(graph.edges, key=lambda e: (index[e[0]], e[1], index[e[2]])):
         color = _EDGE_COLORS[(i - 1) % len(_EDGE_COLORS)]

@@ -13,7 +13,7 @@ import pytest
 import kohnert
 from kohnert import cli, labeling
 from kohnert.cli import main
-from kohnert.moves import kohnert_polynomial
+from kohnert.moves import KohnertSet, kohnert_polynomial
 from kohnert.polynomials import demazure_character
 
 from golden import D5, MEMBERS
@@ -189,6 +189,26 @@ def test_crystal_dot_of_s9_is_pinned(capsys):
     out = capsys.readouterr().out.encode()
     assert hashlib.sha256(out).hexdigest() == \
         "590a44cc1a08f0baaa99d8dcd4e24bb800b680e0f9cf7105f57420f27c3b5ae0"
+
+
+def test_printing_paths_build_no_member_diagrams(monkeypatch, capsys):
+    perm = ["--perm", "2,1,5,4,3,8,7,6"]
+    runs = [["kd", *perm], ["kd", *perm, "--list"], ["kd", *perm, "--json"],
+            ["kd", *perm, "--dot"], ["crystal", *perm]]
+    expected = []
+    for argv in runs:
+        assert main(argv) == 0
+        expected.append(capsys.readouterr().out)
+
+    def refuse(self):
+        raise AssertionError("a printer built the member Diagrams")
+
+    monkeypatch.setattr(KohnertSet, "members", property(refuse))
+    for argv, out in zip(runs, expected):
+        assert main(argv) == 0, argv
+        assert capsys.readouterr().out == out, argv
+    assert hashlib.sha256(expected[-1].encode()).hexdigest() == \
+        "d6f96cb142990ef65a4367ba9f2917a9f91e1b0e027de7cae4be402acaba9503"
 
 
 @pytest.mark.parametrize("basis, terms, digest", [

@@ -241,7 +241,7 @@ def test_packed_key_path_matches_the_diagram_path(d):
 def _dot_of(d, labels):
     kset = generate_kd(d)
     edges, groups, _ = _crystal(kset.states, d.max_row + 1, d.max_col)
-    return crystal_to_dot(kset.members, edges, groups, labels)
+    return crystal_to_dot(kset, edges, groups, labels)
 
 
 def test_crystal_dot_output():

@@ -19,7 +19,8 @@ from kohnert.polynomials import demazure_character
 
 from golden import D5, LETTER, MEMBERS, MOVE_EDGES
 from oracle import (kohnert_move, monomial_generating, oracle_generate_kd,
-                    reverse_kohnert_moves, southwest_hull)
+                    oracle_kd_to_dot, oracle_kd_to_json, reverse_kohnert_moves,
+                    southwest_hull)
 
 cell_sets = st.sets(st.tuples(st.integers(1, 4), st.integers(1, 4)), max_size=6)
 box_cells = st.sets(st.tuples(st.integers(1, 4), st.integers(1, 5)), max_size=6)
@@ -174,11 +175,14 @@ def test_budget_boundary_matches_oracle(d):
                 build(d, max_diagrams=size - 1)
 
 
+@settings(deadline=None, max_examples=50)
+@given(drawn=diagrams)
 @pytest.mark.parametrize("d", [D5, ROTHE_S5], ids=["D5", "rothe-21543"])
-def test_serialisations_match_oracle_bytes(d):
-    kset, oracle = generate_kd(d), oracle_generate_kd(d)
-    assert kd_to_json(kset) == kd_to_json(oracle)
-    assert kd_to_dot(kset) == kd_to_dot(oracle)
+def test_serialisations_match_oracle_bytes(d, drawn):
+    for case in (d, drawn):
+        kset, oracle = generate_kd(case), oracle_generate_kd(case)
+        assert kd_to_json(kset) == oracle_kd_to_json(oracle)
+        assert kd_to_dot(kset) == oracle_kd_to_dot(oracle)
 
 
 def test_kd_json_structure():
