@@ -160,7 +160,7 @@ def cmd_crystal(args) -> int:
         raise ValueError("diagram is not southwest")
     kset = generate_kd(d, args.max_diagrams)
     states, width, ncols = kset.states, d.max_row + 1, d.max_col
-    edges, groups, highest = _crystal(states, width, ncols)
+    edges, groups, highest = _crystal(states, d)
     labels = []
     for group, top in zip(groups, highest, strict=True):
         data = _rectified_component([states[n] for n in group], states[top], width, ncols, d)

@@ -158,9 +158,9 @@ class CrystalGraph:
     highest: tuple[Diagram, ...]                        # one per component
 
 
-def _crystal(states, width: int, ncols: int):
-    """The raising graph on packed closure states of ``ncols`` columns,
-    each field ``width`` bits wide.
+def _crystal(states, d: Diagram):
+    """The raising graph on packed states of the closure of ``d``, one field
+    of ``d.max_row + 1`` bits per column, as ``kohnert.moves`` packs them.
 
     Returns the edges as (position, i, position), the components as lists
     of positions ordered by (size, least position), and the position of
@@ -168,6 +168,7 @@ def _crystal(states, width: int, ncols: int):
     AssertionError when a raise leaves the states, or when a component
     has no unique highest member.
     """
+    width, ncols = d.max_row + 1, d.max_col
     spread = _spread(width, ncols)
     flips: dict[int, int] = {}
     index = {state: n for n, state in enumerate(states)}
@@ -222,7 +223,7 @@ def crystal_graph(kset: KohnertSet) -> CrystalGraph:
         raise ValueError("source diagram is not southwest")
     members = kset.members
     # members are sorted, so positions order like members
-    edges, groups, highest = _crystal(kset.states, source.max_row + 1, source.max_col)
+    edges, groups, highest = _crystal(kset.states, source)
     return CrystalGraph(source=source,
                         members=members,
                         edges=frozenset((members[n], i, members[m]) for n, i, m in edges),
@@ -235,7 +236,7 @@ _EDGE_COLORS = ["blue", "purple", "violet", "red", "green", "orange", "brown"]
 
 
 def crystal_to_dot(kset: KohnertSet, edges, components, component_labels) -> str:
-    """DOT of ``_crystal(kset.states, ...)``'s edges and components, in
+    """DOT of ``_crystal(kset.states, kset.source)``'s edges and components, in
     that order, each member drawn by ``kset.grid``; the edges are printed
     as given, so they must come (n, i) ascending, as ``_crystal`` lists them."""
     lines = ["digraph kohnert_crystal {",

@@ -245,13 +245,12 @@ def demazure_expansion(d: Diagram, max_diagrams=None) -> list[Composition]:
     if not is_southwest(d):
         raise ValueError("Yamanouchi analysis requires a southwest diagram")
     states = list(_closure(d, _max_diagrams(max_diagrams))[0])
-    width, ncols = d.max_row + 1, d.max_col
-    return _key_terms(states, _crystal(states, width, ncols)[2], width, ncols, d)
+    return _key_terms(states, _crystal(states, d)[2], d)
 
 
-def _key_terms(states, highest, width: int, ncols: int, d: Diagram) -> list[Composition]:
+def _key_terms(states, highest, d: Diagram) -> list[Composition]:
     """``demazure_expansion`` on the positions ``_crystal`` finds highest."""
-    tops = (Diagram(frozenset(_cells(states[n], width, ncols))) for n in highest)
+    tops = (Diagram(frozenset(_cells(states[n], d.max_row + 1, d.max_col))) for n in highest)
     return sorted(pad(_component_key(u, d), d.max_row) for u in tops)
 
 
@@ -294,7 +293,9 @@ def is_vexillary_diagram(d: Diagram) -> bool:
 def _rectified_component(states, top: int, width: int, ncols: int, d: Diagram):
     """``component_demazure_data`` on a component's packed states, ``ncols``
     fields ``width`` bits wide, and its highest state ``top``; also the
-    rectified states, in order, as ``_rectified_raises`` reads them."""
+    rectified states, in order, as ``_rectified_raises`` reads them.  The
+    layout is given, not read off ``d``: ``component_demazure_data`` packs
+    an arbitrary component in a layout of its own."""
     u = Diagram(frozenset(_cells(top, width, ncols)))
     a = _component_key(u, d)
     lam, w = sort_and_minimal_perm(a)

@@ -10,9 +10,9 @@ the two bits.  Each state carries its row weight, packed the same way
 with one field per row, and a move updates it by -1 in row r and +1 in
 the row it drops to.  A ``KohnertSet`` keeps only the states, and makes
 ``Diagram`` objects when ``members`` is read; its printers render each
-state.  The states are the one packed layout of the package:
-``kohnert.crystal`` raises and rectifies on them too, so a closure is
-checked without building diagrams.
+state, and list the moves by the search's step, ``_step``, on each state
+alone.  The states are the one packed layout of the package:
+``kohnert.crystal`` raises and rectifies on them too.
 """
 
 from __future__ import annotations
@@ -96,23 +96,14 @@ def _pack(columns: list[int], width: int) -> int:
     return state
 
 
-def _closure(diagram: Diagram, limit: int,
-             edges: list | None = None) -> tuple[set[int], dict[tuple[int, ...], int]]:
-    """Packed states of the closure, and the member count of each row weight.
-
-    Weights have one entry per row from 1 to ``diagram.max_row``.  When
-    ``edges`` is a list, every move between members is appended to it as
-    (state, next state, row moved): a second pass expands each member
-    alone, so the search itself does no work for them.
-    """
+def _step(diagram: Diagram, limit: int):
+    """The closure search's one step, ``expand``, in the layout of ``diagram``."""
     width = diagram.max_row + 1
     field = (1 << width) - 1
     wbits = len(diagram).bit_length()      # a row holds at most len(diagram) cells
     unit = {1 << r: 1 << (wbits * (r - 1)) for r in range(1, width)}
     delta = {}      # weight change per move, filled as moves occur, since a
                     # full table is quadratic in the number of rows
-    start = _pack(_columns(diagram), width)
-    start_weight = sum(unit[1 << r] for _, r in diagram.cells)
     shifts = [k * width for k in range(diagram.max_col)]    # rightmost column first
 
     def expand(states, weights, seen, counts, depth):
@@ -151,6 +142,16 @@ def _closure(diagram: Diagram, limit: int,
                     next_weights.append(nxt_weight)
         return next_states, next_weights
 
+    return expand
+
+
+def _closure(diagram: Diagram, limit: int) -> tuple[set[int], dict[tuple[int, ...], int]]:
+    """Packed states of the closure, and the member count of each row
+    weight, which has one entry per row from 1 to ``diagram.max_row``."""
+    wbits = len(diagram).bit_length()      # the weight field width of ``_step``
+    start = _pack(_columns(diagram), diagram.max_row + 1)
+    start_weight = sum(1 << (wbits * (r - 1)) for _, r in diagram.cells)
+    expand = _step(diagram, limit)
     seen = {start}
     counts = {start_weight: 1}
     states, weights = [start], [start_weight]
@@ -158,12 +159,6 @@ def _closure(diagram: Diagram, limit: int,
     while states:
         depth += 1
         states, weights = expand(states, weights, seen, counts, depth)
-    if edges is not None:
-        for state in seen:
-            moved, _ = expand([state], [0], {state}, {}, 1)
-            # a move flips two bits of one field, the higher one at the row moved
-            edges.extend((state, nxt, ((state ^ nxt).bit_length() - 1) % width)
-                         for nxt in moved)
     wmask = (1 << wbits) - 1
     return seen, {tuple((w >> (wbits * i)) & wmask for i in range(diagram.max_row)): k
                   for w, k in counts.items()}
@@ -219,11 +214,14 @@ def kohnert_polynomial(diagram: Diagram, n: int | None = None,
 
 
 def _moves(kset: KohnertSet) -> list[tuple[int, int, int]]:
-    """Every move between members as (position, position, row moved), sorted."""
-    moves = []
-    _closure(kset.source, len(kset.states), moves)
+    """Every move between members as (position, position, row moved), sorted:
+    the search's step expands each stored state alone."""
+    expand, width = _step(kset.source, len(kset.states)), kset.source.max_row + 1
     index = {state: n for n, state in enumerate(kset.states)}
-    return sorted((index[s], index[t], r) for s, t, r in moves)
+    # a move flips two bits of one field, the higher one at the row moved
+    return sorted((n, index[nxt], ((state ^ nxt).bit_length() - 1) % width)
+                  for n, state in enumerate(kset.states)
+                  for nxt in expand([state], [0], {state}, {}, 1)[0])
 
 
 def kd_to_json(kset: KohnertSet) -> str:

@@ -155,7 +155,7 @@ def verify_schubert(n: int = 4, jobs: int = 1) -> SuiteResult:
 
 def _closure_case(d: Diagram) -> tuple[int, list[str]]:
     try:
-        _crystal(generate_kd(d).states, d.max_row + 1, d.max_col)
+        _crystal(generate_kd(d).states, d)
     except AssertionError as exc:
         return 1, [f"D={d.sorted_cells}: {exc}"]
     return 1, []
@@ -284,7 +284,7 @@ def _components_case(d: Diagram) -> tuple[int, list[str]]:
     kset = generate_kd(d)
     members, states = kset.members, kset.states
     try:
-        edges, groups, highest = _crystal(states, d.max_row + 1, d.max_col)
+        edges, groups, highest = _crystal(states, d)
     except AssertionError as exc:
         return 1, [f"D={d.sorted_cells}: {exc}"]
     raised = {(members[n], i): members[m] for n, i, m in edges}
@@ -316,8 +316,8 @@ def verify_components(box: tuple[int, int] = (3, 3), jobs: int = 1) -> SuiteResu
 def _yamanouchi_case(d: Diagram) -> tuple[int, list[str]]:
     kset = generate_kd(d)
     try:
-        _, groups, highest = _crystal(kset.states, d.max_row + 1, d.max_col)
-        key_terms = _key_terms(kset.states, highest, d.max_row + 1, d.max_col, d)
+        _, groups, highest = _crystal(kset.states, d)
+        key_terms = _key_terms(kset.states, highest, d)
     except AssertionError as exc:
         return 1, [f"D={d.sorted_cells}: {exc}"]
     yams = {k for k, y in enumerate(kset.members) if _yamanouchi_core(y, d)}

@@ -391,7 +391,7 @@ def test_poly_n_too_small_for_the_input_is_an_error_line(capsys):
 
 
 def test_crystal_invariant_failure_is_an_error_line(monkeypatch, capsys):
-    def broken(states, width, ncols):
+    def broken(states, d):
         raise AssertionError("component without a unique highest weight")
     monkeypatch.setattr(cli, "_crystal", broken)
     assert main(["crystal", "--comp", "0,2"]) == 1

@@ -224,7 +224,7 @@ def test_packed_key_path_matches_the_diagram_path(d):
     assert kset.states == tuple(_pack(_columns(t), width) for t in kset.members)
     states, _ = _closure(d, len(kset.members))
     states = list(states)
-    _, _, highest = _crystal(states, width, ncols)
+    _, _, highest = _crystal(states, d)
     assert sorted(_cells(states[n], width, ncols) for n in highest) == \
         sorted(t.sorted_cells for t in crystal_graph(kset).highest)
     spread = _spread(width, ncols)
@@ -240,7 +240,7 @@ def test_packed_key_path_matches_the_diagram_path(d):
 
 def _dot_of(d, labels):
     kset = generate_kd(d)
-    edges, groups, _ = _crystal(kset.states, d.max_row + 1, d.max_col)
+    edges, groups, _ = _crystal(kset.states, d)
     return crystal_to_dot(kset, edges, groups, labels)
 
 

@@ -6,6 +6,7 @@ import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
+from kohnert import moves
 from kohnert.diagrams import Diagram, composition_diagram, rothe_diagram, weight
 from kohnert.moves import (
     MaxDiagramsError,
@@ -183,6 +184,18 @@ def test_serialisations_match_oracle_bytes(d, drawn):
         kset, oracle = generate_kd(case), oracle_generate_kd(case)
         assert kd_to_json(kset) == oracle_kd_to_json(oracle)
         assert kd_to_dot(kset) == oracle_kd_to_dot(oracle)
+
+
+def test_move_edges_come_from_the_stored_states(monkeypatch):
+    d = rothe_diagram((2, 1, 5, 4, 3, 8, 7, 6))
+    kset, oracle = generate_kd(d), oracle_generate_kd(d)
+
+    def searched(*args):
+        raise AssertionError("the moves searched the closure again")
+    monkeypatch.setattr(moves, "_closure", searched)
+    assert kd_to_json(kset) == oracle_kd_to_json(oracle)
+    assert kd_to_dot(kset) == oracle_kd_to_dot(oracle)
+    assert kset.edges == oracle.edges
 
 
 def test_kd_json_structure():
