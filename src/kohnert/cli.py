@@ -22,9 +22,8 @@ from .compositions import check_composition
 from .crystal import _crystal, crystal_to_dot
 from .diagrams import Diagram, GridParseError, composition_diagram, \
     is_southwest, rothe_diagram
-from .labeling import (_membership, _rectified_component, demazure_expansion,
-                       label_grid, slide_expansion)
-from .moves import MaxDiagramsError, ResourceBoundError, generate_kd, \
+from .labeling import _expansion, _membership, _rectified_component, label_grid
+from .moves import MaxDiagramsError, ResourceBoundError, _polynomial, generate_kd, \
     kd_to_dot, kd_to_json, kohnert_polynomial
 from .perms import check_permutation
 from .polynomials import basis_sum, demazure_character, fundamental_slide, \
@@ -137,17 +136,14 @@ def cmd_expand(args) -> int:
     d = _load_diagram(args)
     if not is_southwest(d):
         raise ValueError("diagram is not southwest")
-    if args.basis == "key":
-        expansion = demazure_expansion(d, args.max_diagrams)
-    else:
-        expansion = slide_expansion(d, args.max_diagrams)
+    expansion, counts = _expansion(d, args.basis, args.max_diagrams)
     for comp, count in sorted(Counter(expansion).items()):
         suffix = f" x{count}" if count > 1 else ""
         print(",".join(map(str, comp)) + suffix)
     if args.check:
         n = d.max_row
         total = basis_sum(expansion, args.basis, n)
-        if not total.matches(kohnert_polynomial(d, n, args.max_diagrams)):
+        if not total.matches(_polynomial(d, counts, n)):
             print("check: FAIL, expansion does not reproduce the polynomial")
             return 1
         print("check: OK")

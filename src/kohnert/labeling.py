@@ -22,12 +22,14 @@ tests call them directly.  The one public labelling output,
 
 from __future__ import annotations
 
+from collections import Counter
+
 from .compositions import Composition, pad
 from .crystal import _crystal, _lone, _raises, _rectify, _spread
 from .diagrams import (Cell, Diagram, composition_diagram,
                        is_composition_diagram, is_southwest, render_grid,
                        weight)
-from .moves import _cells, _closure, _max_diagrams, _pack, kohnert_polynomial
+from .moves import _cells, _closure, _max_diagrams, _pack, _polynomial
 from .perms import sort_and_minimal_perm
 from .polynomials import expand_in_basis
 
@@ -244,8 +246,7 @@ def demazure_expansion(d: Diagram, max_diagrams=None) -> list[Composition]:
     packed closure states; only highest members become diagrams."""
     if not is_southwest(d):
         raise ValueError("Yamanouchi analysis requires a southwest diagram")
-    states = list(_closure(d, _max_diagrams(max_diagrams))[0])
-    return _key_terms(states, _crystal(states, d)[2], d)
+    return _expansion(d, "key", max_diagrams)[0]
 
 
 def _key_terms(states, highest, d: Diagram) -> list[Composition]:
@@ -278,9 +279,23 @@ def slide_expansion(d: Diagram, max_diagrams=None) -> list[Composition]:
     a basis, so e is the weights of the quasi-Yamanouchi members."""
     if not is_southwest(d):
         raise ValueError("slide analysis requires a southwest diagram")
-    f = kohnert_polynomial(d, d.max_row, max_diagrams)
-    return sorted(a for a, coef in expand_in_basis(f, "slide").items()
-                  for _ in range(coef))
+    return _expansion(d, "slide", max_diagrams)[0]
+
+
+def _expansion(d: Diagram, basis: str,
+               max_diagrams=None) -> tuple[list[Composition], Counter[int]]:
+    """The key or slide expansion of a southwest d, and the packed weight
+    counts of its closure, from one ``_closure`` search: key terms off the
+    crystal on its states, slide terms peeled off the polynomial of its
+    weights."""
+    seen, counts = _closure(d, _max_diagrams(max_diagrams))
+    if basis == "slide":
+        f = _polynomial(d, counts, d.max_row)
+        return sorted(a for a, coef in expand_in_basis(f, "slide").items()
+                      for _ in range(coef)), counts
+    states = list(seen)
+    del seen            # the list alone goes on into the crystal
+    return _key_terms(states, _crystal(states, d)[2], d), counts
 
 
 def is_vexillary_diagram(d: Diagram) -> bool:

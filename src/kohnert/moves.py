@@ -6,19 +6,29 @@ the high field: with W = max_row + 1 and n = max_col, column c owns bits
 (n - c) * W up to (n - c + 1) * W - 1, and bit r of that field is set
 when (c, r) is a cell.  A move at row r takes the rightmost column whose
 field has bit r, the highest clear bit below r in that field, and flips
-the two bits.  Each state carries its row weight, packed the same way
-with one field per row, and a move updates it by -1 in row r and +1 in
-the row it drops to.  A ``KohnertSet`` keeps only the states, and makes
-``Diagram`` objects when ``members`` is read; its printers render each
-state, and list the moves by the search's step, ``_step``, on each state
-alone.  The states are the one packed layout of the package:
-``kohnert.crystal`` raises and rectifies on them too.
+the two bits.  The search's step, ``_step``, memoizes per column the
+moves of each (movable rows, column mask) pair it meets, as a tuple of
+shared (bits to flip, weight change) pairs; this pays where masks repeat
+across states, as in columns of few rows, and a memo stops growing at
+``_MEMO_ENTRIES``, so a tall column, whose masks rarely repeat, costs one
+bounded table.  Each state carries its row weight, packed with one field
+per row, row 1 lowest, each field a whole number of bytes (one while the
+diagram has fewer than 256 cells).  A move adds its weight change: -1 in
+row r and +1 in the row it drops to.  ``_closure`` counts the weights
+once per BFS level, and only ``_polynomial`` decodes them: one
+``int.to_bytes`` call gives a weight's exponents, already padded to n
+rows.  Members and the key expansion read the states alone.  A
+``KohnertSet`` keeps only the states, and makes ``Diagram`` objects when
+``members`` is read; its printers render each state, and list the moves
+by ``_step`` on each state alone.  The states are the one packed layout
+of the package: ``kohnert.crystal`` raises and rectifies on them too.
 """
 
 from __future__ import annotations
 
 import json
 import os
+from collections import Counter
 from dataclasses import dataclass
 from functools import cached_property
 
@@ -96,72 +106,108 @@ def _pack(columns: list[int], width: int) -> int:
     return state
 
 
+def _weight_bytes(diagram: Diagram) -> int:
+    """Bytes per row field of a packed weight: a row holds at most
+    ``len(diagram)`` cells."""
+    return max(1, (len(diagram).bit_length() + 7) // 8)
+
+
+# Entries per column memo of ``_step``.  A column of w rows has at most
+# 3**w (movable rows, mask) pairs, so the memo is complete up to 7 rows and
+# holds 2,930 in the busiest column of the S10 Rothe diagram of 824,880
+# members; in a tall column, where masks rarely repeat, it stops growing.
+_MEMO_ENTRIES = 4096
+
+
 def _step(diagram: Diagram, limit: int):
     """The closure search's one step, ``expand``, in the layout of ``diagram``."""
     width = diagram.max_row + 1
     field = (1 << width) - 1
-    wbits = len(diagram).bit_length()      # a row holds at most len(diagram) cells
-    unit = {1 << r: 1 << (wbits * (r - 1)) for r in range(1, width)}
-    delta = {}      # weight change per move, filled as moves occur, since a
-                    # full table is quadratic in the number of rows
-    shifts = [k * width for k in range(diagram.max_col)]    # rightmost column first
+    wbits = 8 * _weight_bytes(diagram)
+    unit = {1 << r: 1 << wbits * (r - 1) for r in range(1, width)}
+    # rightmost column first: its shift, its (flip, weight change) pair per
+    # move, and its memo of the pairs per (movable rows, mask)
+    columns = [(k * width, {}, {}) for k in range(diagram.max_col)]
 
-    def expand(states, weights, seen, counts, depth):
-        """The states first reached, at this depth, by one move from ``states``."""
+    def column_moves(rows, mask, shift, pairs):
+        found = []
+        while rows:
+            src = rows & -rows
+            rows ^= src
+            free = ~mask & (src - 2)     # clear bits in rows 1 .. r - 1
+            if free:
+                move = src | 1 << (free.bit_length() - 1)
+                pair = pairs.get(move)
+                if pair is None:
+                    pair = pairs[move] = (move << shift, unit[move ^ src] - unit[src])
+                found.append(pair)
+        return tuple(found)
+
+    def expand(states, weights, seen, depth):
+        """The states first reached, at this depth, by one move from
+        ``states``, and their weights."""
         next_states, next_weights = [], []
+        add, push, push_weight = seen.add, next_states.append, next_weights.append
         for state, weight in zip(states, weights):
             covered = 0                    # rows already met in a column to the right
-            for shift in shifts:
-                mask = (state >> shift) & field
+            for shift, pairs, memo in columns:
+                mask = state >> shift & field
                 rows = mask & ~covered
                 if not rows:
                     continue
                 covered |= mask
-                while rows:
-                    src = rows & -rows
-                    rows ^= src
-                    free = ~mask & (src - 2)     # clear bits in rows 1 .. r - 1
-                    if not free:
-                        continue
-                    move = src | 1 << (free.bit_length() - 1)
-                    nxt = state ^ (move << shift)
+                key = rows << width | mask
+                found = memo.get(key)
+                if found is None:
+                    found = column_moves(rows, mask, shift, pairs)
+                    if len(memo) < _MEMO_ENTRIES:
+                        memo[key] = found
+                for flip, change in found:
+                    nxt = state ^ flip
                     if nxt in seen:
                         continue
                     if len(seen) >= limit:
                         raise ResourceBoundError(
                             f"closure exceeds {limit} diagrams (KOHNERT_MAX_DIAGRAMS): "
                             f"reached {len(seen) + 1} members at BFS depth {depth}")
-                    seen.add(nxt)
-                    try:
-                        step = delta[move]
-                    except KeyError:
-                        step = delta[move] = unit[move ^ src] - unit[src]
-                    nxt_weight = weight + step
-                    counts[nxt_weight] = counts.get(nxt_weight, 0) + 1
-                    next_states.append(nxt)
-                    next_weights.append(nxt_weight)
+                    add(nxt)
+                    push(nxt)
+                    push_weight(weight + change)
         return next_states, next_weights
 
     return expand
 
 
-def _closure(diagram: Diagram, limit: int) -> tuple[set[int], dict[tuple[int, ...], int]]:
-    """Packed states of the closure, and the member count of each row
-    weight, which has one entry per row from 1 to ``diagram.max_row``."""
-    wbits = len(diagram).bit_length()      # the weight field width of ``_step``
+def _closure(diagram: Diagram, limit: int) -> tuple[set[int], Counter[int]]:
+    """Packed states of the closure, and the member count of each packed
+    row weight, which ``_polynomial`` decodes."""
+    wbits = 8 * _weight_bytes(diagram)
     start = _pack(_columns(diagram), diagram.max_row + 1)
-    start_weight = sum(1 << (wbits * (r - 1)) for _, r in diagram.cells)
     expand = _step(diagram, limit)
     seen = {start}
-    counts = {start_weight: 1}
-    states, weights = [start], [start_weight]
+    weights = [sum(1 << wbits * (r - 1) for _, r in diagram.cells)]
+    states, counts = [start], Counter(weights)
     depth = 0
     while states:
         depth += 1
-        states, weights = expand(states, weights, seen, counts, depth)
-    wmask = (1 << wbits) - 1
-    return seen, {tuple((w >> (wbits * i)) & wmask for i in range(diagram.max_row)): k
-                  for w, k in counts.items()}
+        states, weights = expand(states, weights, seen, depth)
+        counts.update(weights)
+    return seen, counts
+
+
+def _polynomial(diagram: Diagram, counts: Counter[int], n: int) -> IntPolynomial:
+    """The polynomial in n >= ``diagram.max_row`` variables of the packed
+    weight counts ``_closure`` gives for ``diagram``: each weight's bytes,
+    low row first, are its exponents, zero past the top row."""
+    size = _weight_bytes(diagram)
+    if size == 1:
+        return IntPolynomial(n, {tuple(w.to_bytes(n, "little")): k for w, k in counts.items()})
+    terms = {}
+    for w, k in counts.items():
+        raw = w.to_bytes(n * size, "little")
+        terms[tuple(int.from_bytes(raw[i:i + size], "little")
+                    for i in range(0, n * size, size))] = k
+    return IntPolynomial(n, terms)
 
 
 def _cells(state: int, width: int, ncols: int) -> tuple[tuple[int, int], ...]:
@@ -182,7 +228,12 @@ def generate_kd(diagram: Diagram, max_diagrams: int | None = None) -> KohnertSet
     column sizes, so sorted cell tuples compare column 1 first, and in a
     column the one holding the lowest differing row is less: members sort
     descending on their states with each field's bits reversed."""
-    seen, _ = _closure(diagram, _max_diagrams(max_diagrams))
+    return _kset(diagram, _closure(diagram, _max_diagrams(max_diagrams))[0])
+
+
+def _kset(diagram: Diagram, seen: set[int]) -> KohnertSet:
+    """The ``KohnertSet`` of the closure states ``seen`` of ``diagram``,
+    sorted as ``generate_kd`` describes."""
     width, ncols = diagram.max_row + 1, diagram.max_col
     field = (1 << width) - 1
     shifts = tuple(range((ncols - 1) * width, -1, -width))     # column 1 first
@@ -208,9 +259,7 @@ def kohnert_polynomial(diagram: Diagram, n: int | None = None,
         n = diagram.max_row
     elif n < diagram.max_row:
         raise ValueError(f"diagram has cells above row {n}")
-    _, weights = _closure(diagram, _max_diagrams(max_diagrams))
-    pad = (0,) * (n - diagram.max_row)
-    return IntPolynomial(n, {w + pad: k for w, k in weights.items()})
+    return _polynomial(diagram, _closure(diagram, _max_diagrams(max_diagrams))[1], n)
 
 
 def _moves(kset: KohnertSet) -> list[tuple[int, int, int]]:
@@ -221,7 +270,7 @@ def _moves(kset: KohnertSet) -> list[tuple[int, int, int]]:
     # a move flips two bits of one field, the higher one at the row moved
     return sorted((n, index[nxt], ((state ^ nxt).bit_length() - 1) % width)
                   for n, state in enumerate(kset.states)
-                  for nxt in expand([state], [0], {state}, {}, 1)[0])
+                  for nxt in expand([state], [0], {state}, 1)[0])
 
 
 def kd_to_json(kset: KohnertSet) -> str:

@@ -24,15 +24,12 @@ class IntPolynomial:
     __slots__ = ("n", "terms")
 
     def __init__(self, n: int, terms: dict[tuple[int, ...], int]):
+        # the lengths and the least exponent come from scans that run in C
+        if terms and (set(map(len, terms)) != {n} or n and min(map(min, terms)) < 0):
+            exps = next(e for e in terms if len(e) != n or min(e, default=0) < 0)
+            raise ValueError(f"bad exponent tuple {exps} for n={n}")
         self.n = n
-        clean = {}
-        for exps, coef in terms.items():
-            exps = tuple(exps)
-            if len(exps) != n or any(e < 0 for e in exps):
-                raise ValueError(f"bad exponent tuple {exps} for n={n}")
-            if coef:
-                clean[exps] = coef
-        self.terms = clean
+        self.terms = {e: c for e, c in terms.items() if c}
 
     @staticmethod
     def zero(n: int) -> "IntPolynomial":

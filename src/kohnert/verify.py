@@ -24,7 +24,8 @@ from .diagrams import (Diagram, composition_diagram, is_southwest,
 from .labeling import (_key_terms, _quasi_yamanouchi_core, _rectified_component,
                        _rectified_raises, _yamanouchi_core, demazure_expansion,
                        is_vexillary_diagram, membership, slide_expansion)
-from .moves import ResourceBoundError, _max_diagrams, generate_kd, kohnert_polynomial
+from .moves import (ResourceBoundError, _closure, _kset, _max_diagrams, _polynomial,
+                    generate_kd, kohnert_polynomial)
 from .perms import all_permutations, contains_2143, lehmer_code
 from .polynomials import basis_sum, demazure_character, schubert_polynomial
 from .tableaux import TableauCrystal, demazure_subset, ssyt_lower, ssyt_raise
@@ -314,7 +315,8 @@ def verify_components(box: tuple[int, int] = (3, 3), jobs: int = 1) -> SuiteResu
 
 
 def _yamanouchi_case(d: Diagram) -> tuple[int, list[str]]:
-    kset = generate_kd(d)
+    seen, counts = _closure(d, _max_diagrams(None))
+    kset = _kset(d, seen)
     try:
         _, groups, highest = _crystal(kset.states, d)
         key_terms = _key_terms(kset.states, highest, d)
@@ -329,7 +331,7 @@ def _yamanouchi_case(d: Diagram) -> tuple[int, list[str]]:
                 for group in groups if len(yams.intersection(group)) != 1]
     n = d.max_row
     weights = [weight(kset.members[k], n) for k in yams]
-    if not basis_sum(weights, "key", n).matches(kohnert_polynomial(d, n)):
+    if not basis_sum(weights, "key", n).matches(_polynomial(d, counts, n)):
         failures.append(f"D={d.sorted_cells}: key sum differs from polynomial")
     if key_terms != sorted(weights):
         failures.append(f"D={d.sorted_cells}: key expansion {key_terms} "

@@ -11,7 +11,7 @@ from time import perf_counter
 import pytest
 
 import kohnert
-from kohnert import cli, labeling
+from kohnert import cli, labeling, moves
 from kohnert.cli import main
 from kohnert.moves import KohnertSet, kohnert_polynomial
 from kohnert.polynomials import demazure_character
@@ -221,6 +221,21 @@ def test_expand_bytes_are_pinned(capsys, basis, terms, digest):
     counts = [line.partition(" x") for line in out.splitlines()[:-1]]
     assert sum(int(count or 1) for _, _, count in counts) == terms
     assert hashlib.sha256(out.encode()).hexdigest() == digest
+
+
+@pytest.mark.parametrize("basis", ["key", "slide"])
+def test_expand_check_builds_one_closure(monkeypatch, capsys, basis):
+    # the expansion and the polynomial it is checked against share one search
+    search, calls = moves._closure, []
+
+    def counted(d, limit):
+        calls.append(d)
+        return search(d, limit)
+    for module in (moves, labeling):
+        monkeypatch.setattr(module, "_closure", counted)
+    assert main(["expand", "--perm", "2,1,5,4,3,8,7,6", "--check", "--basis", basis]) == 0
+    assert capsys.readouterr().out.endswith("check: OK\n")
+    assert len(calls) == 1
 
 
 def test_expand_slide_check_of_s9_is_pinned_and_linear(capsys):

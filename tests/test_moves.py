@@ -164,6 +164,28 @@ def test_packed_polynomial_matches_oracle(d, extra):
             kohnert_polynomial(d, d.max_row - 1)
 
 
+@pytest.mark.parametrize("entries", [0, 1, 4096])
+def test_closure_past_a_full_move_memo(monkeypatch, entries):
+    # one column of 6 cells in rows 7..12: no mask repeats, so a memo
+    # that stops growing finds most moves afresh, with the same result
+    monkeypatch.setattr(moves, "_MEMO_ENTRIES", entries)
+    d = composition_diagram((0,) * 6 + (1,) * 6)
+    kset, oracle = generate_kd(d), oracle_generate_kd(d)
+    assert (kset.members, kset.edges) == (oracle.members, oracle.edges)
+    subsets = (tuple(int(b) for b in f"{m:012b}"[::-1]) for m in range(1 << 12))
+    assert kohnert_polynomial(d).terms == {e: 1 for e in subsets if sum(e) == 6}
+
+
+@pytest.mark.parametrize("extra", [0, 2])
+def test_polynomial_with_two_byte_weight_fields(extra):
+    # 300 cells overflow a one-byte row field; any suffix of row 2 drops to row 1
+    d = Diagram.of(*((c, 2) for c in range(1, 301)))
+    assert len(generate_kd(d).states) == 301
+    n = d.max_row + extra
+    got = kohnert_polynomial(d, n)
+    assert got.terms == {(k, 300 - k) + (0,) * extra: 1 for k in range(301)}
+
+
 @settings(deadline=None)
 @given(diagrams)
 def test_budget_boundary_matches_oracle(d):

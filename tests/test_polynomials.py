@@ -56,6 +56,18 @@ def test_constructor_cleans_and_validates():
     assert variable(2, 3) == IntPolynomial(3, {(0, 1, 0): 1})
 
 
+def test_constructor_names_the_bad_exponent_tuple():
+    with pytest.raises(ValueError, match=r"bad exponent tuple \(0, -1\) for n=2"):
+        IntPolynomial(2, {(1, 0): 1, (0, -1): 0})
+    with pytest.raises(ValueError, match=r"bad exponent tuple \(1, 0, 0\) for n=2"):
+        IntPolynomial(2, {(1, 0): 1, (1, 0, 0): 1})
+    with pytest.raises(ValueError, match=r"bad exponent tuple \(1,\) for n=0"):
+        IntPolynomial(0, {(): 1, (1,): 1})
+    assert IntPolynomial(0, {(): 3}).terms == {(): 3}
+    assert IntPolynomial(0, {(): 0}).is_zero()
+    assert IntPolynomial.one(0).eval_ones() == 1
+
+
 @given(polys(), polys(), polys())
 def test_ring_laws(f, g, h):
     zero = IntPolynomial.zero(3)

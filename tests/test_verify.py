@@ -8,7 +8,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from kohnert import crystal, labeling, verify
+from kohnert import crystal, labeling, moves, verify
 from kohnert.crystal import crystal_graph
 from kohnert.diagrams import Diagram, is_southwest
 from kohnert.labeling import (_rectified_component, component_demazure_data,
@@ -178,6 +178,18 @@ def test_sweeps_hold_the_expansion_routes_to_their_oracles(monkeypatch):
         result = run_suite(name, **TINY[name])
         assert result.failures and all(item.endswith(f"differs from the {oracle} weights")
                                        for item in result.failures), name
+
+
+def test_yamanouchi_case_builds_one_closure(monkeypatch):
+    search, calls = moves._closure, []
+
+    def counted(d, limit):
+        calls.append(d)
+        return search(d, limit)
+    for module in (moves, labeling, verify):
+        monkeypatch.setattr(module, "_closure", counted)
+    assert verify._yamanouchi_case(D5) == (1, [])
+    assert calls == [D5]
 
 
 def test_jobs_are_capped_at_the_cpu_count(monkeypatch):
