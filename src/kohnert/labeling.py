@@ -14,8 +14,9 @@ diagram in that form, ``_pair`` pairs two columns by their labels,
 ``_relabel_rectify`` re-labels one column pair and moves its cells in
 place (by the unlabeled bracket rule ``crystal._lone`` on the two row
 masks), and ``_rect_labels`` sweeps to a joint fixpoint.  The key
-expansion, the membership test and the Yamanouchi and quasi-Yamanouchi
-tests call them directly.  The one public labelling output,
+expansion and the membership test call them directly; the Yamanouchi and
+quasi-Yamanouchi tests read a member's labeling in this form, so a sweep
+labels each member once for both.  The one public labelling output,
 ``labeling_with_reason``, hands the labels back as a plain
 ``{cell: label}`` map, and ``label_grid`` prints such a map.
 """
@@ -31,7 +32,7 @@ from .diagrams import (Cell, Diagram, composition_diagram,
                        weight)
 from .moves import _cells, _closure, _max_diagrams, _pack, _polynomial
 from .perms import sort_and_minimal_perm
-from .polynomials import expand_in_basis
+from .polynomials import IntPolynomial, expand_in_basis
 
 
 Columns = list[dict[int, int]]
@@ -217,11 +218,11 @@ def _membership(t: Diagram, d: Diagram) -> tuple[dict[Cell, int] | None, str]:
     return _cell_labels(cols), "member"
 
 
-def _yamanouchi_core(y: Diagram, d: Diagram) -> bool:
-    """Whether rectifying the labeling of y, a member of the closure of
-    d, lands on a super-standard composition diagram; such members index
-    the Demazure expansion."""
-    rl = _rect_labels(_label(y, d)[0])
+def _yamanouchi_core(cols: Columns) -> bool:
+    """Whether rectifying ``cols``, the labeling ``_label`` gives a member
+    of a closure, lands on a super-standard composition diagram; such
+    members index the Demazure expansion.  ``cols`` is left as it was."""
+    rl = _rect_labels([dict(col) for col in cols])
     return all(v == r for col in rl for r, v in col.items()) and \
         all(rl[k + 1].keys() <= rl[k].keys() for k in range(len(rl) - 1))
 
@@ -255,22 +256,18 @@ def _key_terms(states, highest, d: Diagram) -> list[Composition]:
     return sorted(pad(_component_key(u, d), d.max_row) for u in tops)
 
 
-def _quasi_yamanouchi_core(t: Diagram, d: Diagram) -> bool:
-    """Whether every fully liftable row of t, a member of the closure of
-    d, is pinned by its label.
+def _quasi_yamanouchi_core(cols: Columns) -> bool:
+    """Whether every fully liftable row of a closure member is pinned by
+    its label; ``cols`` is the member's labeling from ``_label``.
 
     A row r with no row-(r+1) cell weakly right of its leftmost cell
-    must carry label r there; failing rows could slide up, so t would
-    not contribute a fundamental slide term.
+    must carry label r there; failing rows could slide up, so the member
+    would not contribute a fundamental slide term.
     """
-    cols, _ = _label(t, d)
-    for r in sorted({r for _, r in t}):
-        leftmost = min(t.row(r))
-        if any(c >= leftmost for c in t.row(r + 1)):
-            continue
-        if cols[leftmost - 1][r] != r:
-            return False
-    return True
+    cells = [(k, r) for k, col in enumerate(cols) for r in col]
+    leftmost, rightmost = {r: k for k, r in reversed(cells)}, {r: k for k, r in cells}
+    return all(rightmost.get(r + 1, -1) >= k or cols[k][r] == r
+               for r, k in leftmost.items())
 
 
 def slide_expansion(d: Diagram, max_diagrams=None) -> list[Composition]:
@@ -290,12 +287,15 @@ def _expansion(d: Diagram, basis: str,
     weights."""
     seen, counts = _closure(d, _max_diagrams(max_diagrams))
     if basis == "slide":
-        f = _polynomial(d, counts, d.max_row)
-        return sorted(a for a, coef in expand_in_basis(f, "slide").items()
-                      for _ in range(coef)), counts
+        return _slide_terms(_polynomial(d, counts, d.max_row)), counts
     states = list(seen)
     del seen            # the list alone goes on into the crystal
     return _key_terms(states, _crystal(states, d)[2], d), counts
+
+
+def _slide_terms(f: IntPolynomial) -> list[Composition]:
+    """The slide expansion of f as a sorted multiset of indices."""
+    return sorted(a for a, coef in expand_in_basis(f, "slide").items() for _ in range(coef))
 
 
 def is_vexillary_diagram(d: Diagram) -> bool:

@@ -46,20 +46,17 @@ def _swap_values(w: Permutation, i: int) -> Permutation:
     return tuple(i + 1 if v == i else i if v == i + 1 else v for v in w)
 
 
-def reduced_word(w: Permutation, last: bool = False) -> tuple[int, ...]:
-    """A reduced word for w, in operator application order.
-
-    The word (i_1, ..., i_l) satisfies w = s_{i_1} o ... o s_{i_l} as
-    function composition.  With ``last=True`` a different reduced word
-    is produced (largest descent peeled first instead of smallest).
-    """
+def reduced_word(w: Permutation) -> tuple[int, ...]:
+    """A reduced word for w, in operator application order: the word
+    (i_1, ..., i_l) with w = s_{i_1} o ... o s_{i_l} as function
+    composition, smallest left descent peeled first."""
     w = check_permutation(w)
     word = []
     while True:
         descents = _left_descents(w)
         if not descents:
             return tuple(word)
-        i = descents[-1] if last else descents[0]
+        i = descents[0]
         word.append(i)
         w = _swap_values(w, i)
 

@@ -166,13 +166,11 @@ def demazure_set_op(elements, i: int) -> frozenset:
     return frozenset(grown)
 
 
-def demazure_subset(lam: Composition, w: Permutation, n: int,
-                    last: bool = False) -> TableauCrystal:
+def demazure_subset(lam: Composition, w: Permutation, n: int) -> TableauCrystal:
     """The Demazure crystal B_w(lam) inside B(lam).
 
     Starting from the highest weight tableau, each letter of a reduced
-    word of w in turn closes the set downward along its i-strings.  The
-    ``last`` flag picks the alternative canonical word, for cross-checking.
+    word of w in turn closes the set downward along its i-strings.
     """
     top = highest_weight_tableau(lam)
     if len(top.rows) > n:
@@ -180,7 +178,7 @@ def demazure_subset(lam: Composition, w: Permutation, n: int,
     if len(w) > n:
         raise ValueError("permutation is too long for this crystal")
     elements: frozenset[Tableau] = frozenset([top])
-    for i in reduced_word(w, last=last):
+    for i in reduced_word(w):
         elements = demazure_set_op(elements, i)
     return TableauCrystal(elements=tuple(sorted(elements)), highest=top)
 

@@ -21,11 +21,11 @@ from .compositions import compositions_up_to
 from .crystal import _crystal, raising, rectify_step
 from .diagrams import (Diagram, composition_diagram, is_southwest,
                        rothe_diagram, weight)
-from .labeling import (_key_terms, _quasi_yamanouchi_core, _rectified_component,
-                       _rectified_raises, _yamanouchi_core, demazure_expansion,
-                       is_vexillary_diagram, membership, slide_expansion)
-from .moves import (ResourceBoundError, _closure, _kset, _max_diagrams, _polynomial,
-                    generate_kd, kohnert_polynomial)
+from .labeling import (_key_terms, _label, _quasi_yamanouchi_core, _rectified_component,
+                       _rectified_raises, _slide_terms, _yamanouchi_core,
+                       demazure_expansion, is_vexillary_diagram, membership)
+from .moves import (ResourceBoundError, _cells, _closure, _kset, _max_diagrams,
+                    _polynomial, generate_kd, kohnert_polynomial)
 from .perms import all_permutations, contains_2143, lehmer_code
 from .polynomials import basis_sum, demazure_character, schubert_polynomial
 from .tableaux import TableauCrystal, demazure_subset, ssyt_lower, ssyt_raise
@@ -228,12 +228,13 @@ def verify_membership(box: tuple[int, int] = (3, 3), t_rows: int = 4,
                   partial(_membership_case, cols, t_rows), jobs)
 
 
-def component_isomorphic(component, top: Diagram, raised: dict,
+def component_isomorphic(cells: dict, top: int, raised: dict,
                          crystal: TableauCrystal, n: int) -> str | None:
     """Check one crystal component against a Demazure subset of tableaux.
 
-    ``top`` is the component's highest member and ``raised`` maps (t, i)
-    to the raising image of t, as the edges of ``crystal_graph`` give.
+    ``cells`` maps each member's position to its sorted cells, ``top`` is
+    the highest member's position, and ``raised`` maps (position, i) to
+    the raising image's position, as ``_crystal``'s edges give.
     Starting from the highest weights, lowering is walked in parallel
     colour by colour, with ``ssyt_lower`` counted only inside the subset;
     the forced matching must be a weight-preserving bijection under which
@@ -242,31 +243,31 @@ def component_isomorphic(component, top: Diagram, raised: dict,
     else a description of the first mismatch.
     """
     lowering = {(u, i): t for (t, i), u in raised.items()}
-    if len(component) != len(crystal.elements):
-        return f"sizes differ: {len(component)} vs {len(crystal.elements)}"
+    if len(cells) != len(crystal.elements):
+        return f"sizes differ: {len(cells)} vs {len(crystal.elements)}"
     match = {top: crystal.highest}
     queue = [top]
     while queue:
         x = queue.pop()
         y = match[x]
-        if weight(x, n) != y.weight(n):
-            return f"weights differ at {x.sorted_cells}"
+        if tuple(map([r for _, r in cells[x]].count, range(1, n + 1))) != y.weight(n):
+            return f"weights differ at {cells[x]}"
         for i in range(1, n):
             x2 = lowering.get((x, i))
             y2 = ssyt_lower(y, i)
             if y2 not in crystal.element_set:
                 y2 = None
             if (x2 is None) != (y2 is None):
-                return f"lowering {i} defined on one side only at {x.sorted_cells}"
+                return f"lowering {i} defined on one side only at {cells[x]}"
             if x2 is None:
                 continue
             if x2 in match:
                 if match[x2] != y2:
-                    return f"matching conflict at {x2.sorted_cells}"
+                    return f"matching conflict at {cells[x2]}"
             else:
                 match[x2] = y2
                 queue.append(x2)
-    if len(match) != len(component) or set(match.values()) != crystal.element_set:
+    if len(match) != len(cells) or set(match.values()) != crystal.element_set:
         return "lowering walk does not cover both sides"
     for x, y in match.items():
         for i in range(1, n):
@@ -274,7 +275,7 @@ def component_isomorphic(component, top: Diagram, raised: dict,
             yr = ssyt_raise(y, i)
             if (xr is None) != (yr is None) or \
                     (xr is not None and match[xr] != yr):
-                return f"raising {i} not intertwined at {x.sorted_cells}"
+                return f"raising {i} not intertwined at {cells[x]}"
     return None
 
 
@@ -282,27 +283,27 @@ def _components_case(d: Diagram) -> tuple[int, list[str]]:
     """Each crystal component of the closure of d rectifies onto the closure
     of D(a), on packed states; rectifying intertwines raising; and the
     component matches its Demazure subset of tableaux."""
-    kset = generate_kd(d)
-    members, states = kset.members, kset.states
+    states, width, ncols = generate_kd(d).states, d.max_row + 1, d.max_col
     try:
         edges, groups, highest = _crystal(states, d)
     except AssertionError as exc:
         return 1, [f"D={d.sorted_cells}: {exc}"]
-    raised = {(members[n], i): members[m] for n, i, m in edges}
+    raised = {(n, i): m for n, i, m in edges}
     failures = []
     for group, top in zip(groups, highest, strict=True):
         try:
             lam, w, a, images = _rectified_component([states[n] for n in group], states[top],
-                                                     d.max_row + 1, d.max_col, d)
+                                                     width, ncols, d)
         except (AssertionError, ValueError) as exc:
             failures.append(f"D={d.sorted_cells}: {exc}")
             continue
-        image = {members[k]: x for k, x in zip(group, images)}
-        for t, left in zip(image, _rectified_raises(images, a)):
-            right = {(i, image[raised[t, i]]) for i in range(1, len(a)) if (t, i) in raised}
+        image = dict(zip(group, images))
+        cells = {n: _cells(states[n], width, ncols) for n in group}
+        for n, left in zip(group, _rectified_raises(images, a)):
+            right = {(i, image[raised[n, i]]) for i in range(1, len(a)) if (n, i) in raised}
             failures.extend(f"D={d.sorted_cells}: rectify does not intertwine raising {i} at "
-                            f"{t.sorted_cells}" for i in sorted({i for i, _ in left ^ right}))
-        problem = component_isomorphic(image.keys(), members[top], raised,
+                            f"{cells[n]}" for i in sorted({i for i, _ in left ^ right}))
+        problem = component_isomorphic(cells, top, raised,
                                        demazure_subset(lam, w, len(a)), len(a))
         if problem is not None:
             failures.append(f"D={d.sorted_cells}, a={a}: {problem}")
@@ -322,7 +323,7 @@ def _yamanouchi_case(d: Diagram) -> tuple[int, list[str]]:
         key_terms = _key_terms(kset.states, highest, d)
     except AssertionError as exc:
         return 1, [f"D={d.sorted_cells}: {exc}"]
-    yams = {k for k, y in enumerate(kset.members) if _yamanouchi_core(y, d)}
+    yams = {k for k, y in enumerate(kset.members) if _yamanouchi_core(_label(y, d)[0])}
     if len(yams) != len(groups):
         return 1, [f"D={d.sorted_cells}: {len(yams)} Yamanouchi members, "
                    f"{len(groups)} components"]
@@ -346,21 +347,23 @@ def verify_yamanouchi(box: tuple[int, int] = (3, 3), jobs: int = 1) -> SuiteResu
 
 def _slide_case(d: Diagram) -> tuple[int, list[str]]:
     n = d.max_row
-    members = generate_kd(d).members
-    qys = [t for t in members if _quasi_yamanouchi_core(t, d)]
-    total = basis_sum((weight(t, n) for t in qys), "slide", n)
-    failures = []
-    if not total.matches(kohnert_polynomial(d, n)):
+    seen, counts = _closure(d, _max_diagrams(None))
+    qys, failures, unpinned = [], [], []
+    for t in _kset(d, seen).members:
+        cols = _label(t, d)[0]
+        if _quasi_yamanouchi_core(cols):
+            qys.append(weight(t, n))
+        elif _yamanouchi_core(cols):
+            unpinned.append(f"D={d.sorted_cells}: Yamanouchi member "
+                            f"{t.sorted_cells} is not quasi-Yamanouchi")
+    f = _polynomial(d, counts, n)
+    if not basis_sum(qys, "slide", n).matches(f):
         failures.append(f"D={d.sorted_cells}: slide sum differs from polynomial")
-    slide_terms = slide_expansion(d)
-    if slide_terms != sorted(weight(t, n) for t in qys):
+    slide_terms = _slide_terms(f)
+    if slide_terms != sorted(qys):
         failures.append(f"D={d.sorted_cells}: slide expansion {slide_terms} "
                         f"differs from the quasi-Yamanouchi weights")
-    qy_set = set(qys)
-    failures.extend(f"D={d.sorted_cells}: Yamanouchi member "
-                    f"{y.sorted_cells} is not quasi-Yamanouchi"
-                    for y in members if _yamanouchi_core(y, d) and y not in qy_set)
-    return 1, failures
+    return 1, failures + unpinned
 
 
 def verify_slide(box: tuple[int, int] = (3, 3), jobs: int = 1) -> SuiteResult:

@@ -11,7 +11,10 @@ up, as ``kd_to_json`` and ``kd_to_dot`` did before they rendered
 members straight from their packed states.
 
 ``word_to_permutation`` recomposes a word of simple transpositions, so
-the tests can check ``reduced_word``.
+the tests can check ``reduced_word``.  ``reduced_word_last`` peels the
+largest left descent first where ``reduced_word`` peels the smallest, so
+the tests can check that the constructions built on a reduced word do
+not depend on which one.
 
 ``reverse_kohnert_moves`` enumerates the sources of a Kohnert move by
 lifting cells, so the tests can check ``kohnert_move`` from the other
@@ -112,7 +115,7 @@ from kohnert.crystal import _EDGE_COLORS, CrystalGraph
 from kohnert.diagrams import (Cell, Diagram, GridParseError,
                               composition_diagram, grid_rows,
                               is_composition_diagram, is_southwest, weight)
-from kohnert.labeling import (_component_key, _quasi_yamanouchi_core,
+from kohnert.labeling import (_component_key, _label, _quasi_yamanouchi_core,
                               _yamanouchi_core)
 from kohnert.moves import DEFAULT_MAX_DIAGRAMS, ResourceBoundError, generate_kd
 from kohnert.perms import Permutation, sort_and_minimal_perm
@@ -261,6 +264,20 @@ def word_to_permutation(word, n: int) -> Permutation:
         # composing with s_i on the right swaps positions i and i+1
         w[i - 1], w[i] = w[i], w[i - 1]
     return tuple(w)
+
+
+def reduced_word_last(w: Permutation) -> tuple[int, ...]:
+    """The reduced word of w, in operator application order, that peels
+    the largest left descent first."""
+    w, word = list(w), []
+    while True:
+        pos = {v: k for k, v in enumerate(w)}
+        descents = [i for i in range(1, len(w)) if pos[i + 1] < pos[i]]
+        if not descents:
+            return tuple(word)
+        i = descents[-1]
+        word.append(i)
+        w = [i + 1 if v == i else i if v == i + 1 else v for v in w]
 
 
 def reverse_kohnert_moves(diagram: Diagram, max_row: int | None = None) -> list[tuple[Diagram, int]]:
@@ -697,7 +714,7 @@ def oracle_yamanouchi_diagrams(d: Diagram) -> list[Diagram]:
     member."""
     if not is_southwest(d):
         raise ValueError("Yamanouchi analysis requires a southwest diagram")
-    return [t for t in generate_kd(d).members if _yamanouchi_core(t, d)]
+    return [t for t in generate_kd(d).members if _yamanouchi_core(_label(t, d)[0])]
 
 
 def oracle_quasi_yamanouchi_diagrams(d: Diagram) -> list[Diagram]:
@@ -705,7 +722,7 @@ def oracle_quasi_yamanouchi_diagrams(d: Diagram) -> list[Diagram]:
     every member."""
     if not is_southwest(d):
         raise ValueError("slide analysis requires a southwest diagram")
-    return [t for t in generate_kd(d).members if _quasi_yamanouchi_core(t, d)]
+    return [t for t in generate_kd(d).members if _quasi_yamanouchi_core(_label(t, d)[0])]
 
 
 def _bracket(openers, closers):

@@ -23,10 +23,12 @@ from kohnert.polynomials import (
     pi_op,
     schubert_polynomial,
 )
-from kohnert.tableaux import demazure_set_op, demazure_subset, enumerate_sskt, psi, sskt_raise
+from kohnert.tableaux import (demazure_set_op, demazure_subset, enumerate_sskt,
+                              highest_weight_tableau, psi, sskt_raise)
 from kohnert.verify import run_suite
 
 from golden import COMPONENT_LARGE, COMPONENT_SMALL, D5, LETTER, MEMBERS
+from oracle import reduced_word_last
 
 
 def _finish(num, started, bound, detail):
@@ -195,6 +197,11 @@ def test_criterion_13_operator_algebra():
         assert apply_word(f, (1, 3)) == apply_word(f, (3, 1))
         assert apply_word(f, (1, 3), pi_op) == apply_word(f, (3, 1), pi_op)
 
+    def chain(s, *word):
+        for i in word:
+            s = demazure_set_op(s, i)
+        return s
+
     full = demazure_subset((2, 1, 1, 0), longest(4), 4).element_set
     for _ in range(10):
         sample = frozenset(rng.sample(sorted(full), 5))
@@ -203,11 +210,6 @@ def test_criterion_13_operator_algebra():
             assert sample <= once
             assert demazure_set_op(once, i) == once
 
-        def chain(s, *word):
-            for i in word:
-                s = demazure_set_op(s, i)
-            return s
-
         for i in (1, 2):
             assert chain(sample, i, i + 1, i) == chain(sample, i + 1, i, i + 1)
         assert chain(sample, 1, 3) == chain(sample, 3, 1)
@@ -215,16 +217,16 @@ def test_criterion_13_operator_algebra():
     staircase = IntPolynomial.monomial((3, 2, 1, 0))
     for w in all_permutations(4):
         word_a = reduced_word(compose(longest(4), w))
-        word_b = reduced_word(compose(longest(4), w), last=True)
+        word_b = reduced_word_last(compose(longest(4), w))
         assert apply_word(staircase, word_a) == apply_word(staircase, word_b) \
             == schubert_polynomial(w)
         assert demazure_subset((3, 2, 1, 0), w, 4).element_set == \
-            demazure_subset((3, 2, 1, 0), w, 4, last=True).element_set
+            chain(frozenset([highest_weight_tableau((3, 2, 1, 0))]), *reduced_word_last(w))
     for a in ((0, 3, 2), (1, 0, 2, 1), (0, 0, 4), (2, 1, 0, 3)):
         lam, w = sort_and_minimal_perm(a)
         top = IntPolynomial.monomial(lam)
         assert apply_word(top, reduced_word(w), pi_op) == \
-            apply_word(top, reduced_word(w, last=True), pi_op) == demazure_character(a)
+            apply_word(top, reduced_word_last(w), pi_op) == demazure_character(a)
     _finish(13, started, 60, "divided difference and Demazure operators "
             "satisfy their defining relations; all constructions are "
             "reduced-word independent")

@@ -288,11 +288,13 @@ def _labels_like_the_oracle(t, d):
     assert _outcome(_component_key, t, d) == _outcome(oracle_component_key, t, d)
     if lab is None:
         return
+    yamanouchi, quasi = _yamanouchi_core(cols), _quasi_yamanouchi_core(cols)
+    assert _labeling_of(cols) == lab, (t, d)        # the cores leave the labeling as it was
     rl = _labeling_of(_rect_labels(cols))
     assert rl == oracle_rect_labeling(lab), (t, d)
-    assert _yamanouchi_core(t, d) == (
+    assert yamanouchi == (
         is_composition_diagram(rl.base) and all(v == r for (_, r), v in rl.labels))
-    assert _quasi_yamanouchi_core(t, d) == all(
+    assert quasi == all(
         lab.label((min(t.row(r)), r)) == r for r in {r for _, r in t}
         if not any(c >= min(t.row(r)) for c in t.row(r + 1)))
 

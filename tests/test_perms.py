@@ -18,7 +18,7 @@ from kohnert.perms import (
     sort_and_minimal_perm,
 )
 
-from oracle import act, identity, inverse, word_to_permutation
+from oracle import act, identity, inverse, reduced_word_last, word_to_permutation
 
 
 @st.composite
@@ -76,7 +76,7 @@ def test_act_examples():
 def test_reduced_words_recompose(w):
     n = len(w)
     first = reduced_word(w)
-    last = reduced_word(w, last=True)
+    last = reduced_word_last(w)
     for word in (first, last):
         assert len(word) == length(w)
         assert all(1 <= i < n for i in word)

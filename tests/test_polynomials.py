@@ -31,7 +31,7 @@ from kohnert.polynomials import (
 
 from oracle import (monomial_generating, oracle_expand_in_basis,
                     oracle_fundamental_slide, poly_mul, poly_scale, poly_sub,
-                    swap_vars, variable)
+                    reduced_word_last, swap_vars, variable)
 
 
 @st.composite
@@ -190,7 +190,7 @@ def test_demazure_character_word_independence():
         lam, w = sort_and_minimal_perm(a)
         f = IntPolynomial.monomial(lam)
         first = apply_word(f, reduced_word(w), pi_op)
-        last = apply_word(f, reduced_word(w, last=True), pi_op)
+        last = apply_word(f, reduced_word_last(w), pi_op)
         assert first == last == demazure_character(a)
 
 
@@ -219,7 +219,7 @@ def test_schubert_degree_and_stability():
 
 def test_schubert_word_independence():
     for w in all_permutations(4):
-        word = reduced_word(compose(longest(4), w), last=True)
+        word = reduced_word_last(compose(longest(4), w))
         staircase = IntPolynomial.monomial((3, 2, 1, 0))
         assert apply_word(staircase, word) == schubert_polynomial(w)
 

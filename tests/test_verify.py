@@ -10,9 +10,8 @@ from hypothesis import strategies as st
 
 from kohnert import crystal, labeling, moves, verify
 from kohnert.crystal import crystal_graph
-from kohnert.diagrams import Diagram, is_southwest
-from kohnert.labeling import (_rectified_component, component_demazure_data,
-                              demazure_expansion)
+from kohnert.diagrams import Diagram, is_composition_diagram, is_southwest
+from kohnert.labeling import _rectified_component, demazure_expansion
 from kohnert.moves import _cells, generate_kd
 from kohnert.tableaux import demazure_subset
 from kohnert.verify import (SUITES, SuiteResult, component_isomorphic, random_diagram,
@@ -173,7 +172,7 @@ def test_components_sweep_reports_broken_intertwining(monkeypatch):
 
 def test_sweeps_hold_the_expansion_routes_to_their_oracles(monkeypatch):
     monkeypatch.setattr(verify, "_key_terms", lambda *core: [])
-    monkeypatch.setattr(verify, "slide_expansion", lambda d: [])
+    monkeypatch.setattr(verify, "_slide_terms", lambda f: [])
     for name, oracle in (("yamanouchi", "Yamanouchi"), ("slide", "quasi-Yamanouchi")):
         result = run_suite(name, **TINY[name])
         assert result.failures and all(item.endswith(f"differs from the {oracle} weights")
@@ -190,6 +189,26 @@ def test_yamanouchi_case_builds_one_closure(monkeypatch):
         monkeypatch.setattr(module, "_closure", counted)
     assert verify._yamanouchi_case(D5) == (1, [])
     assert calls == [D5]
+    calls.clear()
+    assert verify._slide_case(D5) == (1, [])
+    assert calls == [D5]
+    calls.clear()
+    # besides d, only the tile check searches the closure of each D(a)
+    assert verify._components_case(D5) == (2, [])
+    assert calls[0] == D5 and len(calls) == 3
+    assert D5 not in calls[1:] and all(is_composition_diagram(c) for c in calls[1:])
+
+
+def test_slide_case_labels_each_member_once(monkeypatch):
+    label, calls = labeling._label, []
+
+    def counted(t, d):
+        calls.append(t)
+        return label(t, d)
+    for module in (labeling, verify):
+        monkeypatch.setattr(module, "_label", counted)
+    assert verify._slide_case(D5) == (1, [])
+    assert len(calls) == len(set(calls)) == len(generate_kd(D5).states) == 19
 
 
 def test_jobs_are_capped_at_the_cpu_count(monkeypatch):
@@ -220,10 +239,12 @@ def test_jobs_are_capped_at_the_cpu_count(monkeypatch):
 
 
 def test_component_isomorphic_reports_mismatches():
-    graph = crystal_graph(generate_kd(D5))
-    raised = {(t, i): u for t, i, u in graph.edges}
-    (small, large), (small_top, large_top) = graph.components, graph.highest
-    lam, w, a = component_demazure_data(small, D5)
+    states, width, ncols = generate_kd(D5).states, D5.max_row + 1, D5.max_col
+    edges, groups, (small_top, large_top) = crystal._crystal(states, D5)
+    raised = {(n, i): m for n, i, m in edges}
+    small, large = ({n: _cells(states[n], width, ncols) for n in group} for group in groups)
+    lam, w, a, _ = _rectified_component([states[n] for n in small], states[small_top],
+                                        width, ncols, D5)
     small_crystal = demazure_subset(lam, w, len(a))
     assert component_isomorphic(small, small_top, raised, small_crystal, len(a)) is None
     assert component_isomorphic(large, large_top, raised, small_crystal,
