@@ -5,6 +5,12 @@ prints polynomials as JSON, ``expand`` prints basis expansions,
 ``crystal`` emits an annotated DOT graph, ``verify`` runs the
 verification sweeps, ``membership`` decides closure membership.
 
+``main(argv)`` may be called any number of times in one process.  The
+parser is built on the first call, not at import, and reused; ``main``
+reaches each command through its module-level name at call time, so a
+command replaced on the module is the one the next call runs.  A one-shot
+``kohnert`` process builds the parser once either way.
+
 Exit codes: 0 success, 1 verification or precondition failure,
 2 usage or parse error, 3 resource bound exceeded.
 """
@@ -15,7 +21,7 @@ import argparse
 import re
 import sys
 from collections import Counter
-from functools import partial
+from functools import cache, partial
 from pathlib import Path
 
 from .compositions import check_composition
@@ -168,7 +174,7 @@ def cmd_crystal(args) -> int:
 
 def cmd_verify(args) -> int:
     bounds = {key: value for key, value in vars(args).items()
-              if value is not None and key not in ("command", "func", "suite")}
+              if value is not None and key not in ("command", "suite")}
     if args.suite == "all":
         names = list(SUITES)
     else:
@@ -215,7 +221,6 @@ def build_parser() -> argparse.ArgumentParser:
     kd_format.add_argument("--dot", action="store_true",
                            help="print the move graph in DOT format")
     p_kd.add_argument("--max-diagrams", type=_positive_int, default=None)
-    p_kd.set_defaults(func=cmd_kd)
 
     p_poly = sub.add_parser("poly", help="print a polynomial as JSON")
     group = p_poly.add_mutually_exclusive_group(required=True)
@@ -230,7 +235,6 @@ def build_parser() -> argparse.ArgumentParser:
     p_poly.add_argument("--n", type=_nonnegative_int, default=None,
                         help="number of variables")
     p_poly.add_argument("--max-diagrams", type=_positive_int, default=None)
-    p_poly.set_defaults(func=cmd_poly)
 
     p_expand = sub.add_parser("expand", help="expand a Kohnert polynomial")
     _add_diagram_source(p_expand)
@@ -238,13 +242,11 @@ def build_parser() -> argparse.ArgumentParser:
     p_expand.add_argument("--check", action="store_true",
                           help="re-verify the expansion against the polynomial")
     p_expand.add_argument("--max-diagrams", type=_positive_int, default=None)
-    p_expand.set_defaults(func=cmd_expand)
 
     p_crystal = sub.add_parser("crystal",
                                help="crystal graph as annotated DOT")
     _add_diagram_source(p_crystal)
     p_crystal.add_argument("--max-diagrams", type=_positive_int, default=None)
-    p_crystal.set_defaults(func=cmd_crystal)
 
     p_verify = sub.add_parser("verify", help="run verification sweeps")
     p_verify.add_argument("suite", nargs="?", default="all",
@@ -261,7 +263,6 @@ def build_parser() -> argparse.ArgumentParser:
     p_verify.add_argument("--jobs", type=_positive_int, default=None,
                           help="fan independent cases out to N processes, "
                                "at most one per CPU")
-    p_verify.set_defaults(func=cmd_verify)
 
     p_member = sub.add_parser("membership",
                               help="decide membership by labeling")
@@ -269,15 +270,20 @@ def build_parser() -> argparse.ArgumentParser:
     p_member.add_argument("d_file", help="source diagram file")
     p_member.add_argument("--explain", action="store_true",
                           help="print the labeling or the failure reason")
-    p_member.set_defaults(func=cmd_membership)
     return parser
 
 
+@cache
+def _parser() -> argparse.ArgumentParser:
+    """The parser ``main`` reads, built on its first call and kept."""
+    return build_parser()
+
+
 def main(argv=None) -> int:
-    parser = build_parser()
-    args = parser.parse_args(argv)
+    args = _parser().parse_args(argv)
     try:
-        return args.func(args)
+        # looked up per call: the cached parser must not pin a command function
+        return globals()[f"cmd_{args.command}"](args)
     except (GridParseError, UsageError, MaxDiagramsError, OSError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2

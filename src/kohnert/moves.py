@@ -32,7 +32,7 @@ from collections import Counter
 from dataclasses import dataclass
 from functools import cached_property
 
-from .diagrams import Diagram, _columns, render_grid
+from .diagrams import Diagram, _columns
 from .polynomials import IntPolynomial
 
 DEFAULT_MAX_DIAGRAMS = 10 ** 6
@@ -91,10 +91,33 @@ class KohnertSet:
         """Every move (from, to, row moved) between members, found on demand."""
         return frozenset((self.members[n], self.members[m], r) for n, m, r in _moves(self))
 
+    @cached_property
+    def _rows(self) -> tuple[int, dict[int, str]]:
+        """``grid``'s layout: bit 0 of every column field, and a memo from a
+        row slice (a state shifted down by the row, masked to those bits)
+        to its text across every column."""
+        width = self.source.max_row + 1
+        return sum(1 << k * width for k in range(self.source.max_col)), {}
+
     def grid(self, n: int) -> str:
-        """Member n as ``render_grid`` text, '(empty)' when it has no cells."""
-        cells = _cells(self.states[n], self.source.max_row + 1, self.source.max_col)
-        return render_grid(dict.fromkeys(cells, "O")) or "(empty)"
+        """Member n as ``render_grid`` text, '(empty)' when it has no cells:
+        its rows from the top occupied one down to row 1, each cut at the
+        last occupied column."""
+        state, width, ncols = self.states[n], self.source.max_row + 1, self.source.max_col
+        if not state:
+            return "(empty)"
+        spread, text = self._rows
+        last = ncols - ((state & -state).bit_length() - 1) // width
+        lines = []
+        for r in range(width - 1, 0, -1):
+            row = state >> r & spread
+            if row or lines:
+                line = text.get(row)
+                if line is None:
+                    line = text[row] = "".join("O" if row >> k * width & 1 else "."
+                                               for k in range(ncols - 1, -1, -1))
+                lines.append(line[:last])
+        return "\n".join(lines)
 
 
 def _pack(columns: list[int], width: int) -> int:

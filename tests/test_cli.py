@@ -552,6 +552,47 @@ def test_max_diagrams_below_one_is_refused_at_parse_time(capsys, command, value)
     assert "positive integer" in captured.err
 
 
+def test_main_builds_the_parser_once(monkeypatch, capsys):
+    cli._parser.cache_clear()
+    builds, build = [], cli.build_parser
+
+    def counted():
+        builds.append(1)
+        return build()
+    monkeypatch.setattr(cli, "build_parser", counted)
+    for argv in (["kd", "--comp", "0,2"], ["poly", "--key", "2"], ["verify", "schubert", "--n", "2"]):
+        assert main(argv) == 0
+    assert len(builds) == 1
+    assert build() is not cli._parser()
+
+
+def test_reused_parser_keeps_no_state_between_calls(capsys):
+    assert main(["kd", "--comp", "0,2", "--json"]) == 0
+    capsys.readouterr()
+    assert main(["kd", "--comp", "0,2"]) == 0
+    assert capsys.readouterr().out == "3 diagrams\n"
+    assert main(["verify", "closure", "--box", "2x2", "--max-cells", "2"]) == 0
+    capsys.readouterr()
+    assert main(["verify", "closure"]) == 0
+    assert capsys.readouterr().out == "PASS closure: 2749 cases checked\n"
+    with pytest.raises(SystemExit) as exc:
+        main(["kd", "--comp", "0,2", "--list", "--json"])
+    assert exc.value.code == 2
+    capsys.readouterr()
+    assert main(["kd", "--comp", "0,2", "--list"]) == 0
+    assert capsys.readouterr().out == "3 diagrams\n\nOO\n\nO.\n.O\n\nOO\n..\n"
+
+
+def test_commands_are_looked_up_at_call_time(monkeypatch, capsys):
+    assert main(["kd", "--comp", "0,2"]) == 0
+    capsys.readouterr()
+    seen = []
+    monkeypatch.setattr(cli, "cmd_kd", lambda args: seen.append(args.comp) or 0)
+    assert main(["kd", "--comp", "0,3"]) == 0
+    assert seen == ["0,3"]
+    assert capsys.readouterr().out == ""
+
+
 def test_module_entry_point():
     src = str(Path(kohnert.__file__).resolve().parents[1])
     env = dict(os.environ)

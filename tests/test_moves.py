@@ -1,14 +1,17 @@
 """Tests for single moves, move closures, and their serialisations."""
 
 import json
+from itertools import product
 
 import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from kohnert import moves
-from kohnert.diagrams import Diagram, composition_diagram, rothe_diagram, weight
+from kohnert.diagrams import Diagram, composition_diagram, render_grid, rothe_diagram, \
+    weight
 from kohnert.moves import (
+    KohnertSet,
     MaxDiagramsError,
     ResourceBoundError,
     generate_kd,
@@ -241,6 +244,33 @@ def test_kd_dot_output():
     assert text.count("label=") == 19
     assert text.count("->") == 31
     assert text.endswith("}\n")
+
+
+def cell_grid(state, width, ncols):
+    return render_grid(dict.fromkeys(moves._cells(state, width, ncols), "O")) or "(empty)"
+
+
+@pytest.mark.parametrize("d", [
+    Diagram.of(), D5, ROTHE_S5, composition_diagram((0, 3, 0, 2)),
+    Diagram.of((1, 1), (3, 4)), rothe_diagram((3, 1, 6, 5, 2, 9, 8, 7, 4)),
+], ids=["empty", "D5", "rothe-21543", "comp-0302", "gaps", "rothe-s9"])
+def test_grid_matches_render_grid_of_the_cells(d):
+    # members whose top rows are empty are cropped below them
+    kset = generate_kd(d)
+    width, ncols = d.max_row + 1, d.max_col
+    for n, state in enumerate(kset.states):
+        assert kset.grid(n) == cell_grid(state, width, ncols)
+
+
+def test_grid_of_every_state_of_a_box():
+    # every cell subset of the 3x3 box in its layout, the empty one and
+    # those with an empty top row or last column among them
+    box = Diagram.of(*product((1, 2, 3), (1, 2, 3)))
+    states = tuple(moves._pack(list(masks), 4) for masks in product(range(0, 16, 2), repeat=3))
+    kset = KohnertSet(box, states)
+    assert [kset.grid(n) for n in range(len(states))] == \
+        [cell_grid(state, 4, 3) for state in states]
+    assert kset.grid(0) == "(empty)"
 
 
 if __name__ == "__main__":
