@@ -29,8 +29,8 @@ from .crystal import _crystal, crystal_to_dot
 from .diagrams import Diagram, GridParseError, composition_diagram, \
     is_southwest, rothe_diagram
 from .labeling import _expansion, _membership, _rectified_component, label_grid
-from .moves import MaxDiagramsError, ResourceBoundError, _polynomial, generate_kd, \
-    kd_to_dot, kd_to_json, kohnert_polynomial
+from .moves import MaxDiagramsError, ResourceBoundError, _max_diagrams, _polynomial, \
+    generate_kd, kd_to_dot, kd_to_json, kohnert_polynomial
 from .perms import check_permutation
 from .polynomials import basis_sum, demazure_character, fundamental_slide, \
     schubert_polynomial
@@ -123,17 +123,18 @@ def cmd_kd(args) -> int:
 def cmd_poly(args) -> int:
     if args.n is not None:
         _check_budget([args.n], f"--n {args.n} asks for", "variables")
+    limit = _max_diagrams(args.max_diagrams)
     if args.diagram is not None:
         d = _read_diagram_file(args.diagram)
-        f = kohnert_polynomial(d, args.n, args.max_diagrams)
+        f = kohnert_polynomial(d, args.n, limit)
     elif args.perm is not None:
-        f = schubert_polynomial(_parse_perm(args.perm))
+        f = schubert_polynomial(_parse_perm(args.perm), limit)
         if args.n is not None:
             f = f.pad_to(args.n)
     elif args.key is not None:
-        f = demazure_character(_parse_comp(args.key), args.n)
+        f = demazure_character(_parse_comp(args.key), args.n, limit)
     else:
-        f = fundamental_slide(_parse_comp(args.slide), args.n)
+        f = fundamental_slide(_parse_comp(args.slide), args.n, limit)
     print(f.to_json())
     return 0
 
@@ -163,9 +164,10 @@ def cmd_crystal(args) -> int:
     kset = generate_kd(d, args.max_diagrams)
     states, width, ncols = kset.states, d.max_row + 1, d.max_col
     edges, groups, highest = _crystal(states, d)
-    labels = []
+    labels, flips = [], {}          # one rectification memo for every component
     for group, top in zip(groups, highest, strict=True):
-        data = _rectified_component([states[n] for n in group], states[top], width, ncols, d)
+        data = _rectified_component([states[n] for n in group], states[top],
+                                    width, ncols, d, flips)
         lam, w, a = (",".join(map(str, part)) for part in data[:3])
         labels.append(f"lam=({lam}) w=({w}) a=({a})")
     sys.stdout.write(crystal_to_dot(kset, edges, groups, labels))

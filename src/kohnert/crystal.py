@@ -18,11 +18,19 @@ holds a row bitmask per column, column 1 in the high field.
   two bits whose flip raises it.  ``_crystal`` builds the raising graph
   of a closure on the positions of its members' states, looking each
   raised state up; a state the scan yields nothing for is a highest member.
-* Column masks carry rectification: the fields of a state.
-  ``_rectify`` moves every unpaired column-(c+1) cell at once, since
-  moving the lowest one turns the last free closer into an opener and
-  changes no other match, and sweeps right to left until a sweep moves
-  nothing; ``labeling._rectified_component`` rectifies states this way.
+* Rectification reads columns out of a state: the fields.  With
+  ``two`` the mask of two fields, ``state >> shift & two`` holds a pair
+  of adjacent columns, the left one in the high field.  ``_rectified``
+  moves every unpaired right-hand cell of a pair at once, since moving
+  the lowest one turns the last free closer into an opener and changes
+  no other match; the XOR mask that does so is memoized per pair slice
+  in a ``flips`` dict, as ``_raises`` memoizes row pairs.  One walk goes
+  from the rightmost pair leftward; after a pair moves cells it steps
+  one pair back to the right, whose left column just lost cells, so the
+  walk ends with no pair left to move.  Slices mean the same in every
+  state of one layout, so ``kohnert crystal`` and the ``components``
+  sweep share one dict across all components of a crystal, through
+  ``labeling._rectified_component``; ``rectify`` goes through it too.
 
 ``kohnert crystal``, the sweeps and ``crystal_to_dot`` read the
 positions ``_crystal`` gives.  ``crystal_graph`` and the ``Diagram``
@@ -36,7 +44,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 from .diagrams import Diagram, _columns, is_southwest
-from .moves import KohnertSet, _cells
+from .moves import KohnertSet, _cells, _pack
 
 
 def _lone(openers: int, closers: int) -> int:
@@ -70,11 +78,6 @@ def _raise_bit(low: int, high: int) -> int:
     moves: the rightmost unpaired row-(i+1) cell, or 0 when there is none."""
     lone = _lone(low, high)
     return lone & -lone
-
-
-def _bits(mask: int) -> list[int]:
-    """Positions of the set bits, lowest first."""
-    return [k for k in range(mask.bit_length()) if mask >> k & 1]
 
 
 def raising(diagram: Diagram, i: int) -> Diagram | None:
@@ -126,27 +129,34 @@ def rectify_step(diagram: Diagram, c: int) -> Diagram:
     return diagram.move_cell((c + 1, r), (c, r))
 
 
-def _rectify(cols: list[int]) -> list[int]:
-    """Rectify column masks in place by right-to-left sweeps, until a
-    sweep moves nothing, and return them."""
-    moved = True
-    while moved:
-        moved = False
-        for k in range(len(cols) - 2, -1, -1):
-            if not cols[k + 1] & ~cols[k]:     # every right-hand cell pairs in its row
+def _rectified(state: int, width: int, ncols: int, flips: dict[int, int]) -> int:
+    """Rectify a packed state of ``ncols`` fields, ``width`` bits each, in
+    one walk over its column pairs, and drop its trailing empty fields.
+    ``flips`` maps a pair slice, the left column in the high field, to the
+    XOR mask that moves its unpaired right-hand cells left (0 for none)."""
+    field = (1 << width) - 1
+    two, both = field << width | field, field + 2      # lone * both: a bit in each field
+    shift, last = 0, (ncols - 2) * width                # the rightmost pair first
+    while shift <= last:
+        pair = state >> shift & two
+        flip = flips.get(pair)
+        if flip is None:
+            flip = flips[pair] = _lone(pair >> width, pair & field) * both
+        if flip:
+            state ^= flip << shift
+            if shift:                   # the right-hand column lost cells
+                shift -= width
                 continue
-            lone = _lone(cols[k], cols[k + 1])
-            if lone:
-                cols[k] |= lone
-                cols[k + 1] ^= lone
-                moved = True
-    return cols
+        shift += width
+    # a rectified state has no empty field left of a full one
+    return state >> ((state & -state).bit_length() - 1) // width * width if state else 0
 
 
 def rectify(diagram: Diagram) -> Diagram:
-    """Fully rectify by right-to-left column sweeps."""
-    cols = _rectify(_columns(diagram))
-    return Diagram(frozenset((k + 1, r) for k, col in enumerate(cols) for r in _bits(col)))
+    """Fully rectify: no column pair has an unpaired right-hand cell left."""
+    width = diagram.max_row + 1
+    state = _rectified(_pack(_columns(diagram), width), width, diagram.max_col, {})
+    return Diagram(frozenset(_cells(state, width, -(-state.bit_length() // width))))
 
 
 @dataclass(frozen=True)

@@ -26,7 +26,7 @@ from __future__ import annotations
 from collections import Counter
 
 from .compositions import Composition, pad
-from .crystal import _crystal, _lone, _raises, _rectify, _spread
+from .crystal import _crystal, _lone, _raises, _rectified, _spread
 from .diagrams import (Cell, Diagram, composition_diagram,
                        is_composition_diagram, is_southwest, render_grid,
                        weight)
@@ -305,12 +305,16 @@ def is_vexillary_diagram(d: Diagram) -> bool:
     return all(rows[i] <= rows[i + 1] for i in range(len(rows) - 1))
 
 
-def _rectified_component(states, top: int, width: int, ncols: int, d: Diagram):
+def _rectified_component(states, top: int, width: int, ncols: int, d: Diagram,
+                         flips: dict[int, int]):
     """``component_demazure_data`` on a component's packed states, ``ncols``
     fields ``width`` bits wide, and its highest state ``top``; also the
     rectified states, in order, as ``_rectified_raises`` reads them.  The
     layout is given, not read off ``d``: ``component_demazure_data`` packs
-    an arbitrary component in a layout of its own."""
+    an arbitrary component in a layout of its own.  The states rectify in
+    that layout by ``crystal._rectified``, with the caller's ``flips``
+    memo, which every component of one layout may share; the images are
+    repacked only when the component's top row + 1 is not ``width``."""
     u = Diagram(frozenset(_cells(top, width, ncols)))
     a = _component_key(u, d)
     lam, w = sort_and_minimal_perm(a)
@@ -319,16 +323,14 @@ def _rectified_component(states, top: int, width: int, ncols: int, d: Diagram):
     occupied = 0
     for state in states:
         occupied |= state
-    # rectification keeps every cell in its row, so no field overflows
     top_row = max((r for _, r in _cells(occupied, width, ncols)), default=0)
-    field = (1 << width) - 1
-    shifts = range((ncols - 1) * width, -1, -width)         # column 1 first
-    images = []
-    for state in states:
-        cols = _rectify([state >> shift & field for shift in shifts])
-        while cols and not cols[-1]:
-            cols.pop()
-        images.append(_pack(cols, top_row + 1))
+    images = [_rectified(state, width, ncols, flips) for state in states]
+    if top_row + 1 != width:
+        # rectification keeps every cell in its row, so no field overflows
+        field = (1 << width) - 1
+        images = [_pack([x >> shift & field
+                         for shift in range((x.bit_length() - 1) // width * width, -1, -width)],
+                        top_row + 1) for x in images]
     if len(set(images)) != len(images):
         raise AssertionError("rectification is not injective on the component")
     # D(a) has top row len(a); equal top rows make equal fields
@@ -352,19 +354,22 @@ def component_demazure_data(component, d: Diagram):
     lam is the weight of the unique highest member, a the weight of the
     labeling diagram after rectifying that member's labeling, and w the
     minimal permutation carrying sorted a to a.  Each member is packed
-    once, in the layout the component needs, and rectified from its
-    fields; the images must tile the closure of D(a) as packed states.
+    once, in the layout of the union of the members' cells, by summing
+    the bits of its cells, and rectified in that layout with one memo for
+    the call; the images must tile the closure of D(a) as packed states.
     """
     if not is_southwest(d):
         raise ValueError("component data requires a southwest diagram")
     cells = [t.cells for t in set(component)]
     if not cells:
         raise ValueError("component is empty")
-    width = max((r for cs in cells for _, r in cs), default=0) + 1
-    ncols = max((c for cs in cells for c, _ in cs), default=0)
-    states = [sum(1 << (ncols - c) * width + r for c, r in cs) for cs in cells]
+    union = frozenset().union(*cells)
+    width = max((r for _, r in union), default=0) + 1
+    ncols = max((c for c, _ in union), default=0)
+    bit = {(c, r): 1 << (ncols - c) * width + r for c, r in union}
+    states = [sum(map(bit.__getitem__, cs)) for cs in cells]
     spread, flips = _spread(width, ncols), {}
     tops = [state for state in states if not any(_raises(state, spread, width, flips))]
     if len(tops) != 1:
         raise ValueError("not a single crystal component")
-    return _rectified_component(states, tops[0], width, ncols, d)[:3]
+    return _rectified_component(states, tops[0], width, ncols, d, {})[:3]

@@ -78,9 +78,23 @@ class KohnertSet:
 
     @cached_property
     def members(self) -> tuple[Diagram, ...]:
-        """The member ``Diagram``s, in the order of ``states``, built on first read."""
+        """The member ``Diagram``s, in the order of ``states``, built on first
+        read column by column: each column keeps a memo from a field mask to
+        that column's cells."""
         width, ncols = self.source.max_row + 1, self.source.max_col
-        return tuple(Diagram(frozenset(_cells(s, width, ncols))) for s in self.states)
+        field = (1 << width) - 1
+        columns = [(c, (ncols - c) * width, {}) for c in range(1, ncols + 1)]
+        members = []
+        for state in self.states:
+            cells = []
+            for c, shift, memo in columns:
+                mask = state >> shift & field
+                col = memo.get(mask)
+                if col is None:
+                    col = memo[mask] = tuple((c, r) for r in range(width) if mask >> r & 1)
+                cells += col
+            members.append(Diagram(frozenset(cells)))
+        return tuple(members)
 
     @cached_property
     def member_set(self) -> frozenset[Diagram]:

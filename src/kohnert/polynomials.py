@@ -2,6 +2,12 @@
 
 A polynomial keeps a fixed number of variables n and a dict mapping
 exponent tuples of length n to nonzero integer coefficients.
+
+The operators and the Schubert, key and slide builds take an optional
+``max_terms``: a build whose result, or a divided difference on the way
+to it, passes that many monomials stops with ``ResourceBoundError``
+(exit 3 on the command line, which passes the closure budget
+``KOHNERT_MAX_DIAGRAMS``).  The default, None, bounds nothing.
 """
 
 from __future__ import annotations
@@ -18,6 +24,11 @@ from .perms import (Permutation, check_permutation, compose, longest,
 
 class ExpansionError(ValueError):
     pass
+
+
+def _over_budget(what: str, limit: int) -> Exception:
+    from .moves import ResourceBoundError        # moves imports this module
+    return ResourceBoundError(f"{what} exceeds {limit} monomials (KOHNERT_MAX_DIAGRAMS)")
 
 
 class IntPolynomial:
@@ -106,7 +117,7 @@ class IntPolynomial:
         return IntPolynomial.from_json_dict(json.loads(text))
 
 
-def divided_difference(f: IntPolynomial, i: int) -> IntPolynomial:
+def divided_difference(f: IntPolynomial, i: int, max_terms: int | None = None) -> IntPolynomial:
     """(f - s_i f) / (x_i - x_{i+1}), computed exactly term by term."""
     if not 1 <= i < f.n:
         raise ValueError(f"need 1 <= i < n, got i={i}, n={f.n}")
@@ -122,23 +133,26 @@ def divided_difference(f: IntPolynomial, i: int) -> IntPolynomial:
             base[i - 1], base[i] = k, hi + lo - 1 - k
             key = tuple(base)
             out[key] = out.get(key, 0) + sign
+        if max_terms is not None and len(out) > max_terms:
+            raise _over_budget(f"divided difference at i={i}", max_terms)
     return IntPolynomial(f.n, out)
 
 
-def pi_op(f: IntPolynomial, i: int) -> IntPolynomial:
+def pi_op(f: IntPolynomial, i: int, max_terms: int | None = None) -> IntPolynomial:
     """Demazure operator: divided difference of x_i * f."""
     shifted = {tuple(e[j] + (1 if j == i - 1 else 0) for j in range(f.n)): c
                for e, c in f.terms.items()}
-    return divided_difference(IntPolynomial(f.n, shifted), i)
+    return divided_difference(IntPolynomial(f.n, shifted), i, max_terms)
 
 
-def apply_word(f: IntPolynomial, word, op=divided_difference) -> IntPolynomial:
+def apply_word(f: IntPolynomial, word, op=divided_difference,
+               max_terms: int | None = None) -> IntPolynomial:
     for i in word:
-        f = op(f, i)
+        f = op(f, i, max_terms)
     return f
 
 
-def schubert_polynomial(w: Permutation) -> IntPolynomial:
+def schubert_polynomial(w: Permutation, max_terms: int | None = None) -> IntPolynomial:
     """Divided differences applied to the staircase monomial.
 
     Applying a word (i_1, ..., i_l) first-to-last realises the operator
@@ -148,20 +162,20 @@ def schubert_polynomial(w: Permutation) -> IntPolynomial:
     w = check_permutation(w)
     n = len(w)
     staircase = IntPolynomial.monomial(tuple(range(n - 1, -1, -1)))
-    return apply_word(staircase, reduced_word(compose(longest(n), w)))
+    return apply_word(staircase, reduced_word(compose(longest(n), w)), max_terms=max_terms)
 
 
-def demazure_character(a, n: int | None = None) -> IntPolynomial:
+def demazure_character(a, n: int | None = None, max_terms: int | None = None) -> IntPolynomial:
     """Demazure operators applied to the dominant monomial of sort(a)."""
     a = check_composition(a)
     if n is None:
         n = len(a)
     lam, w = sort_and_minimal_perm(a)
     f = IntPolynomial.monomial(lam)
-    return apply_word(f, reduced_word(w), pi_op).pad_to(n)
+    return apply_word(f, reduced_word(w), pi_op, max_terms).pad_to(n)
 
 
-def fundamental_slide(a, n: int | None = None) -> IntPolynomial:
+def fundamental_slide(a, n: int | None = None, max_terms: int | None = None) -> IntPolynomial:
     """Sum of x^b over b dominating a whose flattening refines flat(a).
 
     The terms are built directly: each nonzero part of a is split into
@@ -190,6 +204,8 @@ def fundamental_slide(a, n: int | None = None) -> IntPolynomial:
         i = len(prefix)
         if j == last:
             terms[prefix + (0,) * (n - i)] = 1
+            if max_terms is not None and len(terms) > max_terms:
+                raise _over_budget("slide polynomial", max_terms)
             continue
         short = floor[i] - total    # what b lacks of a's prefix sum: v makes it up
         for v in range(left, short - 1 if short > 0 else -1, -1):

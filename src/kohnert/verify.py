@@ -289,11 +289,11 @@ def _components_case(d: Diagram) -> tuple[int, list[str]]:
     except AssertionError as exc:
         return 1, [f"D={d.sorted_cells}: {exc}"]
     raised = {(n, i): m for n, i, m in edges}
-    failures = []
+    failures, flips = [], {}        # one rectification memo for every component
     for group, top in zip(groups, highest, strict=True):
         try:
             lam, w, a, images = _rectified_component([states[n] for n in group], states[top],
-                                                     width, ncols, d)
+                                                     width, ncols, d, flips)
         except (AssertionError, ValueError) as exc:
             failures.append(f"D={d.sorted_cells}: {exc}")
             continue

@@ -122,6 +122,33 @@ def test_poly_n_over_the_budget_exits_3(monkeypatch, capsys):
     assert main(["poly", "--slide", "0,2", "--n", "5"]) == 0
 
 
+@pytest.mark.parametrize("argv", [
+    ["poly", "--slide", "0,0,0,0,0,0,0,0,0,0,0,0,20"],
+    ["poly", "--key", "0,0,0,0,0,0,0,0,6,6,6,6"],
+])
+def test_poly_builds_stop_at_the_budget(monkeypatch, capsys, argv):
+    # unbounded, these take gigabytes; the build stops once it passes the budget
+    monkeypatch.setenv("KOHNERT_MAX_DIAGRAMS", "20000")
+    start = perf_counter()
+    assert main(argv) == 3
+    assert perf_counter() - start < 5
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err.startswith("error:")
+    assert "exceeds 20000 monomials (KOHNERT_MAX_DIAGRAMS)" in captured.err
+
+
+@pytest.mark.parametrize("flag", ["--slide", "--key", "--perm"])
+def test_poly_budget_boundary(monkeypatch, capsys, flag):
+    # each of these has 3 monomials, and no step on the way has more
+    value = "1,4,2,3" if flag == "--perm" else "0,2"
+    monkeypatch.setenv("KOHNERT_MAX_DIAGRAMS", "3")
+    assert main(["poly", flag, value]) == 0
+    assert len(json.loads(capsys.readouterr().out)["terms"]) == 3
+    assert main(["poly", flag, value, "--max-diagrams", "2"]) == 3
+    assert "exceeds 2 monomials (KOHNERT_MAX_DIAGRAMS)" in capsys.readouterr().err
+
+
 def test_poly_diagram(tmp_path, capsys):
     source = write(tmp_path, "d.txt", D5_GRID)
     assert main(["poly", "--diagram", source]) == 0

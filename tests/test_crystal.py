@@ -3,6 +3,7 @@
 import io
 import json
 from contextlib import redirect_stdout
+from itertools import product
 from pathlib import Path
 from tempfile import TemporaryDirectory
 
@@ -10,11 +11,13 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from kohnert import crystal, labeling
 from kohnert.cli import main
 from kohnert.crystal import (
     _crystal,
     _lone,
     _raises,
+    _rectified,
     _spread,
     crystal_graph,
     crystal_to_dot,
@@ -149,6 +152,56 @@ def test_rectify_is_idempotent():
         image = rectify(MEMBERS[key])
         assert oracle_is_rectified(image)
         assert rectify(image) == image
+
+
+def _layout_diagram(cols) -> Diagram:
+    """The diagram whose column masks, column 1 first, are ``cols``."""
+    return Diagram(frozenset((k + 1, r) for k, col in enumerate(cols)
+                             for r in range(col.bit_length()) if col >> r & 1))
+
+
+def test_rectifier_matches_the_oracle_on_every_small_layout():
+    # every tuple of 2-4 column masks over rows 1-4, empty middle and trailing
+    # columns included, through one flips memo; the image drops its trailing
+    # empty fields
+    width, flips = 5, {}
+    for ncols in (2, 3, 4):
+        for cols in product(range(0, 1 << width, 2), repeat=ncols):
+            expected = _pack(_columns(oracle_rectify(_layout_diagram(cols))), width)
+            assert _rectified(_pack(cols, width), width, ncols, flips) == expected, cols
+
+
+@settings(max_examples=200, deadline=None)
+@given(st.integers(1, 8), st.integers(1, 8), st.data())
+def test_rectifier_matches_the_oracle_on_wide_states(rows, ncols, data):
+    width = rows + 1
+    # row 0 is bit 0 of each field, and holds no cell
+    state = data.draw(st.integers(0, (1 << width * ncols) - 1)) & ~_spread(width, ncols)
+    cols = [state >> (ncols - 1 - k) * width & (1 << width) - 1 for k in range(ncols)]
+    expected = _pack(_columns(oracle_rectify(_layout_diagram(cols))), width)
+    assert _rectified(state, width, ncols, {}) == expected
+
+
+def test_a_rectifier_that_leaves_a_cell_behind_fails_the_tile_check(monkeypatch, capsys):
+    lone, rectified = crystal._lone, crystal._rectified
+
+    def lazy(state, width, ncols, flips):
+        # each column pair keeps its lowest unpaired right-hand cell; the
+        # rule is changed for rectification alone, so raising stays true
+        with monkeypatch.context() as patch:
+            patch.setattr(crystal, "_lone", lambda low, high: (x := lone(low, high)) & x - 1)
+            return rectified(state, width, ncols, {})
+
+    monkeypatch.setattr(labeling, "_rectified", lazy)
+    tile_check = "misses the composition closure|not injective"
+    for comp in crystal_graph(generate_kd(D5)).components:
+        with pytest.raises(AssertionError, match=tile_check):
+            component_demazure_data(comp, D5)
+    assert main(["crystal", "--perm", "2,1,4,3"]) == 1
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err in ("error: rectified component misses the composition closure\n",
+                            "error: rectification is not injective on the component\n")
 
 
 def test_is_rectified_examples():

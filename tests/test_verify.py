@@ -131,7 +131,7 @@ def test_components_sweep_rectifies_like_the_oracle(d):
         group = [position[t] for t in comp]
         _, _, a, images = _rectified_component([kset.states[n] for n in group],
                                                kset.states[position[top]],
-                                               d.max_row + 1, d.max_col, d)
+                                               d.max_row + 1, d.max_col, d, {})
         rectified = {t: oracle_rectify(t) for t in comp}
         for n, state in zip(group, images):
             t = kset.members[n]
@@ -244,7 +244,7 @@ def test_component_isomorphic_reports_mismatches():
     raised = {(n, i): m for n, i, m in edges}
     small, large = ({n: _cells(states[n], width, ncols) for n in group} for group in groups)
     lam, w, a, _ = _rectified_component([states[n] for n in small], states[small_top],
-                                        width, ncols, D5)
+                                        width, ncols, D5, {})
     small_crystal = demazure_subset(lam, w, len(a))
     assert component_isomorphic(small, small_top, raised, small_crystal, len(a)) is None
     assert component_isomorphic(large, large_top, raised, small_crystal,
