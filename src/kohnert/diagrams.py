@@ -140,7 +140,7 @@ def weight(diagram: Diagram, n: int | None = None) -> tuple[int, ...]:
         n = diagram.max_row
     elif n < diagram.max_row:
         raise ValueError(f"diagram has cells above row {n}")
-    return tuple(len(diagram.row(r)) for r in range(1, n + 1))
+    return _mask_weight(_columns(diagram), n)
 
 
 def composition_diagram(a) -> Diagram:
@@ -169,6 +169,11 @@ def _columns(diagram: Diagram) -> list[int]:
     for c, r in diagram.cells:
         cols[c - 1] |= 1 << r
     return cols
+
+
+def _mask_weight(cols: list[int], n: int) -> tuple[int, ...]:
+    """``weight`` of the diagram with these column masks, rows 1 to n."""
+    return tuple(sum(col >> r & 1 for col in cols) for r in range(1, n + 1))
 
 
 def is_southwest(diagram: Diagram) -> bool:

@@ -10,7 +10,8 @@ each cell came from.
 
 The labelling engine works on a column form: a list with one
 ``{row: label}`` dict per column, column 1 first.  ``_label`` labels a
-diagram in that form, ``_pair`` pairs two columns by their labels,
+diagram given by its column masks in that form, ``_pair`` pairs two
+columns by their labels,
 ``_relabel_rectify`` re-labels one column pair and moves its cells in
 place (by the unlabeled bracket rule ``crystal._lone`` on the two row
 masks), and ``_rect_labels`` sweeps to a joint fixpoint.  The key
@@ -27,10 +28,10 @@ from collections import Counter
 
 from .compositions import Composition, pad
 from .crystal import _crystal, _lone, _raises, _rectified, _spread
-from .diagrams import (Cell, Diagram, composition_diagram,
+from .diagrams import (Cell, Diagram, _columns, _mask_weight, composition_diagram,
                        is_composition_diagram, is_southwest, render_grid,
                        weight)
-from .moves import _cells, _closure, _max_diagrams, _pack, _polynomial
+from .moves import _cells, _closure, _fields, _max_diagrams, _pack, _polynomial
 from .perms import sort_and_minimal_perm
 from .polynomials import IntPolynomial, expand_in_basis
 
@@ -130,22 +131,21 @@ def _rect_labels(cols: Columns) -> Columns:
 
 
 def _equal_column_weights(t: Diagram, d: Diagram) -> bool:
-    return {c: len(rs) for c, rs in t.by_col.items()} == \
-        {c: len(rs) for c, rs in d.by_col.items()}
+    return list(map(int.bit_count, _columns(t))) == list(map(int.bit_count, _columns(d)))
 
 
-def _label(t: Diagram, d: Diagram) -> tuple[Columns | None, str | None]:
-    """``labeling_with_reason`` in column form."""
-    if not _equal_column_weights(t, d):
-        raise ValueError("diagrams must have equal column weights")
-    width = t.max_col                      # labeled first, and never left empty
+def _label(cols: list[int], d: Diagram) -> tuple[Columns | None, str | None]:
+    """``labeling_with_reason`` in column form, for column masks ``cols``
+    (``diagrams._columns``, ``moves._fields``); moves keep column weights,
+    so only the public entry points, given diagrams from outside, check them."""
+    width = len(cols)
     assigned: Columns = [{} for _ in range(width)]
     for k in range(width - 1, -1, -1):
         anchor: dict[int, int] = {}
         if k + 1 < width:
             first = _rect_labels([dict(col) for col in assigned[k + 1:]])[0]
             anchor = {v: r for r, v in sorted(first.items())}
-        avail = list(t.col(k + 1))
+        avail = [s for s in range(cols[k].bit_length()) if cols[k] >> s & 1]
         for r in d.col(k + 1):
             floor = anchor.get(r, 0)
             for s in avail:
@@ -167,7 +167,9 @@ def labeling_with_reason(t: Diagram, d: Diagram) -> tuple[dict[Cell, int] | None
     each to the lowest unlabeled column-c cell lying weakly above the
     like-labeled cell of that rectified part, when present.
     """
-    cols, reason = _label(t, d)
+    if not _equal_column_weights(t, d):
+        raise ValueError("diagrams must have equal column weights")
+    cols, reason = _label(_columns(t), d)
     if cols is None:
         return None, reason
     return _cell_labels(cols), None
@@ -207,7 +209,7 @@ def _membership(t: Diagram, d: Diagram) -> tuple[dict[Cell, int] | None, str]:
         raise ValueError("membership test requires a southwest diagram")
     if not _equal_column_weights(t, d):
         return None, "column weights differ"
-    cols, reason = _label(t, d)
+    cols, reason = _label(_columns(t), d)
     if cols is None:
         return None, f"no labeling exists: {reason}"
     for k, col in enumerate(cols):
@@ -227,10 +229,11 @@ def _yamanouchi_core(cols: Columns) -> bool:
         all(rl[k + 1].keys() <= rl[k].keys() for k in range(len(rl) - 1))
 
 
-def _component_key(u: Diagram, d: Diagram) -> Composition:
-    """The key index a of the crystal component whose highest member is u:
-    the weight of the labeling diagram of u's rectified labeling."""
-    cols, _ = _label(u, d)
+def _component_key(top: list[int], d: Diagram) -> Composition:
+    """The key index a of the crystal component of the closure of d whose
+    highest member has column masks ``top``: the weight of the labeling
+    diagram of that member's rectified labeling."""
+    cols, _ = _label(top, d)
     if cols is None or any(v < r for col in cols for r, v in col.items()):
         raise ValueError("component contains a non-member")
     label_dgm = _label_diagram(_rect_labels(cols))
@@ -244,7 +247,8 @@ def demazure_expansion(d: Diagram, max_diagrams=None) -> list[Composition]:
     Demazure characters over e: one key index per crystal component,
     read off its highest member.  Each component holds exactly one
     Yamanouchi member, whose weight this is.  The crystal is built on the
-    packed closure states; only highest members become diagrams."""
+    packed closure states, and each highest member is labelled from its
+    column masks."""
     if not is_southwest(d):
         raise ValueError("Yamanouchi analysis requires a southwest diagram")
     return _expansion(d, "key", max_diagrams)[0]
@@ -252,8 +256,8 @@ def demazure_expansion(d: Diagram, max_diagrams=None) -> list[Composition]:
 
 def _key_terms(states, highest, d: Diagram) -> list[Composition]:
     """``demazure_expansion`` on the positions ``_crystal`` finds highest."""
-    tops = (Diagram(frozenset(_cells(states[n], d.max_row + 1, d.max_col))) for n in highest)
-    return sorted(pad(_component_key(u, d), d.max_row) for u in tops)
+    return sorted(pad(_component_key(_fields(states[n], d.max_row + 1, d.max_col), d), d.max_row)
+                  for n in highest)
 
 
 def _quasi_yamanouchi_core(cols: Columns) -> bool:
@@ -311,14 +315,14 @@ def _rectified_component(states, top: int, width: int, ncols: int, d: Diagram,
     fields ``width`` bits wide, and its highest state ``top``; also the
     rectified states, in order, as ``_rectified_raises`` reads them.  The
     layout is given, not read off ``d``: ``component_demazure_data`` packs
-    an arbitrary component in a layout of its own.  The states rectify in
-    that layout by ``crystal._rectified``, with the caller's ``flips``
-    memo, which every component of one layout may share; the images are
-    repacked only when the component's top row + 1 is not ``width``."""
-    u = Diagram(frozenset(_cells(top, width, ncols)))
-    a = _component_key(u, d)
+    an arbitrary component in a layout of its own.  The top is labelled on
+    its fields; the states rectify by ``crystal._rectified`` with the
+    caller's ``flips`` memo, which components of one layout may share, and
+    are repacked only when the component's top row + 1 is not ``width``."""
+    top_cols = _fields(top, width, ncols)
+    a = _component_key(top_cols, d)
     lam, w = sort_and_minimal_perm(a)
-    if weight(u, len(a)) != lam:
+    if _mask_weight(top_cols, len(a)) != lam:
         raise AssertionError("highest weight does not match the sorted labels")
     occupied = 0
     for state in states:
@@ -327,10 +331,7 @@ def _rectified_component(states, top: int, width: int, ncols: int, d: Diagram,
     images = [_rectified(state, width, ncols, flips) for state in states]
     if top_row + 1 != width:
         # rectification keeps every cell in its row, so no field overflows
-        field = (1 << width) - 1
-        images = [_pack([x >> shift & field
-                         for shift in range((x.bit_length() - 1) // width * width, -1, -width)],
-                        top_row + 1) for x in images]
+        images = [_pack(_fields(x, width, ncols), top_row + 1) for x in images]
     if len(set(images)) != len(images):
         raise AssertionError("rectification is not injective on the component")
     # D(a) has top row len(a); equal top rows make equal fields
@@ -360,16 +361,18 @@ def component_demazure_data(component, d: Diagram):
     """
     if not is_southwest(d):
         raise ValueError("component data requires a southwest diagram")
-    cells = [t.cells for t in set(component)]
-    if not cells:
+    members = list(set(component))
+    if not members:
         raise ValueError("component is empty")
-    union = frozenset().union(*cells)
+    union = frozenset().union(*(t.cells for t in members))
     width = max((r for _, r in union), default=0) + 1
     ncols = max((c for c, _ in union), default=0)
     bit = {(c, r): 1 << (ncols - c) * width + r for c, r in union}
-    states = [sum(map(bit.__getitem__, cs)) for cs in cells]
+    states = [sum(map(bit.__getitem__, t.cells)) for t in members]
     spread, flips = _spread(width, ncols), {}
-    tops = [state for state in states if not any(_raises(state, spread, width, flips))]
+    tops = [n for n, state in enumerate(states) if not any(_raises(state, spread, width, flips))]
     if len(tops) != 1:
         raise ValueError("not a single crystal component")
-    return _rectified_component(states, tops[0], width, ncols, d, {})[:3]
+    if not _equal_column_weights(members[tops[0]], d):
+        raise ValueError("diagrams must have equal column weights")
+    return _rectified_component(states, states[tops[0]], width, ncols, d, {})[:3]

@@ -247,12 +247,16 @@ def _polynomial(diagram: Diagram, counts: Counter[int], n: int) -> IntPolynomial
     return IntPolynomial(n, terms)
 
 
+def _fields(state: int, width: int, ncols: int) -> list[int]:
+    """Column masks of a packed state, column 1 first: the inverse of ``_pack``."""
+    field = (1 << width) - 1
+    return [state >> shift & field for shift in range((ncols - 1) * width, -1, -width)]
+
+
 def _cells(state: int, width: int, ncols: int) -> tuple[tuple[int, int], ...]:
     """Cells of a packed state of ``ncols`` columns in sorted (col, row) order."""
-    field = (1 << width) - 1
     cells = []
-    for c in range(1, ncols + 1):
-        mask = state >> (ncols - c) * width & field
+    for c, mask in enumerate(_fields(state, width, ncols), start=1):
         while mask:
             bit = mask & -mask
             mask ^= bit

@@ -55,9 +55,6 @@ class IntPolynomial:
         exps = tuple(exps)
         return IntPolynomial(len(exps), {exps: 1})
 
-    def is_zero(self) -> bool:
-        return not self.terms
-
     def __eq__(self, other) -> bool:
         return (isinstance(other, IntPolynomial)
                 and self.n == other.n and self.terms == other.terms)
@@ -95,26 +92,19 @@ class IntPolynomial:
         more = "+..." if len(self.terms) > 4 else ""
         return f"IntPolynomial({self.n}, {' + '.join(bits)}{more})"
 
-    def to_json_dict(self) -> dict:
-        order = sorted(self.terms, reverse=True)
-        return {"n": self.n,
-                "terms": [{"exps": list(e), "coef": self.terms[e]} for e in order]}
-
     def to_json(self) -> str:
-        return json.dumps(self.to_json_dict())
+        order = sorted(self.terms, reverse=True)
+        return json.dumps({"n": self.n,
+                           "terms": [{"exps": list(e), "coef": self.terms[e]} for e in order]})
 
     @staticmethod
-    def from_json_dict(data: dict) -> "IntPolynomial":
-        n = data["n"]
+    def from_json(text: str) -> "IntPolynomial":
+        data = json.loads(text)
         terms: dict[tuple[int, ...], int] = {}
         for item in data["terms"]:
             exps = tuple(item["exps"])
             terms[exps] = terms.get(exps, 0) + item["coef"]
-        return IntPolynomial(n, terms)
-
-    @staticmethod
-    def from_json(text: str) -> "IntPolynomial":
-        return IntPolynomial.from_json_dict(json.loads(text))
+        return IntPolynomial(data["n"], terms)
 
 
 def divided_difference(f: IntPolynomial, i: int, max_terms: int | None = None) -> IntPolynomial:

@@ -44,10 +44,6 @@ class Tableau:
             for c, value in enumerate(row, start=1):
                 yield c, r, value
 
-    def positions_of(self, value: int) -> list[tuple[int, int]]:
-        """Cells (column, row) holding ``value``."""
-        return [(c, r) for c, r, v in self.cells() if v == value]
-
     def replace(self, c: int, r: int, value: int) -> "Tableau":
         rows = [list(row) for row in self.rows]
         rows[r - 1][c - 1] = value

@@ -19,12 +19,12 @@ from operator import mul
 
 from .compositions import compositions_up_to
 from .crystal import _crystal, raising, rectify_step
-from .diagrams import (Diagram, composition_diagram, is_southwest,
-                       rothe_diagram, weight)
+from .diagrams import (Diagram, _mask_weight, composition_diagram, is_southwest,
+                       rothe_diagram)
 from .labeling import (_key_terms, _label, _quasi_yamanouchi_core, _rectified_component,
                        _rectified_raises, _slide_terms, _yamanouchi_core,
                        demazure_expansion, is_vexillary_diagram, membership)
-from .moves import (ResourceBoundError, _cells, _closure, _kset, _max_diagrams,
+from .moves import (ResourceBoundError, _cells, _closure, _fields, _kset, _max_diagrams,
                     _polynomial, generate_kd, kohnert_polynomial)
 from .perms import all_permutations, contains_2143, lehmer_code
 from .polynomials import basis_sum, demazure_character, schubert_polynomial
@@ -323,15 +323,16 @@ def _yamanouchi_case(d: Diagram) -> tuple[int, list[str]]:
         key_terms = _key_terms(kset.states, highest, d)
     except AssertionError as exc:
         return 1, [f"D={d.sorted_cells}: {exc}"]
-    yams = {k for k, y in enumerate(kset.members) if _yamanouchi_core(_label(y, d)[0])}
+    n = d.max_row
+    masks = [_fields(state, n + 1, d.max_col) for state in kset.states]
+    yams = {k for k, cols in enumerate(masks) if _yamanouchi_core(_label(cols, d)[0])}
     if len(yams) != len(groups):
         return 1, [f"D={d.sorted_cells}: {len(yams)} Yamanouchi members, "
                    f"{len(groups)} components"]
     failures = [f"D={d.sorted_cells}: component without exactly "
                 f"one Yamanouchi member"
                 for group in groups if len(yams.intersection(group)) != 1]
-    n = d.max_row
-    weights = [weight(kset.members[k], n) for k in yams]
+    weights = [_mask_weight(masks[k], n) for k in yams]
     if not basis_sum(weights, "key", n).matches(_polynomial(d, counts, n)):
         failures.append(f"D={d.sorted_cells}: key sum differs from polynomial")
     if key_terms != sorted(weights):
@@ -349,13 +350,14 @@ def _slide_case(d: Diagram) -> tuple[int, list[str]]:
     n = d.max_row
     seen, counts = _closure(d, _max_diagrams(None))
     qys, failures, unpinned = [], [], []
-    for t in _kset(d, seen).members:
-        cols = _label(t, d)[0]
-        if _quasi_yamanouchi_core(cols):
-            qys.append(weight(t, n))
-        elif _yamanouchi_core(cols):
+    for state in _kset(d, seen).states:
+        cols = _fields(state, n + 1, d.max_col)
+        labels = _label(cols, d)[0]
+        if _quasi_yamanouchi_core(labels):
+            qys.append(_mask_weight(cols, n))
+        elif _yamanouchi_core(labels):
             unpinned.append(f"D={d.sorted_cells}: Yamanouchi member "
-                            f"{t.sorted_cells} is not quasi-Yamanouchi")
+                            f"{_cells(state, n + 1, d.max_col)} is not quasi-Yamanouchi")
     f = _polynomial(d, counts, n)
     if not basis_sum(qys, "slide", n).matches(f):
         failures.append(f"D={d.sorted_cells}: slide sum differs from polynomial")

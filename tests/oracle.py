@@ -84,7 +84,8 @@ labels at least their row, and ``Labeling.from_grid`` parses the grid
 the one ``{row: label}`` dict per column that the labelling engine in
 ``kohnert.labeling`` runs on, so the tests can drive ``_pair``,
 ``_relabel_rectify``, ``_rect_labels`` and ``_label`` with a
-``Labeling`` and compare with the oracles below.
+``Labeling`` and compare with the oracles below; ``_label`` itself
+takes a diagram's column masks, from ``kohnert.diagrams._columns``.
 
 ``oracle_label_pairing``, ``oracle_relabel_rectify``,
 ``oracle_rect_labeling`` and ``oracle_labeling_with_reason`` are the
@@ -112,11 +113,10 @@ from itertools import product
 from kohnert.compositions import (check_composition, compositions_of, flatten,
                                   pad, strip_trailing_zeros)
 from kohnert.crystal import _EDGE_COLORS, CrystalGraph
-from kohnert.diagrams import (Cell, Diagram, GridParseError,
+from kohnert.diagrams import (Cell, Diagram, GridParseError, _columns,
                               composition_diagram, grid_rows,
                               is_composition_diagram, is_southwest, weight)
-from kohnert.labeling import (_component_key, _label, _quasi_yamanouchi_core,
-                              _yamanouchi_core)
+from kohnert.labeling import _label, _quasi_yamanouchi_core, _yamanouchi_core
 from kohnert.moves import DEFAULT_MAX_DIAGRAMS, ResourceBoundError, generate_kd
 from kohnert.perms import Permutation, sort_and_minimal_perm
 from kohnert.polynomials import _BASES, ExpansionError, IntPolynomial
@@ -695,8 +695,10 @@ def oracle_labeling_with_reason(t: Diagram, d: Diagram) -> tuple[Labeling | None
 
 
 def oracle_component_key(u: Diagram, d: Diagram):
-    """_component_key through the oracle labeling and rectification, with
-    the same checks and messages."""
+    """_component_key of the diagram u through the oracle labeling and
+    rectification, with the same checks and messages; like the public
+    entry points, and unlike _component_key, it refuses unequal column
+    weights."""
     lab, _ = oracle_labeling_with_reason(u, d)
     if lab is None or not is_flagged(lab):
         raise ValueError("component contains a non-member")
@@ -714,7 +716,7 @@ def oracle_yamanouchi_diagrams(d: Diagram) -> list[Diagram]:
     member."""
     if not is_southwest(d):
         raise ValueError("Yamanouchi analysis requires a southwest diagram")
-    return [t for t in generate_kd(d).members if _yamanouchi_core(_label(t, d)[0])]
+    return [t for t in generate_kd(d).members if _yamanouchi_core(_label(_columns(t), d)[0])]
 
 
 def oracle_quasi_yamanouchi_diagrams(d: Diagram) -> list[Diagram]:
@@ -722,7 +724,8 @@ def oracle_quasi_yamanouchi_diagrams(d: Diagram) -> list[Diagram]:
     every member."""
     if not is_southwest(d):
         raise ValueError("slide analysis requires a southwest diagram")
-    return [t for t in generate_kd(d).members if _quasi_yamanouchi_core(_label(t, d)[0])]
+    return [t for t in generate_kd(d).members
+            if _quasi_yamanouchi_core(_label(_columns(t), d)[0])]
 
 
 def _bracket(openers, closers):
@@ -897,7 +900,8 @@ def oracle_crystal_to_dot(graph: CrystalGraph, component_labels) -> str:
 
 def oracle_component_demazure_data(component, d: Diagram):
     """(lam, w, a) for one crystal component, with the same checks and
-    messages as component_demazure_data, all on diagrams."""
+    messages as component_demazure_data, all on diagrams: the key comes
+    from oracle_component_key, which checks the top's column weights."""
     if not is_southwest(d):
         raise ValueError("component data requires a southwest diagram")
     comp = set(component)
@@ -909,7 +913,7 @@ def oracle_component_demazure_data(component, d: Diagram):
     if len(tops) != 1:
         raise ValueError("not a single crystal component")
     u = tops[0]
-    a = _component_key(u, d)
+    a = oracle_component_key(u, d)
     lam, w = sort_and_minimal_perm(a)
     if weight(u, len(a)) != lam:
         raise AssertionError("highest weight does not match the sorted labels")
@@ -923,8 +927,8 @@ def oracle_component_demazure_data(component, d: Diagram):
 def _tableau_unpaired(t: Tableau, opener: int, closer: int):
     """Unmatched cells holding ``opener`` and ``closer``, sorted by column,
     after same-column pairs; each closer seeks an opener to its left."""
-    open_cells = t.positions_of(opener)
-    close_cells = t.positions_of(closer)
+    open_cells = [(c, r) for c, r, v in t.cells() if v == opener]
+    close_cells = [(c, r) for c, r, v in t.cells() if v == closer]
     common = {c for c, _ in open_cells} & {c for c, _ in close_cells}
     _, open_rest, close_rest = _bracket(
         [(c, (c, r)) for c, r in open_cells if c not in common],

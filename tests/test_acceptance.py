@@ -187,7 +187,7 @@ def test_criterion_13_operator_algebra():
     for _ in range(40):
         f = _random_poly(rng, 4)
         for i in (1, 2, 3):
-            assert divided_difference(divided_difference(f, i), i).is_zero()
+            assert not divided_difference(divided_difference(f, i), i).terms
             once = pi_op(f, i)
             assert pi_op(once, i) == once
         for i in (1, 2):

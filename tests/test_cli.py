@@ -317,9 +317,9 @@ def test_membership_explain_labels_once(tmp_path, capsys, monkeypatch):
     calls = []
     label = labeling._label
 
-    def counted(t, d):
-        calls.append(t)
-        return label(t, d)
+    def counted(cols, d):
+        calls.append(cols)
+        return label(cols, d)
 
     monkeypatch.setattr(labeling, "_label", counted)
     t_file = write(tmp_path, "t.txt", MEMBERS["K"].to_grid() + "\n")
@@ -327,6 +327,19 @@ def test_membership_explain_labels_once(tmp_path, capsys, monkeypatch):
     assert main(["membership", t_file, d_file, "--explain"]) == 0
     assert capsys.readouterr().out.startswith("member\n")
     assert len(calls) == 1
+    assert type(calls[0]) is list and all(type(m) is int for m in calls[0])
+
+
+def test_sweeps_and_the_key_expansion_read_no_members(capsys, monkeypatch):
+    def unread(kset):
+        raise RuntimeError("KohnertSet.members was read")
+
+    monkeypatch.setattr(KohnertSet, "members", property(unread))
+    assert main(["verify", "yamanouchi", "--box", "3x3"]) == 0
+    assert capsys.readouterr().out.startswith("PASS yamanouchi: ")
+    assert main(["verify", "slide", "--box", "3x3"]) == 0
+    assert capsys.readouterr().out.startswith("PASS slide: ")
+    assert labeling.demazure_expansion(D5) == [(0, 3, 1, 1), (0, 3, 2, 0)]
 
 
 def test_membership_non_member(tmp_path, capsys):

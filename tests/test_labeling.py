@@ -9,6 +9,7 @@ from hypothesis import strategies as st
 from kohnert.diagrams import (
     Diagram,
     GridParseError,
+    _columns,
     composition_diagram,
     is_composition_diagram,
     rothe_diagram,
@@ -281,11 +282,11 @@ def _outcome(data, *args):
 
 
 def _labels_like_the_oracle(t, d):
-    cols, reason = _label(t, d)
+    cols, reason = _label(_columns(t), d)
     lab = None if cols is None else _labeling_of(cols)
     assert (lab, reason) == oracle_labeling_with_reason(t, d), (t, d)
     assert labeling_with_reason(t, d) == (None if lab is None else lab.label_map, reason)
-    assert _outcome(_component_key, t, d) == _outcome(oracle_component_key, t, d)
+    assert _outcome(_component_key, _columns(t), d) == _outcome(oracle_component_key, t, d)
     if lab is None:
         return
     yamanouchi, quasi = _yamanouchi_core(cols), _quasi_yamanouchi_core(cols)
@@ -471,6 +472,24 @@ def test_component_demazure_data_validation():
     (wider,) = crystal_graph(generate_kd(composition_diagram((0, 2, 4)))).components
     with pytest.raises(ValueError, match="^diagrams must have equal column weights$"):
         component_demazure_data(wider, D5)
+
+
+@pytest.mark.parametrize("a", [(0, 1, 1), (1, 0, 1)])
+def test_component_demazure_data_refuses_a_narrower_component(a):
+    # each top fills column 1 as D5 does, and no column right of it, so a
+    # labelling that skipped the check would label it against D5's column 1
+    # alone and return data for a component that is not D5's
+    for comp in crystal_graph(generate_kd(composition_diagram(a))).components:
+        with pytest.raises(ValueError, match="^diagrams must have equal column weights$"):
+            component_demazure_data(comp, D5)
+
+
+def test_a_candidate_one_column_short_is_refused():
+    t = MEMBERS["K"]
+    short = Diagram(frozenset(cell for cell in t.cells if cell[0] < t.max_col))
+    with pytest.raises(ValueError, match="^diagrams must have equal column weights$"):
+        labeling_with_reason(short, D5)
+    assert membership_report(short, D5) == (False, "column weights differ")
 
 
 @settings(deadline=None, max_examples=40)

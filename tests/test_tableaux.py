@@ -36,7 +36,7 @@ def test_tableau_basics():
     assert t.shape == (3, 2)
     assert len(t) == 5
     assert t.entry(3, 1) == 2 and t.entry(2, 2) == 3
-    assert t.positions_of(2) == [(3, 1), (1, 2)]
+    assert [(c, r) for c, r, v in t.cells() if v == 2] == [(3, 1), (1, 2)]
     assert t.replace(3, 1, 9).entry(3, 1) == 9
     assert t.weight() == (2, 2, 1)
     assert t.weight(4) == (2, 2, 1, 0)

@@ -202,13 +202,14 @@ def test_yamanouchi_case_builds_one_closure(monkeypatch):
 def test_slide_case_labels_each_member_once(monkeypatch):
     label, calls = labeling._label, []
 
-    def counted(t, d):
-        calls.append(t)
-        return label(t, d)
+    def counted(cols, d):
+        calls.append(cols)
+        return label(cols, d)
     for module in (labeling, verify):
         monkeypatch.setattr(module, "_label", counted)
     assert verify._slide_case(D5) == (1, [])
-    assert len(calls) == len(set(calls)) == len(generate_kd(D5).states) == 19
+    assert len(calls) == len(set(map(tuple, calls))) == len(generate_kd(D5).states) == 19
+    assert all(type(cols) is list and all(type(m) is int for m in cols) for cols in calls)
 
 
 def test_jobs_are_capped_at_the_cpu_count(monkeypatch):
