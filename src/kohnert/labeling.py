@@ -14,10 +14,15 @@ diagram given by its column masks in that form, ``_pair`` pairs two
 columns by their labels,
 ``_relabel_rectify`` re-labels one column pair and moves its cells in
 place (by the unlabeled bracket rule ``crystal._lone`` on the two row
-masks), and ``_rect_labels`` sweeps to a joint fixpoint.  The key
-expansion and the membership test call them directly; the Yamanouchi and
-quasi-Yamanouchi tests read a member's labeling in this form, so a sweep
-labels each member once for both.  The one public labelling output,
+masks), and ``_walk`` rectifies one new column onto an already rectified
+suffix.  ``_label`` labels right to left and walks each labelled column
+onto the rectified part to its right, so a labelling rectifies once, not
+once per column; it hands back that part with the labels, and
+``_rectified_labels`` walks column 1 on for the whole rectification.
+The key expansion and the membership test call them directly; the
+Yamanouchi test reads a member's rectified labeling and the
+quasi-Yamanouchi test its labeling, so a sweep labels each member once
+for both.  The one public labelling output,
 ``labeling_with_reason``, hands the labels back as a plain
 ``{cell: label}`` map, and ``label_grid`` prints such a map.
 """
@@ -29,8 +34,7 @@ from collections import Counter
 from .compositions import Composition, pad
 from .crystal import _crystal, _lone, _raises, _rectified, _spread
 from .diagrams import (Cell, Diagram, _columns, _mask_weight, composition_diagram,
-                       is_composition_diagram, is_southwest, render_grid,
-                       weight)
+                       is_southwest, render_grid)
 from .moves import _cells, _closure, _fields, _max_diagrams, _pack, _polynomial
 from .perms import sort_and_minimal_perm
 from .polynomials import IntPolynomial, expand_in_basis
@@ -39,20 +43,13 @@ from .polynomials import IntPolynomial, expand_in_basis
 Columns = list[dict[int, int]]
 
 
-def _mask(col: dict[int, int]) -> int:
-    """The row mask of a column: bit r set when row r holds a cell."""
+def _mask(col) -> int:
+    """The row mask of a column: bit r set when row r holds a cell (given
+    its labels, bit v set when some cell carries label v)."""
     mask = 0
     for r in col:
         mask |= 1 << r
     return mask
-
-
-def _label_diagram(cols: Columns) -> Diagram:
-    """The diagram with a cell (c, r) when column c carries label r."""
-    cells = frozenset((k + 1, v) for k, col in enumerate(cols) for v in col.values())
-    if len(cells) != sum(map(len, cols)):
-        raise ValueError("labeling diagram requires a strict labeling")
-    return Diagram(cells)
 
 
 def _pair(left: dict[int, int], right: dict[int, int]) -> tuple[dict[int, int], list[int]]:
@@ -116,17 +113,22 @@ def _relabel_rectify(cols: Columns, k: int) -> bool:
     return changed
 
 
-def _rect_labels(cols: Columns) -> Columns:
-    """Fully rectify a column form in place by right-to-left column
-    sweeps, and return it.  The re-labeling phases can rewrite labels
-    even after the cells stop moving, so sweeps continue to a joint
-    fixpoint of cells and labels."""
-    for _ in range(4 + sum(map(len, cols)) * max(len(cols), 1)):
-        changed = False
-        for k in range(len(cols) - 2, -1, -1):
-            changed |= _relabel_rectify(cols, k)
-        if not changed:
+def _walk(col: dict[int, int], rect: Columns) -> Columns:
+    """The rectification of ``[col, *rect]`` for a rectified ``rect``, whose
+    columns it rewrites: one walk left to right over the column pairs.
+    After a pair changes the walk steps back one pair (pair 0 re-runs),
+    since re-labeling can go on after the cells stop moving; it stops
+    once it has passed the last column that changed."""
+    cols = [col, *rect]
+    k = last = 0
+    for _ in range((4 + sum(map(len, cols)) * len(cols)) * len(cols)):
+        if k > last or k + 1 == len(cols):
             return cols
+        if _relabel_rectify(cols, k):
+            last = max(last, k + 1)
+            k = max(k - 1, 0)
+        else:
+            k += 1
     raise ValueError("labeling failed to stabilise under rectification")
 
 
@@ -134,17 +136,18 @@ def _equal_column_weights(t: Diagram, d: Diagram) -> bool:
     return list(map(int.bit_count, _columns(t))) == list(map(int.bit_count, _columns(d)))
 
 
-def _label(cols: list[int], d: Diagram) -> tuple[Columns | None, str | None]:
+def _label(cols: list[int], d: Diagram) -> tuple[Columns | None, Columns | None, str | None]:
     """``labeling_with_reason`` in column form, for column masks ``cols``
-    (``diagrams._columns``, ``moves._fields``); moves keep column weights,
-    so only the public entry points, given diagrams from outside, check them."""
+    (``diagrams._columns``, ``moves._fields``), with the rectified labeling
+    right of column 1, which ``_rectified_labels`` finishes; moves keep
+    column weights, so only the public entry points, given diagrams from
+    outside, check them.  Each column is anchored on the rectified part to
+    its right and then walked onto it, so no part is rectified twice."""
     width = len(cols)
     assigned: Columns = [{} for _ in range(width)]
+    rect: Columns = []
     for k in range(width - 1, -1, -1):
-        anchor: dict[int, int] = {}
-        if k + 1 < width:
-            first = _rect_labels([dict(col) for col in assigned[k + 1:]])[0]
-            anchor = {v: r for r, v in sorted(first.items())}
+        anchor = {v: r for r, v in sorted(rect[0].items())} if rect else {}
         avail = [s for s in range(cols[k].bit_length()) if cols[k] >> s & 1]
         for r in d.col(k + 1):
             floor = anchor.get(r, 0)
@@ -152,10 +155,20 @@ def _label(cols: list[int], d: Diagram) -> tuple[Columns | None, str | None]:
                 if s >= floor:
                     break
             else:
-                return None, f"label {r} has no admissible cell in column {k + 1}"
+                return None, None, f"label {r} has no admissible cell in column {k + 1}"
             avail.remove(s)
             assigned[k][s] = r
-    return assigned, None
+        if k:
+            rect = _walk(dict(assigned[k]), rect)
+    return assigned, rect, None
+
+
+def _rectified_labels(cols: Columns, suffix: Columns) -> Columns:
+    """The whole rectified labeling of ``cols`` from the rectified
+    ``suffix`` that ``_label`` returned with it, which it rewrites."""
+    if not cols:                    # the empty diagram
+        return []
+    return _walk(dict(cols[0]), suffix)
 
 
 def labeling_with_reason(t: Diagram, d: Diagram) -> tuple[dict[Cell, int] | None, str | None]:
@@ -169,7 +182,7 @@ def labeling_with_reason(t: Diagram, d: Diagram) -> tuple[dict[Cell, int] | None
     """
     if not _equal_column_weights(t, d):
         raise ValueError("diagrams must have equal column weights")
-    cols, reason = _label(_columns(t), d)
+    cols, _, reason = _label(_columns(t), d)
     if cols is None:
         return None, reason
     return _cell_labels(cols), None
@@ -209,7 +222,7 @@ def _membership(t: Diagram, d: Diagram) -> tuple[dict[Cell, int] | None, str]:
         raise ValueError("membership test requires a southwest diagram")
     if not _equal_column_weights(t, d):
         return None, "column weights differ"
-    cols, reason = _label(_columns(t), d)
+    cols, _, reason = _label(_columns(t), d)
     if cols is None:
         return None, f"no labeling exists: {reason}"
     for k, col in enumerate(cols):
@@ -220,11 +233,10 @@ def _membership(t: Diagram, d: Diagram) -> tuple[dict[Cell, int] | None, str]:
     return _cell_labels(cols), "member"
 
 
-def _yamanouchi_core(cols: Columns) -> bool:
-    """Whether rectifying ``cols``, the labeling ``_label`` gives a member
-    of a closure, lands on a super-standard composition diagram; such
-    members index the Demazure expansion.  ``cols`` is left as it was."""
-    rl = _rect_labels([dict(col) for col in cols])
+def _yamanouchi_core(rl: Columns) -> bool:
+    """Whether ``rl``, the rectified labeling (``_rectified_labels``) of a
+    member of a closure, is super-standard on a composition diagram; such
+    members index the Demazure expansion."""
     return all(v == r for col in rl for r, v in col.items()) and \
         all(rl[k + 1].keys() <= rl[k].keys() for k in range(len(rl) - 1))
 
@@ -232,14 +244,18 @@ def _yamanouchi_core(cols: Columns) -> bool:
 def _component_key(top: list[int], d: Diagram) -> Composition:
     """The key index a of the crystal component of the closure of d whose
     highest member has column masks ``top``: the weight of the labeling
-    diagram of that member's rectified labeling."""
-    cols, _ = _label(top, d)
+    diagram of that member's rectified labeling, read off each column's
+    label mask."""
+    cols, suffix, _ = _label(top, d)
     if cols is None or any(v < r for col in cols for r, v in col.items()):
         raise ValueError("component contains a non-member")
-    label_dgm = _label_diagram(_rect_labels(cols))
-    if not is_composition_diagram(label_dgm):
+    rl = _rectified_labels(cols, suffix)
+    masks = [_mask(col.values()) for col in rl]
+    if any(mask.bit_count() != len(col) for mask, col in zip(masks, rl)):
+        raise ValueError("labeling diagram requires a strict labeling")
+    if any(right & ~left for left, right in zip(masks, masks[1:])):
         raise AssertionError("rectified labels are not a composition diagram")
-    return weight(label_dgm)
+    return _mask_weight(masks, max(masks, default=0).bit_length() - 1)
 
 
 def demazure_expansion(d: Diagram, max_diagrams=None) -> list[Composition]:

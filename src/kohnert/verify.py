@@ -22,8 +22,9 @@ from .crystal import _crystal, raising, rectify_step
 from .diagrams import (Diagram, _mask_weight, composition_diagram, is_southwest,
                        rothe_diagram)
 from .labeling import (_key_terms, _label, _quasi_yamanouchi_core, _rectified_component,
-                       _rectified_raises, _slide_terms, _yamanouchi_core,
-                       demazure_expansion, is_vexillary_diagram, membership)
+                       _rectified_labels, _rectified_raises, _slide_terms,
+                       _yamanouchi_core, demazure_expansion, is_vexillary_diagram,
+                       membership)
 from .moves import (ResourceBoundError, _cells, _closure, _fields, _kset, _max_diagrams,
                     _polynomial, generate_kd, kohnert_polynomial)
 from .perms import all_permutations, contains_2143, lehmer_code
@@ -325,7 +326,8 @@ def _yamanouchi_case(d: Diagram) -> tuple[int, list[str]]:
         return 1, [f"D={d.sorted_cells}: {exc}"]
     n = d.max_row
     masks = [_fields(state, n + 1, d.max_col) for state in kset.states]
-    yams = {k for k, cols in enumerate(masks) if _yamanouchi_core(_label(cols, d)[0])}
+    yams = {k for k, cols in enumerate(masks)
+            if _yamanouchi_core(_rectified_labels(*_label(cols, d)[:2]))}
     if len(yams) != len(groups):
         return 1, [f"D={d.sorted_cells}: {len(yams)} Yamanouchi members, "
                    f"{len(groups)} components"]
@@ -352,10 +354,10 @@ def _slide_case(d: Diagram) -> tuple[int, list[str]]:
     qys, failures, unpinned = [], [], []
     for state in _kset(d, seen).states:
         cols = _fields(state, n + 1, d.max_col)
-        labels = _label(cols, d)[0]
+        labels, suffix, _ = _label(cols, d)
         if _quasi_yamanouchi_core(labels):
             qys.append(_mask_weight(cols, n))
-        elif _yamanouchi_core(labels):
+        elif _yamanouchi_core(_rectified_labels(labels, suffix)):
             unpinned.append(f"D={d.sorted_cells}: Yamanouchi member "
                             f"{_cells(state, n + 1, d.max_col)} is not quasi-Yamanouchi")
     f = _polynomial(d, counts, n)

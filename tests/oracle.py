@@ -83,9 +83,18 @@ labels at least their row, and ``Labeling.from_grid`` parses the grid
 ``_columns_of`` and ``_labeling_of`` convert a ``Labeling`` to and from
 the one ``{row: label}`` dict per column that the labelling engine in
 ``kohnert.labeling`` runs on, so the tests can drive ``_pair``,
-``_relabel_rectify``, ``_rect_labels`` and ``_label`` with a
-``Labeling`` and compare with the oracles below; ``_label`` itself
-takes a diagram's column masks, from ``kohnert.diagrams._columns``.
+``_relabel_rectify`` and ``_label`` with a ``Labeling`` and compare with
+the oracles below; ``_label`` itself takes a diagram's column masks,
+from ``kohnert.diagrams._columns``.
+
+``_rect_labels`` rectifies a column form by right-to-left sweeps of
+``_relabel_rectify`` to a joint fixpoint of cells and labels, and
+``_label_by_sweeps`` is the labeller built on it, which rectifies a fresh
+copy of the labelled part right of each column from scratch: the two
+that ``kohnert.labeling._label``, which walks each new column onto the
+rectified part it holds, replaced.  ``_label_diagram`` is the diagram
+with a cell (c, v) for each label v in column c, the composition diagram
+whose weight ``_component_key`` now reads off the label masks.
 
 ``oracle_label_pairing``, ``oracle_relabel_rectify``,
 ``oracle_rect_labeling`` and ``oracle_labeling_with_reason`` are the
@@ -116,7 +125,8 @@ from kohnert.crystal import _EDGE_COLORS, CrystalGraph
 from kohnert.diagrams import (Cell, Diagram, GridParseError, _columns,
                               composition_diagram, grid_rows,
                               is_composition_diagram, is_southwest, weight)
-from kohnert.labeling import _label, _quasi_yamanouchi_core, _yamanouchi_core
+from kohnert.labeling import (Columns, _label, _quasi_yamanouchi_core,
+                              _rectified_labels, _relabel_rectify, _yamanouchi_core)
 from kohnert.moves import DEFAULT_MAX_DIAGRAMS, ResourceBoundError, generate_kd
 from kohnert.perms import Permutation, sort_and_minimal_perm
 from kohnert.polynomials import _BASES, ExpansionError, IntPolynomial
@@ -711,12 +721,59 @@ def oracle_component_key(u: Diagram, d: Diagram):
     return weight(label_dgm)
 
 
+def _label_diagram(cols: Columns) -> Diagram:
+    """The diagram with a cell (c, r) when column c carries label r."""
+    cells = frozenset((k + 1, v) for k, col in enumerate(cols) for v in col.values())
+    if len(cells) != sum(map(len, cols)):
+        raise ValueError("labeling diagram requires a strict labeling")
+    return Diagram(cells)
+
+
+def _rect_labels(cols: Columns) -> Columns:
+    """Fully rectify a column form in place by right-to-left column
+    sweeps, and return it.  The re-labeling phases can rewrite labels
+    even after the cells stop moving, so sweeps continue to a joint
+    fixpoint of cells and labels."""
+    for _ in range(4 + sum(map(len, cols)) * max(len(cols), 1)):
+        changed = False
+        for k in range(len(cols) - 2, -1, -1):
+            changed |= _relabel_rectify(cols, k)
+        if not changed:
+            return cols
+    raise ValueError("labeling failed to stabilise under rectification")
+
+
+def _label_by_sweeps(cols: list[int], d: Diagram) -> tuple[Columns | None, str | None]:
+    """``labeling_with_reason`` in column form, for column masks ``cols``
+    (``diagrams._columns``, ``moves._fields``); moves keep column weights,
+    so only the public entry points, given diagrams from outside, check them."""
+    width = len(cols)
+    assigned: Columns = [{} for _ in range(width)]
+    for k in range(width - 1, -1, -1):
+        anchor: dict[int, int] = {}
+        if k + 1 < width:
+            first = _rect_labels([dict(col) for col in assigned[k + 1:]])[0]
+            anchor = {v: r for r, v in sorted(first.items())}
+        avail = [s for s in range(cols[k].bit_length()) if cols[k] >> s & 1]
+        for r in d.col(k + 1):
+            floor = anchor.get(r, 0)
+            for s in avail:
+                if s >= floor:
+                    break
+            else:
+                return None, f"label {r} has no admissible cell in column {k + 1}"
+            avail.remove(s)
+            assigned[k][s] = r
+    return assigned, None
+
+
 def oracle_yamanouchi_diagrams(d: Diagram) -> list[Diagram]:
     """The Yamanouchi members of the closure of d, sorted: a scan of every
     member."""
     if not is_southwest(d):
         raise ValueError("Yamanouchi analysis requires a southwest diagram")
-    return [t for t in generate_kd(d).members if _yamanouchi_core(_label(_columns(t), d)[0])]
+    return [t for t in generate_kd(d).members
+            if _yamanouchi_core(_rectified_labels(*_label(_columns(t), d)[:2]))]
 
 
 def oracle_quasi_yamanouchi_diagrams(d: Diagram) -> list[Diagram]:

@@ -15,13 +15,13 @@ from kohnert.diagrams import (
     rothe_diagram,
     weight,
 )
+from kohnert import labeling
 from kohnert.labeling import (
     _component_key,
     _label,
-    _label_diagram,
     _pair,
     _quasi_yamanouchi_core,
-    _rect_labels,
+    _rectified_labels,
     _relabel_rectify,
     _yamanouchi_core,
     component_demazure_data,
@@ -41,8 +41,8 @@ from kohnert.polynomials import expand_in_basis
 from kohnert.verify import _column_weight_candidates, southwest_in_box
 
 from golden import COMPONENT_LARGE, COMPONENT_SMALL, D5, LETTER, MEMBERS
-from oracle import (Labeling, _columns_of, _labeling_of, is_flagged,
-                    is_kohnert_tableau, oracle_component_demazure_data,
+from oracle import (Labeling, _columns_of, _label_by_sweeps, _label_diagram,
+                    _labeling_of, _rect_labels, is_flagged, is_kohnert_tableau, oracle_component_demazure_data,
                     oracle_component_key, oracle_label_pairing,
                     oracle_labeling_with_reason,
                     oracle_quasi_yamanouchi_diagrams, oracle_rect_labeling,
@@ -79,8 +79,14 @@ def _labels(t, d):
 
 
 def _rect(lab):
-    """The rectified labeling, through the column-form engine."""
+    """The rectified labeling, by the from-scratch sweeps of the oracle."""
     return _labeling_of(_rect_labels(_columns_of(lab)))
+
+
+def _rectified(t, d):
+    """The labeller's whole rectified labeling of t with respect to d."""
+    cols, suffix, _ = _label(_columns(t), d)
+    return _labeling_of(_rectified_labels(cols, suffix))
 
 
 def _pairing(lab, c):
@@ -196,8 +202,7 @@ def test_worked_example_labeling():
 
 
 def test_worked_example_rectified_labeling():
-    lab = Labeling.of(T14, L14_MAP)
-    rl = _rect(lab)
+    rl = _rectified(T14, D14)
     assert rl.base == Diagram.of(*RECT14_MAP)
     assert rl.label_map == RECT14_MAP
     # the output is a fixed point
@@ -216,7 +221,7 @@ def test_rectified_labels_can_merge_after_cells_settle():
     t = Diagram.of((1, 1), (2, 1))
     labels = _labels(t, d)
     assert labels == {(1, 1): 1, (2, 1): 2}
-    rl = _rect(Labeling.of(t, labels))
+    rl = _rectified(t, d)
     assert rl.base == t
     assert rl.label_map == {(1, 1): 1, (2, 1): 1}
     assert t in oracle_yamanouchi_diagrams(d)
@@ -282,16 +287,17 @@ def _outcome(data, *args):
 
 
 def _labels_like_the_oracle(t, d):
-    cols, reason = _label(_columns(t), d)
+    cols, suffix, reason = _label(_columns(t), d)
     lab = None if cols is None else _labeling_of(cols)
     assert (lab, reason) == oracle_labeling_with_reason(t, d), (t, d)
     assert labeling_with_reason(t, d) == (None if lab is None else lab.label_map, reason)
     assert _outcome(_component_key, _columns(t), d) == _outcome(oracle_component_key, t, d)
     if lab is None:
         return
-    yamanouchi, quasi = _yamanouchi_core(cols), _quasi_yamanouchi_core(cols)
-    assert _labeling_of(cols) == lab, (t, d)        # the cores leave the labeling as it was
-    rl = _labeling_of(_rect_labels(cols))
+    whole = _rectified_labels(cols, suffix)
+    yamanouchi, quasi = _yamanouchi_core(whole), _quasi_yamanouchi_core(cols)
+    assert _labeling_of(cols) == lab, (t, d)    # rectifying leaves the labeling as it was
+    rl = _labeling_of(whole)
     assert rl == oracle_rect_labeling(lab), (t, d)
     assert yamanouchi == (
         is_composition_diagram(rl.base) and all(v == r for (_, r), v in rl.labels))
@@ -310,6 +316,38 @@ def test_column_labeling_matches_the_oracle(d):
                  if t not in kset.member_set)
     for t in islice(outsiders, 30):
         _labels_like_the_oracle(t, d)
+
+
+def test_the_walk_matches_the_sweeps_on_every_3x3_candidate():
+    # each column walked onto the rectified suffix, against from-scratch
+    # sweeps of every suffix and of the whole labeling
+    cases = 0
+    for d in southwest_in_box(3, 3):
+        for t in _column_weight_candidates(d, 3, 4):
+            cases += 1
+            cols = _columns(t)
+            labels, suffix, reason = _label(cols, d)
+            assert (labels, reason) == _label_by_sweeps(cols, d), (t, d)
+            if labels is not None:
+                assert suffix == _rect_labels([dict(col) for col in labels[1:]]), (t, d)
+                assert _rectified_labels(labels, suffix) == \
+                    _rect_labels([dict(col) for col in labels]), (t, d)
+    assert cases == 14835
+
+
+def test_labelling_a_row_rectifies_each_column_once(monkeypatch):
+    # twelve cells in row 1 label as 1 and never move: one pair check per
+    # walk, where sweeping each suffix from scratch made 55
+    relabel, calls = labeling._relabel_rectify, []
+
+    def counted(cols, k):
+        calls.append(k)
+        return relabel(cols, k)
+    monkeypatch.setattr(labeling, "_relabel_rectify", counted)
+    d = composition_diagram((12,))
+    cols, _, reason = _label(_columns(d), d)
+    assert reason is None and _labeling_of(cols) == super_standard(d)
+    assert len(calls) < 24
 
 
 @settings(deadline=None, max_examples=200)
@@ -376,7 +414,7 @@ def test_rectified_labels_are_constant_per_component():
     for letters, a in ((COMPONENT_SMALL, (0, 3, 2)), (COMPONENT_LARGE, (0, 3, 1, 1))):
         for key in letters:
             member = MEMBERS[key]
-            rl = _rect(Labeling.of(member, _labels(member, D5)))
+            rl = _rectified(member, D5)
             assert _label_diagram(_columns_of(rl)) == composition_diagram(a), key
             assert is_kohnert_tableau(rl, a), key
 
