@@ -86,7 +86,9 @@ def _relabel_rectify(cols: Columns, k: int) -> bool:
     new labels.
     """
     left, right = cols[k], cols[k + 1]
-    if not right:
+    # each right cell beside a left cell of its label pairs with it, keeps
+    # its label and stays: nothing changes (an empty column included)
+    if right.items() <= left.items():
         return False
     partner, unpaired = _pair(left, right)
     new = dict(right)

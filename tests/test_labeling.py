@@ -3,7 +3,7 @@
 from itertools import islice
 
 import pytest
-from hypothesis import given, settings
+from hypothesis import assume, example, given, settings
 from hypothesis import strategies as st
 
 from kohnert.diagrams import (
@@ -23,6 +23,7 @@ from kohnert.labeling import (
     _quasi_yamanouchi_core,
     _rectified_labels,
     _relabel_rectify,
+    _walk,
     _yamanouchi_core,
     component_demazure_data,
     demazure_expansion,
@@ -348,6 +349,23 @@ def test_labelling_a_row_rectifies_each_column_once(monkeypatch):
     cols, _, reason = _label(_columns(d), d)
     assert reason is None and _labeling_of(cols) == super_standard(d)
     assert len(calls) < 24
+
+
+@settings(deadline=None, max_examples=200)
+@given(st.dictionaries(st.tuples(st.integers(1, 4), st.integers(1, 5)),
+                       st.integers(1, 6), min_size=1, max_size=10))
+@example({(1, 3): 6, (2, 2): 5, (4, 5): 4})
+def test_the_walk_ends_with_every_pair_settled(mapping):
+    # on any labeling, column 1 walked onto its rectified suffix: the walk
+    # stops only once no column pair changes, though its result may differ
+    # from the sweeps'; in the example the first pair changes twice, a cell
+    # moving left and then a label changing
+    cols = _columns_of(Labeling.of(Diagram.of(*mapping), mapping))
+    suffix = _outcome(_rect_labels, [dict(col) for col in cols[1:]])
+    assume(type(suffix) is list)
+    walked = _walk(dict(cols[0]), suffix)
+    assert not any(_relabel_rectify([dict(col) for col in walked], k)
+                   for k in range(len(walked) - 1))
 
 
 @settings(deadline=None, max_examples=200)
