@@ -93,8 +93,8 @@ from ``kohnert.diagrams._columns``.
 copy of the labelled part right of each column from scratch: the two
 that ``kohnert.labeling._label``, which walks each new column onto the
 rectified part it holds, replaced.  ``_label_diagram`` is the diagram
-with a cell (c, v) for each label v in column c, the composition diagram
-whose weight ``_component_key`` now reads off the label masks.
+with a cell (c, v) for each label v in column c; ``_component_key``
+reads the weight of that diagram off the label masks.
 
 ``oracle_label_pairing``, ``oracle_relabel_rectify``,
 ``oracle_rect_labeling`` and ``oracle_labeling_with_reason`` are the

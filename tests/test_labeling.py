@@ -6,6 +6,7 @@ import pytest
 from hypothesis import assume, example, given, settings
 from hypothesis import strategies as st
 
+from kohnert import labeling
 from kohnert.diagrams import (
     Diagram,
     GridParseError,
@@ -15,7 +16,6 @@ from kohnert.diagrams import (
     rothe_diagram,
     weight,
 )
-from kohnert import labeling
 from kohnert.labeling import (
     _component_key,
     _label,
@@ -43,7 +43,8 @@ from kohnert.verify import _column_weight_candidates, southwest_in_box
 
 from golden import COMPONENT_LARGE, COMPONENT_SMALL, D5, LETTER, MEMBERS
 from oracle import (Labeling, _columns_of, _label_by_sweeps, _label_diagram,
-                    _labeling_of, _rect_labels, is_flagged, is_kohnert_tableau, oracle_component_demazure_data,
+                    _labeling_of, _rect_labels, is_flagged, is_kohnert_tableau,
+                    oracle_component_demazure_data,
                     oracle_component_key, oracle_label_pairing,
                     oracle_labeling_with_reason,
                     oracle_quasi_yamanouchi_diagrams, oracle_rect_labeling,
