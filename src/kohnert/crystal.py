@@ -31,6 +31,12 @@ holds a row bitmask per column, column 1 in the high field.
   state of one layout, so ``kohnert crystal`` and the ``components``
   sweep share one dict across all components of a crystal, through
   ``labeling._rectified_component``; ``rectify`` goes through it too.
+* Single steps act on one state: ``_raised`` raises at row i through
+  ``_raise_bit`` on the slice ``state >> i & spread``, and
+  ``_rectify_step`` moves the lowest unpaired cell of one column pair
+  through ``_lone``.  The ``commute`` sweep takes them on each packed
+  sample, and ``raising`` and ``rectify_step`` are thin ``Diagram``
+  wrappers over them.
 
 ``kohnert crystal``, the sweeps and ``crystal_to_dot`` read the
 positions ``_crystal`` gives.  ``crystal_graph`` and the ``Diagram``
@@ -80,18 +86,24 @@ def _raise_bit(low: int, high: int) -> int:
     return lone & -lone
 
 
+def _raised(state: int, i: int, spread: int) -> int | None:
+    """The packed state raised at row i, or None when no cell moves.
+    ``spread`` holds bit 0 of every column field, and row i + 1 lies in
+    the fields, so ``state >> i & spread`` is row i, leftmost column high."""
+    low, high = state >> i & spread, state >> i + 1 & spread
+    bit = _raise_bit(low, high) if high & ~low else 0
+    return state ^ bit * 3 << i if bit else None
+
+
 def raising(diagram: Diagram, i: int) -> Diagram | None:
     """Drop the rightmost unpaired row-(i+1) cell into row i, or None."""
     if i < 1:
         raise ValueError("row index must be >= 1")
-    width = diagram.max_col
-    low = sum(1 << width - c for c in diagram.row(i))
-    high = sum(1 << width - c for c in diagram.row(i + 1))
-    bit = _raise_bit(low, high) if high & ~low else 0
-    if not bit:
+    if i >= diagram.max_row:        # row i + 1 is empty
         return None
-    c = width + 1 - bit.bit_length()
-    return diagram.move_cell((c, i + 1), (c, i))
+    width, ncols = diagram.max_row + 1, diagram.max_col
+    state = _raised(_pack(_columns(diagram), width), i, _spread(width, ncols))
+    return None if state is None else Diagram(frozenset(_cells(state, width, ncols)))
 
 
 def _spread(width: int, ncols: int) -> int:
@@ -117,16 +129,26 @@ def _raises(state: int, spread: int, width: int, flips: dict[int, int]):
             yield i, flip << i
 
 
+def _rectify_step(state: int, c: int, width: int, ncols: int) -> int:
+    """The packed state, ``ncols`` fields ``width`` bits wide, with the
+    lowest unpaired cell of column c + 1 <= ``ncols`` moved left, or
+    unchanged when there is none."""
+    field = (1 << width) - 1
+    shift = (ncols - c - 1) * width             # column c + 1's field
+    lone = _lone(state >> shift + width & field, state >> shift & field)
+    return state ^ (lone & -lone) * (field + 2) << shift
+
+
 def rectify_step(diagram: Diagram, c: int) -> Diagram:
     """Move the lowest unpaired column-(c+1) cell left, or return unchanged."""
     if c < 1:
         raise ValueError("column index must be >= 1")
-    lone = _lone(sum(1 << r for r in diagram.col(c)),
-                 sum(1 << r for r in diagram.col(c + 1)))
-    if not lone:
+    if c >= diagram.max_col:        # column c + 1 is empty
         return diagram
-    r = (lone & -lone).bit_length() - 1
-    return diagram.move_cell((c + 1, r), (c, r))
+    width, ncols = diagram.max_row + 1, diagram.max_col
+    state = _pack(_columns(diagram), width)
+    moved = _rectify_step(state, c, width, ncols)
+    return diagram if moved == state else Diagram(frozenset(_cells(moved, width, ncols)))
 
 
 def _rectified(state: int, width: int, ncols: int, flips: dict[int, int]) -> int:

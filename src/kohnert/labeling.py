@@ -10,8 +10,9 @@ each cell came from.
 
 The labelling engine works on a column form: a list with one
 ``{row: label}`` dict per column, column 1 first.  ``_label`` labels a
-diagram given by its column masks in that form, ``_pair`` pairs two
-columns by their labels,
+diagram given by its column masks in that form, one column at a time by
+``_label_column``, which the ``membership`` sweep's column search calls
+too; ``_pair`` pairs two columns by their labels,
 ``_relabel_rectify`` re-labels one column pair and moves its cells in
 place (by the unlabeled bracket rule ``crystal._lone`` on the two row
 masks), and ``_walk`` rectifies one new column onto an already rectified
@@ -138,28 +139,43 @@ def _equal_column_weights(t: Diagram, d: Diagram) -> bool:
     return list(map(int.bit_count, _columns(t))) == list(map(int.bit_count, _columns(d)))
 
 
+def _label_column(mask: int, labels, rect: Columns) -> tuple[dict[int, int], int]:
+    """Label the column of row mask ``mask`` with ``labels``, the rows of
+    d's like column, smallest first, anchored on the rectified labelled
+    part ``rect`` to its right: each label takes the lowest free cell
+    weakly above the cell of ``rect``'s first column that carries it.
+    Returns the column's labels and 0, or the first label with no
+    admissible cell in place of 0."""
+    anchor = {v: r for r, v in sorted(rect[0].items())} if rect else {}
+    avail = [s for s in range(mask.bit_length()) if mask >> s & 1]
+    col = {}
+    for r in labels:
+        floor = anchor.get(r, 0)
+        for s in avail:
+            if s >= floor:
+                break
+        else:
+            return col, r
+        avail.remove(s)
+        col[s] = r
+    return col, 0
+
+
 def _label(cols: list[int], d: Diagram) -> tuple[Columns | None, Columns | None, str | None]:
     """``labeling_with_reason`` in column form, for column masks ``cols``
     (``diagrams._columns``, ``moves._fields``), with the rectified labeling
     right of column 1, which ``_rectified_labels`` finishes; moves keep
     column weights, so only the public entry points, given diagrams from
-    outside, check them.  Each column is anchored on the rectified part to
-    its right and then walked onto it, so no part is rectified twice."""
+    outside, check them.  Each column is labelled by ``_label_column`` on
+    the rectified part to its right and then walked onto it, so no part
+    is rectified twice."""
     width = len(cols)
     assigned: Columns = [{} for _ in range(width)]
     rect: Columns = []
     for k in range(width - 1, -1, -1):
-        anchor = {v: r for r, v in sorted(rect[0].items())} if rect else {}
-        avail = [s for s in range(cols[k].bit_length()) if cols[k] >> s & 1]
-        for r in d.col(k + 1):
-            floor = anchor.get(r, 0)
-            for s in avail:
-                if s >= floor:
-                    break
-            else:
-                return None, None, f"label {r} has no admissible cell in column {k + 1}"
-            avail.remove(s)
-            assigned[k][s] = r
+        assigned[k], missing = _label_column(cols[k], d.col(k + 1), rect)
+        if missing:
+            return None, None, f"label {missing} has no admissible cell in column {k + 1}"
         if k:
             rect = _walk(dict(assigned[k]), rect)
     return assigned, rect, None

@@ -109,11 +109,22 @@ class IntPolynomial:
 
 def divided_difference(f: IntPolynomial, i: int, max_terms: int | None = None) -> IntPolynomial:
     """(f - s_i f) / (x_i - x_{i+1}), computed exactly term by term."""
+    return _difference(f, i, 0, max_terms)
+
+
+def pi_op(f: IntPolynomial, i: int, max_terms: int | None = None) -> IntPolynomial:
+    """Demazure operator: divided difference of x_i * f, term by term."""
+    return _difference(f, i, 1, max_terms)
+
+
+def _difference(f: IntPolynomial, i: int, m: int, max_terms: int | None) -> IntPolynomial:
+    """The divided difference at i of x_i^m * f, in one pass over the
+    terms of f: a term x^e goes in with a = e_i + m, b = e_{i+1}."""
     if not 1 <= i < f.n:
         raise ValueError(f"need 1 <= i < n, got i={i}, n={f.n}")
     out: dict[tuple[int, ...], int] = {}
     for e, c in f.terms.items():
-        a, b = e[i - 1], e[i]
+        a, b = e[i - 1] + m, e[i]
         if a == b:
             continue
         lo, hi, sign = (b, a, c) if a > b else (a, b, -c)
@@ -126,13 +137,6 @@ def divided_difference(f: IntPolynomial, i: int, max_terms: int | None = None) -
         if max_terms is not None and len(out) > max_terms:
             raise _over_budget(f"divided difference at i={i}", max_terms)
     return IntPolynomial(f.n, out)
-
-
-def pi_op(f: IntPolynomial, i: int, max_terms: int | None = None) -> IntPolynomial:
-    """Demazure operator: divided difference of x_i * f."""
-    shifted = {tuple(e[j] + (1 if j == i - 1 else 0) for j in range(f.n)): c
-               for e, c in f.terms.items()}
-    return divided_difference(IntPolynomial(f.n, shifted), i, max_terms)
 
 
 def apply_word(f: IntPolynomial, word, op=divided_difference,

@@ -4,6 +4,14 @@ Each suite checks one identity exhaustively over a bounded family, or
 on a seeded random sample, and reports counterexamples instead of
 raising.  The command line front end exposes these as subcommands of
 ``verify``; the test suite calls them directly.
+
+No sweep builds a ``Diagram`` per member, step or candidate.  The
+closure, components, Yamanouchi and slide sweeps work on packed closure
+states.  The commute sweep packs each random diagram once and takes
+single raising and rectify steps on that state (``crystal._raised`` and
+``crystal._rectify_step``).  The membership sweep searches its candidates
+on column masks from the right, labelling each column once per suffix
+with ``labeling._label_column``, the labeller's own per-column step.
 """
 
 from __future__ import annotations
@@ -13,20 +21,20 @@ import os
 import random
 from dataclasses import dataclass, field
 from functools import partial
-from itertools import accumulate, combinations, product
+from itertools import accumulate, combinations
 from math import comb, prod
 from operator import mul
 
 from .compositions import compositions_up_to
-from .crystal import _crystal, raising, rectify_step
-from .diagrams import (Diagram, _mask_weight, composition_diagram, is_southwest,
-                       rothe_diagram)
-from .labeling import (_key_terms, _label, _quasi_yamanouchi_core, _rectified_component,
-                       _rectified_labels, _rectified_raises, _slide_terms,
-                       _yamanouchi_core, demazure_expansion, is_vexillary_diagram,
-                       membership)
+from .crystal import _crystal, _raised, _rectify_step, _spread
+from .diagrams import (Diagram, _columns, _mask_weight, composition_diagram,
+                       is_southwest, rothe_diagram)
+from .labeling import (_key_terms, _label, _label_column, _quasi_yamanouchi_core,
+                       _rectified_component, _rectified_labels, _rectified_raises,
+                       _slide_terms, _walk, _yamanouchi_core, demazure_expansion,
+                       is_vexillary_diagram)
 from .moves import (ResourceBoundError, _cells, _closure, _fields, _kset, _max_diagrams,
-                    _polynomial, generate_kd, kohnert_polynomial)
+                    _pack, _polynomial, generate_kd, kohnert_polynomial)
 from .perms import all_permutations, contains_2143, lehmer_code
 from .polynomials import basis_sum, demazure_character, schubert_polynomial
 from .tableaux import TableauCrystal, demazure_subset, ssyt_lower, ssyt_raise
@@ -172,14 +180,19 @@ def verify_closure(box: tuple[int, int] = (4, 4), max_cells: int = 6,
 
 
 def _commute_case(box: tuple[int, int], t: Diagram) -> tuple[int, list[str]]:
+    """Raising at each row and a rectify step at each column commute on t,
+    packed once in the layout of the box."""
     cols, rows = box
+    width = rows + 1
+    spread = _spread(width, cols)
+    state = _pack(_columns(t) + [0] * (cols - t.max_col), width)
     failures = []
     for r in range(1, rows):
+        lifted = _raised(state, r, spread)
         for c in range(1, cols):
-            left = raising(rectify_step(t, c), r)
-            lifted = raising(t, r)
-            right = None if lifted is None else rectify_step(lifted, c)
-            if (lifted is None) != (left is None) or left != right:
+            left = _raised(_rectify_step(state, c, width, cols), r, spread)
+            right = None if lifted is None else _rectify_step(lifted, c, width, cols)
+            if left != right:
                 failures.append(f"T={t.sorted_cells}, r={r}, c={c}")
     return 1, failures
 
@@ -194,26 +207,48 @@ def verify_commute(samples: int = 1000, box: tuple[int, int] = (5, 5),
     return _sweep("commute", cases, partial(_commute_case, box), jobs)
 
 
-def _column_weight_candidates(d: Diagram, cols: int, rows: int):
-    """All diagrams in the box whose column weights match d's."""
-    picks = [combinations(range(1, rows + 1), len(d.col(c))) for c in range(1, cols + 1)]
-    for choice in product(*picks):
-        yield Diagram(frozenset((c, r) for c, pick in enumerate(choice, start=1)
-                                for r in pick))
+def _membership_case(t_rows: int, d: Diagram) -> tuple[int, list[str]]:
+    """Labelling against the closure search on every candidate: each column
+    of d takes every row set of its size in rows 1 to ``t_rows``, and a
+    column of the box right of d stays empty.  The candidates are searched
+    on column masks from the right: a column is labelled once per suffix
+    (the columns to its right) and walked onto a copy of the suffix's
+    rectification, and a column that fails to label, or whose labels are
+    not flagged, makes every candidate that extends it a non-member.  The
+    members so found are compared, as one set, with the closure states
+    whose cells all lie in rows 1 to ``t_rows``, and each difference is
+    reported in the order the candidates come in."""
+    ncols = d.max_col
+    picks = [[sum(1 << r for r in pick)
+              for pick in combinations(range(1, t_rows + 1), len(d.col(c)))]
+             for c in range(1, ncols + 1)]
+    labelled = set()
 
+    def search(k: int, suffix: tuple[int, ...], rect) -> None:
+        if k < 0:
+            labelled.add(suffix)
+            return
+        for mask in picks[k]:
+            col, missing = _label_column(mask, d.col(k + 1), rect)
+            if missing or any(v < r for r, v in col.items()):
+                continue
+            search(k - 1, (mask, *suffix),
+                   _walk(dict(col), [dict(part) for part in rect]) if k else rect)
 
-def _membership_case(cols: int, t_rows: int, d: Diagram) -> tuple[int, list[str]]:
-    member_set = generate_kd(d).member_set
-    checked = 0
+    search(ncols - 1, (), [])
+    seen, _ = _closure(d, _max_diagrams(None))
+    members = {masks for masks in (tuple(_fields(state, d.max_row + 1, ncols)) for state in seen)
+               if max(masks, default=0) < 1 << t_rows + 1}
+
+    def rows(mask: int) -> list[int]:
+        return [r for r in range(mask.bit_length()) if mask >> r & 1]
+
     failures = []
-    for t in _column_weight_candidates(d, cols, t_rows):
-        checked += 1
-        labelled = membership(t, d)
-        searched = t in member_set
-        if labelled != searched:
-            failures.append(f"D={d.sorted_cells}, T={t.sorted_cells}: "
-                            f"labeling says {labelled}, search says {searched}")
-    return checked, failures
+    for masks in sorted(labelled ^ members, key=lambda masks: list(map(rows, masks))):
+        t = tuple((c, r) for c, mask in enumerate(masks, start=1) for r in rows(mask))
+        failures.append(f"D={d.sorted_cells}, T={t}: labeling says {masks in labelled}, "
+                        f"search says {masks in members}")
+    return prod(map(len, picks)), failures
 
 
 def verify_membership(box: tuple[int, int] = (3, 3), t_rows: int = 4,
@@ -225,8 +260,7 @@ def verify_membership(box: tuple[int, int] = (3, 3), t_rows: int = 4,
     candidates = accumulate(prod(comb(t_rows, len(d.col(c))) for c in range(1, cols + 1))
                             for d in diagrams)
     _check_budget(candidates, f"--t-rows {t_rows} gives", "membership candidates")
-    return _sweep("membership", diagrams,
-                  partial(_membership_case, cols, t_rows), jobs)
+    return _sweep("membership", diagrams, partial(_membership_case, t_rows), jobs)
 
 
 def component_isomorphic(cells: dict, top: int, raised: dict,

@@ -45,6 +45,9 @@ fixpoint, and ``oracle_is_rectified`` is the dominance count, the two
 that the single bracket pass per column in ``kohnert.crystal`` replaced;
 ``oracle_rectify`` sweeps the one until the other holds.  The package
 keeps no rectified test of its own, since only tests asked it.
+``oracle_commute_case`` is the ``commute`` sweep's case on whole
+diagrams with ``oracle_raising`` and ``oracle_rectify_step``, the case
+that ``kohnert.verify`` replaced with single steps on one packed state.
 ``oracle_crystal_graph`` builds the raising graph of a closure from
 ``oracle_raising`` on whole diagrams, and
 ``oracle_component_demazure_data`` is ``component_demazure_data`` as it
@@ -60,7 +63,9 @@ looking each ``Diagram`` up and sorting the edges, as
 ``swap_vars`` are the ring operations on ``IntPolynomial`` that only
 tests use: the ring laws, the definition of the divided difference and
 the symmetric polynomials that the Demazure operator fixes are stated
-with them.
+with them.  ``oracle_pi_op`` is the Demazure operator as the divided
+difference of the product x_i * f, the route that the one pass over the
+terms of f in ``kohnert.polynomials.pi_op`` replaced.
 ``monomial_generating`` sums x^weight over a multiset of weights, the
 polynomial a closure is compared with, and ``column_weights`` counts the
 cells per column, the precondition of ``oracle_labeling_with_reason``.
@@ -92,9 +97,14 @@ from ``kohnert.diagrams._columns``.
 ``_label_by_sweeps`` is the labeller built on it, which rectifies a fresh
 copy of the labelled part right of each column from scratch: the two
 that ``kohnert.labeling._label``, which walks each new column onto the
-rectified part it holds, replaced.  ``_label_diagram`` is the diagram
-with a cell (c, v) for each label v in column c; ``_component_key``
-reads the weight of that diagram off the label masks.
+rectified part it holds, replaced.  ``_column_weight_candidates`` lists
+every diagram of a box with d's column weights, and
+``oracle_membership_case`` labels each one with ``membership`` and looks
+it up in the closure's member set: the ``membership`` sweep's case as it
+was before ``kohnert.verify`` searched the candidates by column masks.
+``_label_diagram`` is the diagram with a cell (c, v) for each label v in
+column c; ``_component_key`` reads the weight of that diagram off the
+label masks.
 
 ``oracle_label_pairing``, ``oracle_relabel_rectify``,
 ``oracle_rect_labeling`` and ``oracle_labeling_with_reason`` are the
@@ -117,7 +127,7 @@ import json
 from collections import deque
 from dataclasses import dataclass
 from functools import cached_property, lru_cache
-from itertools import product
+from itertools import combinations, product
 
 from kohnert.compositions import (check_composition, compositions_of, flatten,
                                   pad, strip_trailing_zeros)
@@ -126,10 +136,12 @@ from kohnert.diagrams import (Cell, Diagram, GridParseError, _columns,
                               composition_diagram, grid_rows,
                               is_composition_diagram, is_southwest, weight)
 from kohnert.labeling import (Columns, _label, _quasi_yamanouchi_core,
-                              _rectified_labels, _relabel_rectify, _yamanouchi_core)
+                              _rectified_labels, _relabel_rectify, _yamanouchi_core,
+                              membership)
 from kohnert.moves import DEFAULT_MAX_DIAGRAMS, ResourceBoundError, generate_kd
 from kohnert.perms import Permutation, sort_and_minimal_perm
-from kohnert.polynomials import _BASES, ExpansionError, IntPolynomial
+from kohnert.polynomials import (_BASES, ExpansionError, IntPolynomial,
+                                 divided_difference)
 from kohnert.tableaux import (Tableau, TableauCrystal, highest_weight_tableau,
                               ssyt_lower)
 
@@ -159,6 +171,12 @@ def poly_mul(f: IntPolynomial, g: IntPolynomial) -> IntPolynomial:
             e = tuple(a + b for a, b in zip(e1, e2))
             terms[e] = terms.get(e, 0) + c1 * c2
     return IntPolynomial(f.n, terms)
+
+
+def oracle_pi_op(f: IntPolynomial, i: int) -> IntPolynomial:
+    """The Demazure operator as it is defined: the divided difference of
+    x_i * f, with the product built first."""
+    return divided_difference(poly_mul(variable(i, f.n), f), i)
 
 
 def swap_vars(f: IntPolynomial, i: int) -> IntPolynomial:
@@ -767,6 +785,30 @@ def _label_by_sweeps(cols: list[int], d: Diagram) -> tuple[Columns | None, str |
     return assigned, None
 
 
+def _column_weight_candidates(d: Diagram, cols: int, rows: int):
+    """All diagrams in the box whose column weights match d's."""
+    picks = [combinations(range(1, rows + 1), len(d.col(c))) for c in range(1, cols + 1)]
+    for choice in product(*picks):
+        yield Diagram(frozenset((c, r) for c, pick in enumerate(choice, start=1)
+                                for r in pick))
+
+
+def oracle_membership_case(cols: int, t_rows: int, d: Diagram) -> tuple[int, list[str]]:
+    """``verify._membership_case`` one candidate at a time: ``membership``
+    on each candidate diagram against the closure's member set."""
+    member_set = generate_kd(d).member_set
+    checked = 0
+    failures = []
+    for t in _column_weight_candidates(d, cols, t_rows):
+        checked += 1
+        labelled = membership(t, d)
+        searched = t in member_set
+        if labelled != searched:
+            failures.append(f"D={d.sorted_cells}, T={t.sorted_cells}: "
+                            f"labeling says {labelled}, search says {searched}")
+    return checked, failures
+
+
 def oracle_yamanouchi_diagrams(d: Diagram) -> list[Diagram]:
     """The Yamanouchi members of the closure of d, sorted: a scan of every
     member."""
@@ -876,6 +918,20 @@ def oracle_rectify_step(diagram: Diagram, c: int) -> Diagram:
     _, r = pairing.unpaired_right[0]
     return diagram.move_cell((c + 1, r), (c, r))
 
+
+def oracle_commute_case(box: tuple[int, int], t: Diagram) -> tuple[int, list[str]]:
+    """``verify._commute_case`` on whole diagrams, with the bracket
+    oracles for raising and the rectify step."""
+    cols, rows = box
+    failures = []
+    for r in range(1, rows):
+        for c in range(1, cols):
+            left = oracle_raising(oracle_rectify_step(t, c), r)
+            lifted = oracle_raising(t, r)
+            right = None if lifted is None else oracle_rectify_step(lifted, c)
+            if (lifted is None) != (left is None) or left != right:
+                failures.append(f"T={t.sorted_cells}, r={r}, c={c}")
+    return 1, failures
 
 
 def oracle_rectify_column(diagram: Diagram, c: int) -> Diagram:

@@ -11,7 +11,7 @@ from time import perf_counter
 import pytest
 
 import kohnert
-from kohnert import cli, labeling, moves
+from kohnert import cli, crystal, labeling, moves, verify
 from kohnert.cli import main
 from kohnert.moves import KohnertSet, kohnert_polynomial
 from kohnert.polynomials import demazure_character
@@ -340,6 +340,21 @@ def test_sweeps_and_the_key_expansion_read_no_members(capsys, monkeypatch):
     assert main(["verify", "slide", "--box", "3x3"]) == 0
     assert capsys.readouterr().out.startswith("PASS slide: ")
     assert labeling.demazure_expansion(D5) == [(0, 3, 1, 1), (0, 3, 2, 0)]
+
+
+def test_membership_and_commute_sweeps_build_no_diagram_per_step(capsys, monkeypatch):
+    def refuse(*args):
+        raise RuntimeError("a Diagram-level operator or KohnertSet.members was used")
+
+    monkeypatch.setattr(KohnertSet, "members", property(refuse))
+    for module, name in ((labeling, "membership"), (crystal, "raising"),
+                         (crystal, "rectify_step")):
+        monkeypatch.setattr(module, name, refuse)
+        monkeypatch.setattr(verify, name, refuse, raising=False)     # a by-name import
+    assert main(["verify", "membership", "--box", "3x3"]) == 0
+    assert capsys.readouterr().out == "PASS membership: 14835 cases checked\n"
+    assert main(["verify", "commute"]) == 0
+    assert capsys.readouterr().out == "PASS commute: 1000 cases checked\n"
 
 
 def test_membership_non_member(tmp_path, capsys):

@@ -16,8 +16,10 @@ from kohnert.cli import main
 from kohnert.crystal import (
     _crystal,
     _lone,
+    _raised,
     _raises,
     _rectified,
+    _rectify_step,
     _spread,
     crystal_graph,
     crystal_to_dot,
@@ -99,6 +101,26 @@ def test_operators_match_the_bracket_oracle(cells):
         # the one-pass column rule that rectify relies on
         assert _lone(cols[k - 1], cols[k]) == _drained(d, k), k
     assert rectify(d) == oracle_rectify(d)
+
+
+def test_packed_steps_and_their_wrappers_match_the_oracles_on_the_3x3_box():
+    # every cell subset of the box, packed in the box's layout: four bits a
+    # column, so rows 1 to 3 and every row pair up to (2, 3) are in the fields
+    grid = list(product(range(1, 4), range(1, 4)))
+    spread = _spread(4, 3)
+    for bits in range(1 << len(grid)):
+        d = Diagram(frozenset(cell for k, cell in enumerate(grid) if bits >> k & 1))
+        state = _pack(_columns(d) + [0] * (3 - d.max_col), 4)
+        for k in range(1, 5):
+            assert raising(d, k) == oracle_raising(d, k), (d, k)
+            assert rectify_step(d, k) == oracle_rectify_step(d, k), (d, k)
+        for k in (1, 2):
+            raised = _raised(state, k, spread)
+            expected = oracle_raising(d, k)
+            assert (None if raised is None else Diagram(frozenset(_cells(raised, 4, 3)))) \
+                == expected, (d, k)
+            assert Diagram(frozenset(_cells(_rectify_step(state, k, 4, 3), 4, 3))) == \
+                oracle_rectify_step(d, k), (d, k)
 
 
 def _mirror(mask: int, bits: int) -> int:

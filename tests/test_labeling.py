@@ -39,11 +39,11 @@ from kohnert.crystal import crystal_graph
 from kohnert.moves import ResourceBoundError, generate_kd, kohnert_polynomial
 from kohnert.perms import all_permutations, contains_2143
 from kohnert.polynomials import expand_in_basis
-from kohnert.verify import _column_weight_candidates, southwest_in_box
+from kohnert.verify import southwest_in_box
 
 from golden import COMPONENT_LARGE, COMPONENT_SMALL, D5, LETTER, MEMBERS
-from oracle import (Labeling, _columns_of, _label_by_sweeps, _label_diagram,
-                    _labeling_of, _rect_labels, is_flagged, is_kohnert_tableau,
+from oracle import (Labeling, _column_weight_candidates, _columns_of, _label_by_sweeps,
+                    _label_diagram, _labeling_of, _rect_labels, is_flagged, is_kohnert_tableau,
                     oracle_component_demazure_data,
                     oracle_component_key, oracle_label_pairing,
                     oracle_labeling_with_reason,

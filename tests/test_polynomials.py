@@ -6,6 +6,7 @@ from hypothesis import strategies as st
 
 from kohnert import polynomials
 from kohnert.compositions import compositions_up_to
+from kohnert.moves import ResourceBoundError
 from kohnert.perms import (
     all_permutations,
     compose,
@@ -30,8 +31,8 @@ from kohnert.polynomials import (
 )
 
 from oracle import (monomial_generating, oracle_expand_in_basis,
-                    oracle_fundamental_slide, poly_mul, poly_scale, poly_sub,
-                    reduced_word_last, swap_vars, variable)
+                    oracle_fundamental_slide, oracle_pi_op, poly_mul, poly_scale,
+                    poly_sub, reduced_word_last, swap_vars, variable)
 
 
 @st.composite
@@ -143,6 +144,22 @@ def test_divided_difference_far_commutation(f):
     a = divided_difference(divided_difference(f, 1), 3)
     b = divided_difference(divided_difference(f, 3), 1)
     assert a == b
+
+
+@given(polys(n=4), st.integers(1, 3))
+def test_pi_op_matches_the_divided_difference_of_the_product(f, i):
+    assert pi_op(f, i) == oracle_pi_op(f, i)
+
+
+def test_pi_op_keeps_the_range_check_and_the_budget_message():
+    f = IntPolynomial.monomial((3, 0, 0))
+    for i in (0, 3):
+        with pytest.raises(ValueError, match=rf"need 1 <= i < n, got i={i}, n=3"):
+            pi_op(f, i)
+    assert len(pi_op(f, 1, 4).terms) == 4
+    with pytest.raises(ResourceBoundError, match=r"^divided difference at i=1 exceeds 3 "
+                       r"monomials \(KOHNERT_MAX_DIAGRAMS\)$"):
+        pi_op(f, 1, 3)
 
 
 @given(polys(), st.integers(1, 2))

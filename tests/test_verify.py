@@ -1,5 +1,6 @@
 """Tests for the verification sweeps at toy scale."""
 
+import hashlib
 import multiprocessing
 import os
 import random
@@ -18,7 +19,8 @@ from kohnert.verify import (SUITES, SuiteResult, component_isomorphic, random_di
                             run_suite, southwest_in_box)
 
 from golden import D5
-from oracle import oracle_raising, oracle_rectify, southwest_hull
+from oracle import (EMPTY, oracle_commute_case, oracle_membership_case, oracle_raising,
+                    oracle_rectify, southwest_hull)
 
 southwest_diagrams = st.sets(st.tuples(st.integers(1, 4), st.integers(1, 5)),
                              max_size=6).map(southwest_hull)
@@ -258,6 +260,78 @@ def test_component_isomorphic_reports_mismatches():
     for wrong in (dropped, merged):
         assert component_isomorphic(small, small_top, wrong, small_crystal,
                                     len(a)) is not None
+
+
+@st.composite
+def boxed_diagrams(draw):
+    """A box of up to 5x5 and a diagram inside it."""
+    cols, rows = draw(st.integers(1, 5)), draw(st.integers(1, 5))
+    cells = draw(st.sets(st.tuples(st.integers(1, cols), st.integers(1, rows))))
+    return (cols, rows), Diagram(frozenset(cells))
+
+
+@settings(deadline=None, max_examples=300)
+@given(boxed_diagrams())
+def test_commute_case_matches_the_diagram_oracle(case):
+    box, t = case
+    assert verify._commute_case(box, t) == oracle_commute_case(box, t)
+
+
+def test_commute_sweep_pins_the_lines_of_a_broken_raise(monkeypatch):
+    # raising that drops the leftmost unpaired cell does not commute with
+    # rectification; these are the lines the sweep printed on whole diagrams
+    monkeypatch.setattr(crystal, "_raise_bit", _leftmost_raise_bit)
+    result = verify.verify_commute(200, (4, 4))
+    assert result.checked == 200 and len(result.failures) == 46
+    assert result.failures[0] == "T=((2, 4), (3, 3), (3, 4), (4, 1), (4, 3), (4, 4)), r=2, c=3"
+    assert result.failures[-1] == "T=((1, 3), (2, 3), (3, 3), (4, 1), (4, 3)), r=2, c=1"
+    assert hashlib.sha256("\n".join(result.failures).encode()).hexdigest() == \
+        "d9383f0f8486c872eb7ee50a2e7ff2defa12b0cf10d84f6caf0973539497546a"
+
+
+MEMBERSHIP_SWEEPS = [((3, 3), 2), ((3, 3), 3), ((3, 3), 4), ((2, 4), 4), ((4, 2), 4)]
+
+
+def _membership_sweeps(case):
+    """The column search and the per-candidate oracle over every southwest
+    diagram of the sweeps above, as (checked, failures) pairs."""
+    searched, expected = [], []
+    for (cols, rows), t_rows in MEMBERSHIP_SWEEPS:
+        for d in southwest_in_box(cols, rows):
+            searched.append(verify._membership_case(t_rows, d))
+            expected.append(case(cols, t_rows, d))
+    return searched, expected
+
+
+def test_membership_search_matches_the_candidate_oracle():
+    searched, expected = _membership_sweeps(oracle_membership_case)
+    assert searched == expected
+    assert sum(checked for checked, _ in searched) == 418 + 2882 + 14835 + 2450 + 23985
+
+
+def _unanchored(label_column):
+    """Label each column as if nothing lay to its right."""
+    return lambda mask, labels, rect: label_column(mask, labels, [])
+
+
+def _unwalked(col, rect):
+    """Put a column before the suffix without rectifying."""
+    return [col, *rect]
+
+
+@pytest.mark.parametrize("name, fault", [("_label_column", _unanchored(labeling._label_column)),
+                                         ("_walk", _unwalked)], ids=["unanchored", "unwalked"])
+def test_membership_search_reports_labeller_faults_like_the_oracle(monkeypatch, name, fault):
+    for module in (labeling, verify):
+        monkeypatch.setattr(module, name, fault)
+    searched, expected = _membership_sweeps(oracle_membership_case)
+    assert [checked for checked, _ in searched] == [checked for checked, _ in expected]
+    lines = [line for _, failures in searched for line in failures]
+    assert lines and lines == [line for _, failures in expected for line in failures]
+
+
+def test_the_empty_diagram_is_one_member():
+    assert verify._membership_case(4, EMPTY) == oracle_membership_case(3, 4, EMPTY) == (1, [])
 
 
 def test_run_suite_rejects_unknown_names():
