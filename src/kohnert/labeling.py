@@ -147,17 +147,14 @@ def _label_column(mask: int, labels, rect: Columns) -> tuple[dict[int, int], int
     Returns the column's labels and 0, or the first label with no
     admissible cell in place of 0."""
     anchor = {v: r for r, v in sorted(rect[0].items())} if rect else {}
-    avail = [s for s in range(mask.bit_length()) if mask >> s & 1]
     col = {}
     for r in labels:
-        floor = anchor.get(r, 0)
-        for s in avail:
-            if s >= floor:
-                break
-        else:
+        free = mask & -(1 << anchor.get(r, 0))      # free cells from the floor up
+        if not free:
             return col, r
-        avail.remove(s)
-        col[s] = r
+        low = free & -free
+        mask ^= low
+        col[low.bit_length() - 1] = r
     return col, 0
 
 
