@@ -50,7 +50,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 from .diagrams import Diagram, _columns, is_southwest
-from .moves import KohnertSet, _cells, _pack
+from .moves import KohnertSet, _cells, _pack, _spread
 
 
 def _lone(openers: int, closers: int) -> int:
@@ -104,11 +104,6 @@ def raising(diagram: Diagram, i: int) -> Diagram | None:
     width, ncols = diagram.max_row + 1, diagram.max_col
     state = _raised(_pack(_columns(diagram), width), i, _spread(width, ncols))
     return None if state is None else Diagram(frozenset(_cells(state, width, ncols)))
-
-
-def _spread(width: int, ncols: int) -> int:
-    """Bit 0 of each of the ``ncols`` fields, ``width`` bits each, of a state."""
-    return sum(1 << k * width for k in range(ncols))
 
 
 def _raises(state: int, spread: int, width: int, flips: dict[int, int]):

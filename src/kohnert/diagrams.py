@@ -47,23 +47,12 @@ class Diagram:
         return max((c for c, _ in self.cells), default=0)
 
     @cached_property
-    def by_row(self) -> dict[int, tuple[int, ...]]:
-        """Occupied columns of each nonempty row, sorted."""
-        rows: dict[int, list[int]] = {}
-        for c, r in self.cells:
-            rows.setdefault(r, []).append(c)
-        return {r: tuple(sorted(cs)) for r, cs in sorted(rows.items())}
-
-    @cached_property
     def by_col(self) -> dict[int, tuple[int, ...]]:
         """Occupied rows of each nonempty column, sorted."""
         cols: dict[int, list[int]] = {}
         for c, r in self.cells:
             cols.setdefault(c, []).append(r)
         return {c: tuple(sorted(rs)) for c, rs in sorted(cols.items())}
-
-    def row(self, r: int) -> tuple[int, ...]:
-        return self.by_row.get(r, ())
 
     def col(self, c: int) -> tuple[int, ...]:
         return self.by_col.get(c, ())
@@ -87,10 +76,6 @@ class Diagram:
         if dst in self.cells:
             raise ValueError(f"cell {dst} already present")
         return Diagram(self.cells - {src} | {dst})
-
-    def to_grid(self) -> str:
-        """Render as text with ``render_grid``, every cell printing as 'O'."""
-        return render_grid(dict.fromkeys(self.cells, "O"))
 
     @staticmethod
     def from_grid(text: str) -> "Diagram":
@@ -147,10 +132,6 @@ def composition_diagram(a) -> Diagram:
     """Left-justified diagram with a_r cells in row r."""
     a = check_composition(a)
     return Diagram.of(*((c, r + 1) for r, parts in enumerate(a) for c in range(1, parts + 1)))
-
-
-def is_composition_diagram(diagram: Diagram) -> bool:
-    return all(cols == tuple(range(1, len(cols) + 1)) for cols in diagram.by_row.values())
 
 
 def rothe_diagram(w: Permutation) -> Diagram:

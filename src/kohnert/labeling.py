@@ -33,10 +33,10 @@ from __future__ import annotations
 from collections import Counter
 
 from .compositions import Composition, pad
-from .crystal import _crystal, _lone, _raises, _rectified, _spread
+from .crystal import _crystal, _lone, _raises, _rectified
 from .diagrams import (Cell, Diagram, _columns, _mask_weight, composition_diagram,
                        is_southwest, render_grid)
-from .moves import _cells, _closure, _fields, _max_diagrams, _pack, _polynomial
+from .moves import _cells, _closure, _fields, _max_diagrams, _pack, _polynomial, _spread
 from .perms import sort_and_minimal_perm
 from .polynomials import IntPolynomial, expand_in_basis
 
@@ -139,14 +139,13 @@ def _equal_column_weights(t: Diagram, d: Diagram) -> bool:
     return list(map(int.bit_count, _columns(t))) == list(map(int.bit_count, _columns(d)))
 
 
-def _label_column(mask: int, labels, rect: Columns) -> tuple[dict[int, int], int]:
+def _label_column(mask: int, labels, anchor: dict[int, int]) -> tuple[dict[int, int], int]:
     """Label the column of row mask ``mask`` with ``labels``, the rows of
-    d's like column, smallest first, anchored on the rectified labelled
-    part ``rect`` to its right: each label takes the lowest free cell
-    weakly above the cell of ``rect``'s first column that carries it.
+    d's like column, smallest first, on ``anchor``, the row of each label
+    in the first column of the rectified labelled part to its right: each
+    label takes the lowest free cell weakly above its anchor row.
     Returns the column's labels and 0, or the first label with no
     admissible cell in place of 0."""
-    anchor = {v: r for r, v in sorted(rect[0].items())} if rect else {}
     col = {}
     for r in labels:
         free = mask & -(1 << anchor.get(r, 0))      # free cells from the floor up
@@ -170,7 +169,8 @@ def _label(cols: list[int], d: Diagram) -> tuple[Columns | None, Columns | None,
     assigned: Columns = [{} for _ in range(width)]
     rect: Columns = []
     for k in range(width - 1, -1, -1):
-        assigned[k], missing = _label_column(cols[k], d.col(k + 1), rect)
+        anchor = {v: r for r, v in sorted(rect[0].items())} if rect else {}
+        assigned[k], missing = _label_column(cols[k], d.col(k + 1), anchor)
         if missing:
             return None, None, f"label {missing} has no admissible cell in column {k + 1}"
         if k:
@@ -334,10 +334,12 @@ def _slide_terms(f: IntPolynomial) -> list[Composition]:
 
 
 def is_vexillary_diagram(d: Diagram) -> bool:
-    """Rows, as sets of occupied columns, form a chain under inclusion."""
-    rows = [set(d.row(r)) for r in range(1, d.max_row + 1) if d.row(r)]
-    rows.sort(key=len)
-    return all(rows[i] <= rows[i + 1] for i in range(len(rows) - 1))
+    """Rows, as sets of occupied columns, form a chain under inclusion.
+    Two rows that do not nest and two columns that do not nest make the
+    same pattern, cells (a, r) and (b, s) without (b, r) and (a, s), so
+    this reads the column masks: sorted by size, each holds the one before."""
+    cols = sorted(_columns(d), key=int.bit_count)
+    return all(not low & ~high for low, high in zip(cols, cols[1:]))
 
 
 def _rectified_component(states, top: int, width: int, ncols: int, d: Diagram,

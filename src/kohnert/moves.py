@@ -22,6 +22,8 @@ rows.  Members and the key expansion read the states alone.  A
 ``members`` is read; its printers render each state, and list the moves
 by ``_step`` on each state alone.  The states are the one packed layout
 of the package: ``kohnert.crystal`` raises and rectifies on them too.
+With ``_spread``, bit 0 of every field, ``state >> r & spread`` is row r,
+which ``grid`` prints and raising reads.
 """
 
 from __future__ import annotations
@@ -73,9 +75,6 @@ class KohnertSet:
     source: Diagram
     states: tuple[int, ...]               # packed members, sorted canonically
 
-    def __contains__(self, diagram: Diagram) -> bool:
-        return diagram in self.member_set
-
     @cached_property
     def members(self) -> tuple[Diagram, ...]:
         """The member ``Diagram``s, in the order of ``states``, built on first
@@ -110,8 +109,7 @@ class KohnertSet:
         """``grid``'s layout: bit 0 of every column field, and a memo from a
         row slice (a state shifted down by the row, masked to those bits)
         to its text across every column."""
-        width = self.source.max_row + 1
-        return sum(1 << k * width for k in range(self.source.max_col)), {}
+        return _spread(self.source.max_row + 1, self.source.max_col), {}
 
     def grid(self, n: int) -> str:
         """Member n as ``render_grid`` text, '(empty)' when it has no cells:
@@ -141,6 +139,11 @@ def _pack(columns: list[int], width: int) -> int:
     for col in columns:
         state = state << width | col
     return state
+
+
+def _spread(width: int, ncols: int) -> int:
+    """Bit 0 of each of the ``ncols`` fields, ``width`` bits each, of a state."""
+    return sum(1 << k * width for k in range(ncols))
 
 
 def _weight_bytes(diagram: Diagram) -> int:

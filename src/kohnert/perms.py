@@ -31,11 +31,6 @@ def compose(u: Permutation, v: Permutation) -> Permutation:
     return tuple(u[x - 1] for x in v)
 
 
-def length(w: Permutation) -> int:
-    """Number of inversions."""
-    return sum(1 for i in range(len(w)) for j in range(i + 1, len(w)) if w[i] > w[j])
-
-
 def _left_descents(w: Permutation) -> list[int]:
     # i is a left descent when value i+1 appears before value i
     pos = {v: i for i, v in enumerate(w)}

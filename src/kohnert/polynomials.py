@@ -47,10 +47,6 @@ class IntPolynomial:
         return IntPolynomial(n, {})
 
     @staticmethod
-    def one(n: int) -> "IntPolynomial":
-        return IntPolynomial(n, {(0,) * n: 1})
-
-    @staticmethod
     def monomial(exps) -> "IntPolynomial":
         exps = tuple(exps)
         return IntPolynomial(len(exps), {exps: 1})

@@ -26,7 +26,7 @@ from math import comb, prod
 from operator import mul
 
 from .compositions import compositions_up_to
-from .crystal import _crystal, _raised, _rectify_step, _spread
+from .crystal import _crystal, _raised, _rectify_step
 from .diagrams import (Diagram, _columns, _mask_weight, composition_diagram,
                        is_southwest, rothe_diagram)
 from .labeling import (_key_terms, _label, _label_column, _quasi_yamanouchi_core,
@@ -34,7 +34,7 @@ from .labeling import (_key_terms, _label, _label_column, _quasi_yamanouchi_core
                        _slide_terms, _walk, _yamanouchi_core, demazure_expansion,
                        is_vexillary_diagram)
 from .moves import (ResourceBoundError, _cells, _closure, _fields, _kset, _max_diagrams,
-                    _pack, _polynomial, generate_kd, kohnert_polynomial)
+                    _pack, _polynomial, _spread, generate_kd, kohnert_polynomial)
 from .perms import all_permutations, contains_2143, lehmer_code
 from .polynomials import basis_sum, demazure_character, schubert_polynomial
 from .tableaux import TableauCrystal, demazure_subset, ssyt_lower, ssyt_raise
@@ -127,12 +127,16 @@ def _sweep(name: str, cases, check, jobs: int) -> SuiteResult:
     return result
 
 
-def _kohnert_vs_pi_case(a) -> tuple[int, list[str]]:
-    actual = kohnert_polynomial(composition_diagram(a), n=len(a))
-    expected = demazure_character(a)
+def _closure_vs_operators(case: str, actual, expected) -> tuple[int, list[str]]:
+    """One case comparing a closure's polynomial with an operator build."""
     if actual.matches(expected):
         return 1, []
-    return 1, [f"a={a}: closure gives {actual!r}, operators give {expected!r}"]
+    return 1, [f"{case}: closure gives {actual!r}, operators give {expected!r}"]
+
+
+def _kohnert_vs_pi_case(a) -> tuple[int, list[str]]:
+    return _closure_vs_operators(f"a={a}", kohnert_polynomial(composition_diagram(a), n=len(a)),
+                                 demazure_character(a))
 
 
 def verify_kohnert_vs_pi(max_parts: int = 4, max_size: int = 6,
@@ -149,11 +153,8 @@ def verify_kohnert_vs_pi(max_parts: int = 4, max_size: int = 6,
 
 
 def _schubert_case(w) -> tuple[int, list[str]]:
-    actual = kohnert_polynomial(rothe_diagram(w))
-    expected = schubert_polynomial(w)
-    if actual.matches(expected):
-        return 1, []
-    return 1, [f"w={w}: closure gives {actual!r}, operators give {expected!r}"]
+    return _closure_vs_operators(f"w={w}", kohnert_polynomial(rothe_diagram(w)),
+                                 schubert_polynomial(w))
 
 
 def verify_schubert(n: int = 4, jobs: int = 1) -> SuiteResult:
@@ -228,8 +229,9 @@ def _membership_case(t_rows: int, d: Diagram) -> tuple[int, list[str]]:
         if k < 0:
             labelled.add(suffix)
             return
+        anchor = {v: r for r, v in sorted(rect[0].items())} if rect else {}
         for mask in picks[k]:
-            col, missing = _label_column(mask, d.col(k + 1), rect)
+            col, missing = _label_column(mask, d.col(k + 1), anchor)
             if missing or any(v < r for r, v in col.items()):
                 continue
             search(k - 1, (mask, *suffix),

@@ -69,9 +69,18 @@ terms of f in ``kohnert.polynomials.pi_op`` replaced.
 ``monomial_generating`` sums x^weight over a multiset of weights, the
 polynomial a closure is compared with, and ``column_weights`` counts the
 cells per column, the precondition of ``oracle_labeling_with_reason``.
-``identity``, ``inverse`` and ``act`` are the permutation basics the
-tests of ``compose``, ``reduced_word`` and ``sort_and_minimal_perm``
-are stated with.
+``identity``, ``inverse``, ``act`` and ``length`` (the inversion
+count) are the permutation basics the tests of ``compose``,
+``reduced_word``, ``lehmer_code`` and ``sort_and_minimal_perm`` are
+stated with.
+
+``by_row`` and ``row`` read a diagram's occupied columns row by row,
+``to_grid`` renders a diagram with ``render_grid``, and
+``is_composition_diagram`` tests that every row is left-justified: the
+``Diagram`` views and tests that only tests used, moved out of the
+package.  ``oracle_is_vexillary_diagram`` is the row-chain test on row
+sets that ``kohnert.labeling.is_vexillary_diagram``, on column masks,
+replaced.
 
 ``is_ssyt`` and ``enumerate_ssyt`` test and list semistandard Young
 tableaux by brute force, and ``build_crystal`` closes the highest
@@ -133,8 +142,8 @@ from kohnert.compositions import (check_composition, compositions_of, flatten,
                                   pad, strip_trailing_zeros)
 from kohnert.crystal import _EDGE_COLORS, CrystalGraph
 from kohnert.diagrams import (Cell, Diagram, GridParseError, _columns,
-                              composition_diagram, grid_rows,
-                              is_composition_diagram, is_southwest, weight)
+                              composition_diagram, grid_rows, is_southwest,
+                              render_grid, weight)
 from kohnert.labeling import (Columns, _label, _quasi_yamanouchi_core,
                               _rectified_labels, _relabel_rectify, _yamanouchi_core,
                               membership)
@@ -210,12 +219,42 @@ def column_weights(diagram: Diagram, n: int | None = None) -> tuple[int, ...]:
     return tuple(len(diagram.col(c)) for c in range(1, n + 1))
 
 
+def by_row(diagram: Diagram) -> dict[int, tuple[int, ...]]:
+    """Occupied columns of each nonempty row, sorted, rows ascending."""
+    rows: dict[int, list[int]] = {}
+    for c, r in diagram.cells:
+        rows.setdefault(r, []).append(c)
+    return {r: tuple(sorted(cs)) for r, cs in sorted(rows.items())}
+
+
+def row(diagram: Diagram, r: int) -> tuple[int, ...]:
+    """Occupied columns of row r, sorted."""
+    return tuple(sorted(c for c, s in diagram.cells if s == r))
+
+
+def to_grid(diagram: Diagram) -> str:
+    """The diagram as ``render_grid`` text, every cell printing as 'O'."""
+    return render_grid(dict.fromkeys(diagram.cells, "O"))
+
+
+def is_composition_diagram(diagram: Diagram) -> bool:
+    """Every row is left-justified: columns 1 up to its size."""
+    return all(cols == tuple(range(1, len(cols) + 1)) for cols in by_row(diagram).values())
+
+
+def oracle_is_vexillary_diagram(diagram: Diagram) -> bool:
+    """Rows, as sets of occupied columns, form a chain under inclusion."""
+    rows = [set(row(diagram, r)) for r in range(1, diagram.max_row + 1) if row(diagram, r)]
+    rows.sort(key=len)
+    return all(rows[i] <= rows[i + 1] for i in range(len(rows) - 1))
+
+
 def kohnert_move(diagram: Diagram, r: int) -> Diagram | None:
     """Drop the rightmost cell of row r to the first empty spot below it.
 
     Returns None when row r is empty or the cell has nowhere to go.
     """
-    cols = diagram.row(r)
+    cols = row(diagram, r)
     if not cols:
         return None
     c = cols[-1]
@@ -239,7 +278,7 @@ def oracle_generate_kd(diagram: Diagram, max_diagrams: int = DEFAULT_MAX_DIAGRAM
     edges = []
     while queue:
         current = queue.popleft()
-        for r in current.by_row:
+        for r in by_row(current):
             nxt = kohnert_move(current, r)
             if nxt is None:
                 continue
@@ -257,7 +296,7 @@ def oracle_generate_kd(diagram: Diagram, max_diagrams: int = DEFAULT_MAX_DIAGRAM
 
 def _dot_label(t: Diagram) -> str:
     """The grid as a left-justified DOT label; '(empty)' for no cells."""
-    return (t.to_grid() or "(empty)").replace("\n", "\\l") + "\\l"
+    return (to_grid(t) or "(empty)").replace("\n", "\\l") + "\\l"
 
 
 def oracle_kd_to_json(kset: OracleSet) -> str:
@@ -447,6 +486,11 @@ def inverse(w: Permutation) -> Permutation:
     for i, v in enumerate(w):
         inv[v - 1] = i + 1
     return tuple(inv)
+
+
+def length(w: Permutation) -> int:
+    """Number of inversions."""
+    return sum(1 for i in range(len(w)) for j in range(i + 1, len(w)) if w[i] > w[j])
 
 
 def act(w: Permutation, a) -> tuple[int, ...]:
@@ -869,8 +913,8 @@ def row_pairing(diagram: Diagram, i: int) -> RowPairing:
     """Match row-(i+1) cells with row-i cells to their left."""
     if i < 1:
         raise ValueError("row index must be >= 1")
-    low = diagram.row(i)
-    high = diagram.row(i + 1)
+    low = row(diagram, i)
+    high = row(diagram, i + 1)
     common = set(low) & set(high)
     pairs = [((c, i), (c, i + 1)) for c in sorted(common)]
     openers = [(c, (c, i)) for c in low if c not in common]

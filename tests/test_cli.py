@@ -17,8 +17,9 @@ from kohnert.moves import KohnertSet, kohnert_polynomial
 from kohnert.polynomials import demazure_character
 
 from golden import D5, MEMBERS
+from oracle import to_grid
 
-D5_GRID = D5.to_grid() + "\n"
+D5_GRID = to_grid(D5) + "\n"
 
 
 def write(tmp_path, name, text):
@@ -303,7 +304,7 @@ def test_membership_explain_bytes_are_pinned(tmp_path, capsys):
 
 
 def test_membership_member(tmp_path, capsys):
-    t_file = write(tmp_path, "t.txt", MEMBERS["K"].to_grid() + "\n")
+    t_file = write(tmp_path, "t.txt", to_grid(MEMBERS["K"]) + "\n")
     d_file = write(tmp_path, "d.txt", D5_GRID)
     assert main(["membership", t_file, d_file]) == 0
     assert capsys.readouterr().out == "member\n"
@@ -322,7 +323,7 @@ def test_membership_explain_labels_once(tmp_path, capsys, monkeypatch):
         return label(cols, d)
 
     monkeypatch.setattr(labeling, "_label", counted)
-    t_file = write(tmp_path, "t.txt", MEMBERS["K"].to_grid() + "\n")
+    t_file = write(tmp_path, "t.txt", to_grid(MEMBERS["K"]) + "\n")
     d_file = write(tmp_path, "d.txt", D5_GRID)
     assert main(["membership", t_file, d_file, "--explain"]) == 0
     assert capsys.readouterr().out.startswith("member\n")

@@ -20,16 +20,15 @@ from kohnert.crystal import (
     _raises,
     _rectified,
     _rectify_step,
-    _spread,
     crystal_graph,
     crystal_to_dot,
     raising,
     rectify,
     rectify_step,
 )
-from kohnert.diagrams import Diagram, _columns, composition_diagram, is_composition_diagram
+from kohnert.diagrams import Diagram, _columns, composition_diagram
 from kohnert.labeling import component_demazure_data
-from kohnert.moves import _cells, _closure, _pack, generate_kd
+from kohnert.moves import _cells, _closure, _pack, _spread, generate_kd
 from kohnert.verify import southwest_in_box
 
 from golden import (
@@ -41,10 +40,10 @@ from golden import (
     RAISING_EDGES,
     RECTIFIED,
 )
-from oracle import (_bracket, crystal_components_json, oracle_crystal_graph,
-                    oracle_crystal_to_dot, oracle_is_rectified, oracle_raising,
-                    oracle_rectify, oracle_rectify_column, oracle_rectify_step,
-                    southwest_hull)
+from oracle import (_bracket, crystal_components_json, is_composition_diagram,
+                    oracle_crystal_graph, oracle_crystal_to_dot, oracle_is_rectified,
+                    oracle_raising, oracle_rectify, oracle_rectify_column,
+                    oracle_rectify_step, southwest_hull, to_grid)
 
 cell_sets = st.sets(st.tuples(st.integers(1, 5), st.integers(1, 5)), max_size=8)
 southwest_diagrams = st.sets(st.tuples(st.integers(1, 4), st.integers(1, 5)),
@@ -340,7 +339,7 @@ def test_crystal_command_matches_the_reference_printer(d):
               for comp in graph.components]
     with TemporaryDirectory() as tmp:
         source = Path(tmp) / "d.txt"
-        source.write_text(d.to_grid() + "\n")
+        source.write_text(to_grid(d) + "\n")
         out = io.StringIO()
         with redirect_stdout(out):
             assert main(["crystal", "--input", str(source)]) == 0

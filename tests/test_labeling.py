@@ -12,7 +12,6 @@ from kohnert.diagrams import (
     GridParseError,
     _columns,
     composition_diagram,
-    is_composition_diagram,
     rothe_diagram,
     weight,
 )
@@ -43,13 +42,13 @@ from kohnert.verify import southwest_in_box
 
 from golden import COMPONENT_LARGE, COMPONENT_SMALL, D5, LETTER, MEMBERS
 from oracle import (Labeling, _column_weight_candidates, _columns_of, _label_by_sweeps,
-                    _label_diagram, _labeling_of, _rect_labels, is_flagged, is_kohnert_tableau,
-                    oracle_component_demazure_data,
-                    oracle_component_key, oracle_label_pairing,
+                    _label_diagram, _labeling_of, _rect_labels, is_composition_diagram,
+                    is_flagged, is_kohnert_tableau, oracle_component_demazure_data,
+                    oracle_component_key, oracle_is_vexillary_diagram, oracle_label_pairing,
                     oracle_labeling_with_reason,
                     oracle_quasi_yamanouchi_diagrams, oracle_rect_labeling,
                     oracle_relabel_rectify, oracle_yamanouchi_diagrams,
-                    southwest_hull, super_standard)
+                    row, southwest_hull, super_standard)
 
 southwest_diagrams = st.sets(st.tuples(st.integers(1, 4), st.integers(1, 5)),
                              max_size=6).map(southwest_hull)
@@ -304,8 +303,8 @@ def _labels_like_the_oracle(t, d):
     assert yamanouchi == (
         is_composition_diagram(rl.base) and all(v == r for (_, r), v in rl.labels))
     assert quasi == all(
-        lab.label((min(t.row(r)), r)) == r for r in {r for _, r in t}
-        if not any(c >= min(t.row(r)) for c in t.row(r + 1)))
+        lab.label((min(row(t, r)), r)) == r for r in {r for _, r in t}
+        if not any(c >= min(row(t, r)) for c in row(t, r + 1)))
 
 
 @settings(deadline=None, max_examples=40)
@@ -490,6 +489,16 @@ def test_is_vexillary_diagram_examples():
     assert is_vexillary_diagram(composition_diagram((0, 3, 2)))
     assert is_vexillary_diagram(Diagram.of((1, 1), (1, 3), (2, 3)))
     assert not is_vexillary_diagram(Diagram.of((1, 1), (2, 2)))
+
+
+@settings(max_examples=500)
+@given(st.sets(st.tuples(st.integers(1, 5), st.integers(1, 6))), st.booleans())
+@example({(1, 1), (2, 4)}, False)               # rows 2 and 3 empty, rows do not nest
+@example({(2, 1), (1, 3), (2, 3)}, False)       # row 2 empty, rows nest
+@example({(1, 2), (3, 5)}, True)                # its own hull, rows 1, 3 and 4 empty
+def test_is_vexillary_diagram_matches_the_row_set_oracle(cells, southwest):
+    d = southwest_hull(cells) if southwest else Diagram(frozenset(cells))
+    assert is_vexillary_diagram(d) == oracle_is_vexillary_diagram(d), d.sorted_cells
 
 
 def test_vexillary_theorem_check_examples():

@@ -84,8 +84,8 @@ def test_closure_edges_match_hand_enumeration():
 
 def test_source_membership():
     kset = generate_kd(D5)
-    assert D5 in kset
-    assert Diagram.of((9, 9)) not in kset
+    assert D5 in kset.member_set
+    assert Diagram.of((9, 9)) not in kset.member_set
 
 
 @given(cell_sets, st.integers(1, 5))

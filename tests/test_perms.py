@@ -12,13 +12,12 @@ from kohnert.perms import (
     compose,
     contains_2143,
     lehmer_code,
-    length,
     longest,
     reduced_word,
     sort_and_minimal_perm,
 )
 
-from oracle import act, identity, inverse, reduced_word_last, word_to_permutation
+from oracle import act, identity, inverse, length, reduced_word_last, word_to_permutation
 
 
 @st.composite

@@ -11,7 +11,7 @@ from hypothesis import strategies as st
 
 from kohnert import crystal, labeling, moves, verify
 from kohnert.crystal import crystal_graph
-from kohnert.diagrams import Diagram, is_composition_diagram, is_southwest
+from kohnert.diagrams import Diagram, is_southwest
 from kohnert.labeling import _rectified_component, demazure_expansion
 from kohnert.moves import _cells, generate_kd
 from kohnert.tableaux import demazure_subset
@@ -19,8 +19,8 @@ from kohnert.verify import (SUITES, SuiteResult, component_isomorphic, random_di
                             run_suite, southwest_in_box)
 
 from golden import D5
-from oracle import (EMPTY, oracle_commute_case, oracle_membership_case, oracle_raising,
-                    oracle_rectify, southwest_hull)
+from oracle import (EMPTY, is_composition_diagram, oracle_commute_case, oracle_membership_case,
+                    oracle_raising, oracle_rectify, southwest_hull)
 
 southwest_diagrams = st.sets(st.tuples(st.integers(1, 4), st.integers(1, 5)),
                              max_size=6).map(southwest_hull)
@@ -311,7 +311,7 @@ def test_membership_search_matches_the_candidate_oracle():
 
 def _unanchored(label_column):
     """Label each column as if nothing lay to its right."""
-    return lambda mask, labels, rect: label_column(mask, labels, [])
+    return lambda mask, labels, anchor: label_column(mask, labels, {})
 
 
 def _unwalked(col, rect):
