@@ -81,7 +81,11 @@ _nonnegative_int = _int_at_least(0, "nonnegative")
 
 
 def _read_diagram_file(path: str) -> Diagram:
-    return Diagram.from_grid(Path(path).read_text())
+    try:
+        text = Path(path).read_text(encoding="utf-8")
+    except UnicodeDecodeError as exc:
+        raise GridParseError(f"{path}: not UTF-8 text, byte {exc.start}") from None
+    return Diagram.from_grid(text)
 
 
 def _add_diagram_source(sub: argparse.ArgumentParser) -> None:

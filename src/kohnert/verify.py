@@ -213,9 +213,9 @@ def _membership_case(t_rows: int, d: Diagram) -> tuple[int, list[str]]:
     of d takes every row set of its size in rows 1 to ``t_rows``, and a
     column of the box right of d stays empty.  The candidates are searched
     on column masks from the right: a column is labelled once per suffix
-    (the columns to its right) and walked onto a copy of the suffix's
-    rectification, and a column that fails to label, or whose labels are
-    not flagged, makes every candidate that extends it a non-member.  The
+    (the columns to its right) and walked onto the suffix's rectification,
+    which the walk leaves as it was, and a column that fails to label, or
+    whose labels are not flagged, makes every candidate that extends it a non-member.  The
     members so found are compared, as one set, with the closure states
     whose cells all lie in rows 1 to ``t_rows``, and each difference is
     reported in the order the candidates come in."""
@@ -234,8 +234,7 @@ def _membership_case(t_rows: int, d: Diagram) -> tuple[int, list[str]]:
             col, missing = _label_column(mask, d.col(k + 1), anchor)
             if missing or any(v < r for r, v in col.items()):
                 continue
-            search(k - 1, (mask, *suffix),
-                   _walk(dict(col), [dict(part) for part in rect]) if k else rect)
+            search(k - 1, (mask, *suffix), _walk(col, rect) if k else rect)
 
     search(ncols - 1, (), [])
     seen, _ = _closure(d, _max_diagrams(None))

@@ -106,7 +106,9 @@ from ``kohnert.diagrams._columns``.
 ``_label_by_sweeps`` is the labeller built on it, which rectifies a fresh
 copy of the labelled part right of each column from scratch: the two
 that ``kohnert.labeling._label``, which walks each new column onto the
-rectified part it holds, replaced.  ``_column_weight_candidates`` lists
+rectified part it holds, replaced.  ``oracle_walk`` is that walk as it
+was, stepping back one pair after each pair that changes, the walk that
+the single forward pass of ``kohnert.labeling._walk`` replaced.  ``_column_weight_candidates`` lists
 every diagram of a box with d's column weights, and
 ``oracle_membership_case`` labels each one with ``membership`` and looks
 it up in the closure's member set: the ``membership`` sweep's case as it
@@ -802,6 +804,25 @@ def _rect_labels(cols: Columns) -> Columns:
             changed |= _relabel_rectify(cols, k)
         if not changed:
             return cols
+    raise ValueError("labeling failed to stabilise under rectification")
+
+
+def oracle_walk(col: dict[int, int], rect: Columns) -> Columns:
+    """The rectification of ``[col, *rect]`` for a rectified ``rect``, whose
+    columns it rewrites: one walk left to right over the column pairs.
+    After a pair changes the walk steps back one pair (pair 0 re-runs),
+    since re-labeling can go on after the cells stop moving; it stops
+    once it has passed the last column that changed."""
+    cols = [col, *rect]
+    k = last = 0
+    for _ in range((4 + sum(map(len, cols)) * len(cols)) * len(cols)):
+        if k > last or k + 1 == len(cols):
+            return cols
+        if _relabel_rectify(cols, k):
+            last = max(last, k + 1)
+            k = max(k - 1, 0)
+        else:
+            k += 1
     raise ValueError("labeling failed to stabilise under rectification")
 
 

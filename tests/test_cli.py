@@ -488,6 +488,15 @@ def test_exit_code_for_parse_errors(tmp_path, capsys):
     assert capsys.readouterr().err.startswith("error:")
 
 
+@pytest.mark.parametrize("argv", [["kd", "--input"], ["membership", "{0}"], ["poly", "--diagram"]],
+                         ids=["kd", "membership", "poly"])
+def test_a_grid_file_that_is_not_utf8_is_a_parse_error(tmp_path, capsys, argv):
+    bad = tmp_path / "bad.txt"
+    bad.write_bytes(b"O\xff\n")
+    assert main([*(arg.format(bad) for arg in argv), str(bad)]) == 2
+    assert capsys.readouterr().err == f"error: {bad}: not UTF-8 text, byte 1\n"
+
+
 def test_exit_code_for_missing_files(tmp_path, capsys):
     assert main(["kd", "--input", str(tmp_path / "absent.txt")]) == 2
     assert capsys.readouterr().err.startswith("error:")

@@ -1,5 +1,6 @@
 """Tests for diagram labelings: membership, Yamanouchi members, expansions."""
 
+from contextlib import contextmanager
 from itertools import islice
 
 import pytest
@@ -47,7 +48,7 @@ from oracle import (Labeling, _column_weight_candidates, _columns_of, _label_by_
                     oracle_component_key, oracle_is_vexillary_diagram, oracle_label_pairing,
                     oracle_labeling_with_reason,
                     oracle_quasi_yamanouchi_diagrams, oracle_rect_labeling,
-                    oracle_relabel_rectify, oracle_yamanouchi_diagrams,
+                    oracle_relabel_rectify, oracle_walk, oracle_yamanouchi_diagrams,
                     row, southwest_hull, super_standard)
 
 southwest_diagrams = st.sets(st.tuples(st.integers(1, 4), st.integers(1, 5)),
@@ -351,19 +352,89 @@ def test_labelling_a_row_rectifies_each_column_once(monkeypatch):
     assert len(calls) < 24
 
 
+def test_labelling_the_s8_key_tops_re_runs_no_pair(monkeypatch):
+    # each walk passes each pair once: the walk that stepped back after a
+    # changed pair made 852 pair calls on this key expansion
+    relabel, calls = labeling._relabel_rectify, []
+
+    def counted(cols, k):
+        calls.append(k)
+        return relabel(cols, k)
+    monkeypatch.setattr(labeling, "_relabel_rectify", counted)
+    assert len(demazure_expansion(rothe_diagram((2, 1, 5, 4, 3, 8, 7, 6)))) == 24
+    assert len(calls) <= 404
+
+
+@contextmanager
+def _walks_held_to_the_oracle():
+    """Check every ``_walk`` call the labeller makes against ``oracle_walk``
+    on copies of its arguments; yields the list of calls checked."""
+    walk, calls = labeling._walk, []
+
+    def checked(col, rect):
+        expected = oracle_walk(dict(col), [dict(part) for part in rect])
+        got = walk(col, rect)
+        assert got == expected, (col, rect)
+        calls.append(len(rect))
+        return got
+    with pytest.MonkeyPatch.context() as patch:
+        patch.setattr(labeling, "_walk", checked)
+        yield calls
+
+
+def _label_and_rectify(t, d):
+    cols, suffix, _ = _label(_columns(t), d)
+    if cols is not None:
+        _rectified_labels(cols, suffix)
+
+
+@settings(deadline=None, max_examples=40)
+@given(southwest_diagrams)
+def test_the_walk_matches_the_stepping_back_walk(d):
+    kset = generate_kd(d)
+    outsiders = (t for t in _column_weight_candidates(d, d.max_col, d.max_row + 1)
+                 if t not in kset.member_set)
+    with _walks_held_to_the_oracle() as calls:
+        for t in [*kset.members, *islice(outsiders, 30)]:
+            _label_and_rectify(t, d)
+    assert calls or len(d) == 0
+
+
+def test_the_walk_matches_the_stepping_back_walk_on_every_4x4_box_member():
+    members = 0
+    with _walks_held_to_the_oracle() as calls:
+        for d in southwest_in_box(4, 4):
+            for t in generate_kd(d).members:
+                members += 1
+                _label_and_rectify(t, d)
+    assert members == 86886 and calls
+
+
+@settings(deadline=None, max_examples=200)
+@given(st.dictionaries(st.tuples(st.integers(1, 4), st.integers(1, 5)),
+                       st.integers(1, 6), min_size=1, max_size=10))
+def test_the_walk_leaves_its_arguments_unchanged(mapping):
+    # any column before any columns, rectified or not
+    col, *rect = _columns_of(Labeling.of(Diagram.of(*mapping), mapping))
+    before = dict(col), [dict(part) for part in rect]
+    _walk(col, rect)
+    assert (col, rect) == before
+
+
 @settings(deadline=None, max_examples=200)
 @given(st.dictionaries(st.tuples(st.integers(1, 4), st.integers(1, 5)),
                        st.integers(1, 6), min_size=1, max_size=10))
 @example({(1, 3): 6, (2, 2): 5, (4, 5): 4})
 def test_the_walk_ends_with_every_pair_settled(mapping):
     # on any labeling, column 1 walked onto its rectified suffix: the walk
-    # stops only once no column pair changes, though its result may differ
+    # that steps back after each changed pair stops only once no column
+    # pair changes, though its result may differ
     # from the sweeps'; in the example the first pair changes twice, a cell
     # moving left and then a label changing
     cols = _columns_of(Labeling.of(Diagram.of(*mapping), mapping))
     suffix = _outcome(_rect_labels, [dict(col) for col in cols[1:]])
     assume(type(suffix) is list)
-    walked = _walk(dict(cols[0]), suffix)
+    walked = oracle_walk(dict(cols[0]), suffix)
     assert not any(_relabel_rectify([dict(col) for col in walked], k)
                    for k in range(len(walked) - 1))
 
