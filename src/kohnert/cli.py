@@ -84,7 +84,7 @@ def _read_diagram_file(path: str) -> Diagram:
     try:
         text = Path(path).read_text(encoding="utf-8")
     except UnicodeDecodeError as exc:
-        raise GridParseError(f"{path}: not UTF-8 text, byte {exc.start}") from None
+        raise GridParseError(f"{path}: not UTF-8 text (byte offset {exc.start})") from None
     return Diagram.from_grid(text)
 
 

@@ -494,7 +494,7 @@ def test_a_grid_file_that_is_not_utf8_is_a_parse_error(tmp_path, capsys, argv):
     bad = tmp_path / "bad.txt"
     bad.write_bytes(b"O\xff\n")
     assert main([*(arg.format(bad) for arg in argv), str(bad)]) == 2
-    assert capsys.readouterr().err == f"error: {bad}: not UTF-8 text, byte 1\n"
+    assert capsys.readouterr().err == f"error: {bad}: not UTF-8 text (byte offset 1)\n"
 
 
 def test_exit_code_for_missing_files(tmp_path, capsys):
