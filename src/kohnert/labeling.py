@@ -15,16 +15,15 @@ diagram given by its column masks in that form, one column at a time by
 too; ``_pair`` pairs two columns by their labels,
 ``_relabel_rectify`` re-labels one column pair and moves its cells in
 place (by the unlabeled bracket rule ``crystal._lone`` on the two row
-masks), and ``_walk`` rectifies one new column onto an already rectified
-suffix, left to right, stopping at the first pair left unchanged.
-``_label`` labels right to left and walks each labelled column onto the
-rectified part to its right, so a labelling rectifies once, not once per
-column; it hands back that part with the labels, and
-``_rectified_labels`` walks column 1 on for the whole rectification.
-The key expansion and the membership test call them directly; the
-Yamanouchi test reads a member's rectified labeling and the
-quasi-Yamanouchi test its labeling, so a sweep labels each member once
-for both.  The one public labelling output,
+masks), and ``_walk`` rectifies one new column onto a rectified suffix,
+left to right up to the first pair left unchanged.  ``_label`` labels
+right to left and walks each labelled column onto the rectified part to
+its right, so a labelling rectifies once, not once per column; it hands
+back that part with the labels, and ``_rectified_labels`` walks column 1
+on for the whole rectification.  The key expansion and the membership
+test call them directly; the Yamanouchi test reads a member's rectified
+labeling and the quasi-Yamanouchi test its labeling, so a sweep labels
+each member once for both.  The one public labelling output,
 ``labeling_with_reason``, hands the labels back as a plain
 ``{cell: label}`` map, and ``label_grid`` prints such a map.
 """
@@ -120,13 +119,11 @@ def _relabel_rectify(cols: Columns, k: int) -> bool:
 def _walk(col: dict[int, int], rect: Columns) -> Columns:
     """The rectification of ``[col, *rect]`` for a rectified ``rect``: one
     pass left to right over the column pairs, stopping at the first pair
-    ``_relabel_rectify`` leaves unchanged, as the columns right of it are
-    ``rect``'s, settled.  It writes only a copy of ``col`` and the new
-    dicts ``_relabel_rectify`` makes, so neither argument changes.  It
-    relies, unproven, on no pair needing a re-run after the pair to its
-    right changes: against the walk that re-ran (``tests/oracle.py``) that
-    held on every member of the 4x4, 5x4 and 4x5 boxes and of S7's Rothe
-    closures, and every 4x4-box ``membership`` candidate."""
+    left unchanged, since the columns right of it are ``rect``'s, settled.
+    Only a copy of ``col`` and new dicts are written, so neither argument
+    changes.  It relies, unproven, on no pair needing a re-run after the
+    pair to its right changes, which held on each member of the 4x4, 5x4
+    and 4x5 boxes and S7 Rothe closures and each 4x4 ``membership`` case."""
     cols = [dict(col), *rect]
     for k in range(len(cols) - 1):
         if not _relabel_rectify(cols, k):

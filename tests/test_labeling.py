@@ -308,15 +308,19 @@ def _labels_like_the_oracle(t, d):
         if not any(c >= min(row(t, r)) for c in row(t, r + 1)))
 
 
+def _members_and_outsiders(d):
+    """The closure of d, then up to 30 diagrams with d's column weights
+    outside it."""
+    kset = generate_kd(d)
+    outsiders = (t for t in _column_weight_candidates(d, d.max_col, d.max_row + 1)
+                 if t not in kset.member_set)
+    return [*kset.members, *islice(outsiders, 30)]
+
+
 @settings(deadline=None, max_examples=40)
 @given(southwest_diagrams)
 def test_column_labeling_matches_the_oracle(d):
-    kset = generate_kd(d)
-    for t in kset.members:
-        _labels_like_the_oracle(t, d)
-    outsiders = (t for t in _column_weight_candidates(d, d.max_col, d.max_row + 1)
-                 if t not in kset.member_set)
-    for t in islice(outsiders, 30):
+    for t in _members_and_outsiders(d):
         _labels_like_the_oracle(t, d)
 
 
@@ -337,32 +341,32 @@ def test_the_walk_matches_the_sweeps_on_every_3x3_candidate():
     assert cases == 14835
 
 
-def test_labelling_a_row_rectifies_each_column_once(monkeypatch):
-    # twelve cells in row 1 label as 1 and never move: one pair check per
-    # walk, where sweeping each suffix from scratch made 55
+@pytest.fixture
+def pair_calls(monkeypatch):
+    """The pair index of each ``_relabel_rectify`` call the test makes."""
     relabel, calls = labeling._relabel_rectify, []
 
     def counted(cols, k):
         calls.append(k)
         return relabel(cols, k)
     monkeypatch.setattr(labeling, "_relabel_rectify", counted)
+    return calls
+
+
+def test_labelling_a_row_rectifies_each_column_once(pair_calls):
+    # twelve cells in row 1 label as 1 and never move: one pair check per
+    # walk, where sweeping each suffix from scratch made 55
     d = composition_diagram((12,))
     cols, _, reason = _label(_columns(d), d)
     assert reason is None and _labeling_of(cols) == super_standard(d)
-    assert len(calls) < 24
+    assert len(pair_calls) < 24
 
 
-def test_labelling_the_s8_key_tops_re_runs_no_pair(monkeypatch):
+def test_labelling_the_s8_key_tops_re_runs_no_pair(pair_calls):
     # each walk passes each pair once: the walk that stepped back after a
     # changed pair made 852 pair calls on this key expansion
-    relabel, calls = labeling._relabel_rectify, []
-
-    def counted(cols, k):
-        calls.append(k)
-        return relabel(cols, k)
-    monkeypatch.setattr(labeling, "_relabel_rectify", counted)
     assert len(demazure_expansion(rothe_diagram((2, 1, 5, 4, 3, 8, 7, 6)))) == 24
-    assert len(calls) <= 404
+    assert len(pair_calls) <= 404
 
 
 @contextmanager
@@ -391,11 +395,8 @@ def _label_and_rectify(t, d):
 @settings(deadline=None, max_examples=40)
 @given(southwest_diagrams)
 def test_the_walk_matches_the_stepping_back_walk(d):
-    kset = generate_kd(d)
-    outsiders = (t for t in _column_weight_candidates(d, d.max_col, d.max_row + 1)
-                 if t not in kset.member_set)
     with _walks_held_to_the_oracle() as calls:
-        for t in [*kset.members, *islice(outsiders, 30)]:
+        for t in _members_and_outsiders(d):
             _label_and_rectify(t, d)
     assert calls or len(d) == 0
 
@@ -428,9 +429,9 @@ def test_the_walk_leaves_its_arguments_unchanged(mapping):
 def test_the_walk_ends_with_every_pair_settled(mapping):
     # on any labeling, column 1 walked onto its rectified suffix: the walk
     # that steps back after each changed pair stops only once no column
-    # pair changes, though its result may differ
-    # from the sweeps'; in the example the first pair changes twice, a cell
-    # moving left and then a label changing
+    # pair changes, though its result may differ from the sweeps'; in the
+    # example the first pair changes twice, a cell moving left and then a
+    # label changing
     cols = _columns_of(Labeling.of(Diagram.of(*mapping), mapping))
     suffix = _outcome(_rect_labels, [dict(col) for col in cols[1:]])
     assume(type(suffix) is list)
