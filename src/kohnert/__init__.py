@@ -21,4 +21,4 @@ from .tableaux import (Tableau, TableauCrystal, demazure_set_op,
                        demazure_subset, enumerate_sskt, highest_weight_tableau,
                        is_sskt, psi, sskt_raise, ssyt_lower, ssyt_raise)
 
-__version__ = "0.5.0"
+__version__ = "0.6.0"

@@ -60,14 +60,8 @@ class Diagram:
     def __len__(self) -> int:
         return len(self.cells)
 
-    def __contains__(self, cell) -> bool:
-        return tuple(cell) in self.cells
-
     def __iter__(self):
         return iter(self.sorted_cells)
-
-    def __lt__(self, other: "Diagram") -> bool:
-        return self.sorted_cells < other.sorted_cells
 
     def move_cell(self, src: Cell, dst: Cell) -> "Diagram":
         if src not in self.cells:

@@ -14,9 +14,9 @@ diagram given by its column masks in that form, one column at a time by
 ``_label_column``, which the ``membership`` sweep's column search calls
 too; ``_pair`` pairs two columns by their labels,
 ``_relabel_rectify`` re-labels one column pair and moves its cells in
-place (by the unlabeled bracket rule ``crystal._lone`` on the two row
-masks), and ``_walk`` rectifies one new column onto a rectified suffix,
-left to right up to the first pair left unchanged.  ``_label`` labels
+place (the right-hand cells ``_pair`` leaves unpaired), and ``_walk``
+rectifies one new column onto a rectified suffix, left to right up to
+the first pair left unchanged.  ``_label`` labels
 right to left and walks each labelled column onto the rectified part to
 its right, so a labelling rectifies once, not once per column; it hands
 back that part with the labels, and ``_rectified_labels`` walks column 1
@@ -26,6 +26,14 @@ labeling and the quasi-Yamanouchi test its labeling, so a sweep labels
 each member once for both.  The one public labelling output,
 ``labeling_with_reason``, hands the labels back as a plain
 ``{cell: label}`` map, and ``label_grid`` prints such a map.
+
+On the southwest sources it accepts, the labeller relies on three
+unproven conditions: L1, every column it holds has distinct labels, so
+no label ties; L2, the rows ``_pair`` leaves unpaired are the rows the
+bracket rule ``crystal._lone`` leaves lone on the row masks (not so off
+that domain); and the walk condition of ``_walk``.  Each held on every
+call over the members of the 4x4 and 5x4 boxes (and 4x5, for the walk)
+and of the S7 Rothe closures and on the 4x3 and 4x4 ``membership`` cases.
 """
 
 from __future__ import annotations
@@ -33,7 +41,7 @@ from __future__ import annotations
 from collections import Counter
 
 from .compositions import Composition, pad
-from .crystal import _crystal, _lone, _raises, _rectified
+from .crystal import _crystal, _raises, _rectified
 from .diagrams import (Cell, Diagram, _columns, _mask_weight, composition_diagram,
                        is_southwest, render_grid)
 from .moves import _cells, _closure, _fields, _max_diagrams, _pack, _polynomial, _spread
@@ -56,7 +64,7 @@ def _mask(col) -> int:
 def _pair(left: dict[int, int], right: dict[int, int]) -> tuple[dict[int, int], list[int]]:
     """Pair the rows of a right column, top to bottom, each with the
     available left row weakly above it carrying the largest label that
-    stays weakly below its own; label ties break toward the lower row.
+    stays weakly below its own (labels in a column are distinct, L1).
     Returns each paired row's partner row, and the unpaired rows top down."""
     avail = dict(left)
     partner = {}
@@ -66,7 +74,7 @@ def _pair(left: dict[int, int], right: dict[int, int]) -> tuple[dict[int, int], 
         best = 0
         top = 0
         for s, ls in avail.items():
-            if s >= r and ls <= lx and (ls > top or ls == top and s < best):
+            if s >= r and top < ls <= lx:
                 best, top = s, ls
         if best:
             partner[r] = best
@@ -82,9 +90,9 @@ def _relabel_rectify(cols: Columns, k: int) -> bool:
 
     Unpaired cells repeatedly trade labels upward with paired cells
     whose partner's label fits below their own; then every paired cell
-    adopts its partner's original label; then the cells the unlabeled
-    bracket rule ``_lone`` leaves unpaired slide left carrying their
-    new labels.
+    adopts its partner's original label; then the unpaired cells slide
+    left carrying their new labels: the cells the unlabeled bracket rule
+    ``crystal._lone`` leaves lone (L2).
     """
     left, right = cols[k], cols[k + 1]
     # each right cell beside a left cell of its label pairs with it, keeps
@@ -97,19 +105,14 @@ def _relabel_rectify(cols: Columns, k: int) -> bool:
         while True:
             z = 0
             for y in partner:
-                if y > x and left[partner[y]] <= new[x] < new[y] and \
-                        (not z or new[y] > new[z] or new[y] == new[z] and y > z):
+                if y > x and left[partner[y]] <= new[x] < new[y] and (not z or new[y] > new[z]):
                     z = y
             if not z:
                 break
             new[x], new[z] = new[z], new[x]
     for z, y in partner.items():
         new[z] = left[y]
-    lone = _lone(_mask(left), _mask(right))
-    while lone:
-        bit = lone & -lone
-        lone ^= bit
-        r = bit.bit_length() - 1
+    for r in unpaired:
         left[r] = new.pop(r)
     changed = new != right
     cols[k + 1] = new
@@ -121,9 +124,8 @@ def _walk(col: dict[int, int], rect: Columns) -> Columns:
     pass left to right over the column pairs, stopping at the first pair
     left unchanged, since the columns right of it are ``rect``'s, settled.
     Only a copy of ``col`` and new dicts are written, so neither argument
-    changes.  It relies, unproven, on no pair needing a re-run after the
-    pair to its right changes, which held on each member of the 4x4, 5x4
-    and 4x5 boxes and S7 Rothe closures and each 4x4 ``membership`` case."""
+    changes.  It relies on the walk condition: no pair needs a re-run
+    after the pair to its right changes, so every pair ends settled."""
     cols = [dict(col), *rect]
     for k in range(len(cols) - 1):
         if not _relabel_rectify(cols, k):
@@ -160,12 +162,12 @@ def _label(cols: list[int], d: Diagram) -> tuple[Columns | None, Columns | None,
     column weights, so only the public entry points, given diagrams from
     outside, check them.  Each column is labelled by ``_label_column`` on
     the rectified part to its right and then walked onto it, so no part
-    is rectified twice."""
+    is rectified twice.  An anchor map has one row per label (L1)."""
     width = len(cols)
     assigned: Columns = [{} for _ in range(width)]
     rect: Columns = []
     for k in range(width - 1, -1, -1):
-        anchor = {v: r for r, v in sorted(rect[0].items())} if rect else {}
+        anchor = {v: r for r, v in rect[0].items()} if rect else {}
         assigned[k], missing = _label_column(cols[k], d.col(k + 1), anchor)
         if missing:
             return None, None, f"label {missing} has no admissible cell in column {k + 1}"
@@ -189,8 +191,11 @@ def labeling_with_reason(t: Diagram, d: Diagram) -> tuple[dict[Cell, int] | None
     of column c is rectified, anchored so its leftmost column is c+1;
     the row indices of column c of d are then assigned smallest first,
     each to the lowest unlabeled column-c cell lying weakly above the
-    like-labeled cell of that rectified part, when present.
+    like-labeled cell of that rectified part, when present; d must be
+    southwest (L2).
     """
+    if not is_southwest(d):
+        raise ValueError("labeling requires a southwest diagram")
     if not _equal_column_weights(t, d):
         raise ValueError("diagrams must have equal column weights")
     cols, _, reason = _label(_columns(t), d)
@@ -247,9 +252,10 @@ def _membership(t: Diagram, d: Diagram) -> tuple[dict[Cell, int] | None, str]:
 def _yamanouchi_core(rl: Columns) -> bool:
     """Whether ``rl``, the rectified labeling (``_rectified_labels``) of a
     member of a closure, is super-standard on a composition diagram; such
-    members index the Demazure expansion."""
-    return all(v == r for col in rl for r, v in col.items()) and \
-        all(rl[k + 1].keys() <= rl[k].keys() for k in range(len(rl) - 1))
+    members index the Demazure expansion.  Labels equal to rows make the
+    rows nest: ``rl`` is settled, so ``_pair`` pairs a right cell of row
+    and label r with a left row s >= r of label s <= r, row r itself."""
+    return all(v == r for col in rl for r, v in col.items())
 
 
 def _component_key(top: list[int], d: Diagram) -> Composition:

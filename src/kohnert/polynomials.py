@@ -177,8 +177,6 @@ def fundamental_slide(a, n: int | None = None, max_terms: int | None = None) -> 
     a = check_composition(a)
     if n is None:
         n = len(a)
-    if n < len(a):
-        raise ValueError("n smaller than the number of parts")
     a = pad(a, n)
     parts = flatten(a) + (0,)      # a 0 after the last part: nothing left to place
     last = len(parts) - 1

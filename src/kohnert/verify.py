@@ -229,7 +229,7 @@ def _membership_case(t_rows: int, d: Diagram) -> tuple[int, list[str]]:
         if k < 0:
             labelled.add(suffix)
             return
-        anchor = {v: r for r, v in sorted(rect[0].items())} if rect else {}
+        anchor = {v: r for r, v in rect[0].items()} if rect else {}
         for mask in picks[k]:
             col, missing = _label_column(mask, d.col(k + 1), anchor)
             if missing or any(v < r for r, v in col.items()):

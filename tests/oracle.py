@@ -101,6 +101,15 @@ the one ``{row: label}`` dict per column that the labelling engine in
 the oracles below; ``_label`` itself takes a diagram's column masks,
 from ``kohnert.diagrams._columns``.
 
+``_pair`` and ``_relabel_rectify`` are the column-pair operators as
+``kohnert.labeling`` had them before it accepted only southwest sources:
+label ties break toward the lower row (``_pair``) and the higher row
+(the trade loop), and the cells that move are the ones the unlabeled
+bracket rule ``kohnert.crystal._lone`` leaves lone, not the ones
+``_pair`` leaves unpaired.  They define rectification on any labelling;
+the tests hold the production operators to them on every call the
+labeller makes.  ``oracle_yamanouchi_core`` is the Yamanouchi test as it
+was, which also asks the rows of each column to hold the next column's.
 ``_rect_labels`` rectifies a column form by right-to-left sweeps of
 ``_relabel_rectify`` to a joint fixpoint of cells and labels, and
 ``_label_by_sweeps`` is the labeller built on it, which rectifies a fresh
@@ -142,13 +151,12 @@ from itertools import combinations, product
 
 from kohnert.compositions import (check_composition, compositions_of, flatten,
                                   pad, strip_trailing_zeros)
-from kohnert.crystal import _EDGE_COLORS, CrystalGraph
+from kohnert.crystal import _EDGE_COLORS, CrystalGraph, _lone
 from kohnert.diagrams import (Cell, Diagram, GridParseError, _columns,
                               composition_diagram, grid_rows, is_southwest,
                               render_grid, weight)
-from kohnert.labeling import (Columns, _label, _quasi_yamanouchi_core,
-                              _rectified_labels, _relabel_rectify, _yamanouchi_core,
-                              membership)
+from kohnert.labeling import (Columns, _label, _mask, _quasi_yamanouchi_core,
+                              _rectified_labels, membership)
 from kohnert.moves import DEFAULT_MAX_DIAGRAMS, ResourceBoundError, generate_kd
 from kohnert.perms import Permutation, sort_and_minimal_perm
 from kohnert.polynomials import (_BASES, ExpansionError, IntPolynomial,
@@ -292,7 +300,7 @@ def oracle_generate_kd(diagram: Diagram, max_diagrams: int = DEFAULT_MAX_DIAGRAM
                 seen.add(nxt)
                 queue.append(nxt)
     return OracleSet(source=diagram,
-                     members=tuple(sorted(seen)),
+                     members=tuple(sorted(seen, key=lambda t: t.sorted_cells)),
                      edges=frozenset(edges))
 
 
@@ -726,7 +734,7 @@ def oracle_relabel_rectify(lab: Labeling, c: int) -> Labeling:
     for z, y in partner.items():
         new[z] = lab.label(y)
     moved = oracle_rectify_column(lab.base, c)
-    carried = {cell: new[cell] if cell in lab.base else new[(c + 1, cell[1])]
+    carried = {cell: new[cell] if cell in lab.base.cells else new[(c + 1, cell[1])]
                for cell in moved}
     return Labeling.of(moved, carried)
 
@@ -791,6 +799,77 @@ def _label_diagram(cols: Columns) -> Diagram:
     if len(cells) != sum(map(len, cols)):
         raise ValueError("labeling diagram requires a strict labeling")
     return Diagram(cells)
+
+
+def _pair(left: dict[int, int], right: dict[int, int]) -> tuple[dict[int, int], list[int]]:
+    """Pair the rows of a right column, top to bottom, each with the
+    available left row weakly above it carrying the largest label that
+    stays weakly below its own; label ties break toward the lower row.
+    Returns each paired row's partner row, and the unpaired rows top down."""
+    avail = dict(left)
+    partner = {}
+    unpaired = []
+    for r in sorted(right, reverse=True):
+        lx = right[r]
+        best = 0
+        top = 0
+        for s, ls in avail.items():
+            if s >= r and ls <= lx and (ls > top or ls == top and s < best):
+                best, top = s, ls
+        if best:
+            partner[r] = best
+            del avail[best]
+        else:
+            unpaired.append(r)
+    return partner, unpaired
+
+
+def _relabel_rectify(cols: Columns, k: int) -> bool:
+    """Rectify the column at index k+1 of a column form into the one at
+    index k, re-labeling first, in place; says whether anything changed.
+
+    Unpaired cells repeatedly trade labels upward with paired cells
+    whose partner's label fits below their own; then every paired cell
+    adopts its partner's original label; then the cells the unlabeled
+    bracket rule ``_lone`` leaves unpaired slide left carrying their
+    new labels.
+    """
+    left, right = cols[k], cols[k + 1]
+    # each right cell beside a left cell of its label pairs with it, keeps
+    # its label and stays: nothing changes (an empty column included)
+    if right.items() <= left.items():
+        return False
+    partner, unpaired = _pair(left, right)
+    new = dict(right)
+    for x in unpaired:
+        while True:
+            z = 0
+            for y in partner:
+                if y > x and left[partner[y]] <= new[x] < new[y] and \
+                        (not z or new[y] > new[z] or new[y] == new[z] and y > z):
+                    z = y
+            if not z:
+                break
+            new[x], new[z] = new[z], new[x]
+    for z, y in partner.items():
+        new[z] = left[y]
+    lone = _lone(_mask(left), _mask(right))
+    while lone:
+        bit = lone & -lone
+        lone ^= bit
+        r = bit.bit_length() - 1
+        left[r] = new.pop(r)
+    changed = new != right
+    cols[k + 1] = new
+    return changed
+
+
+def oracle_yamanouchi_core(rl: Columns) -> bool:
+    """Whether ``rl``, the rectified labeling (``_rectified_labels``) of a
+    member of a closure, is super-standard on a composition diagram; such
+    members index the Demazure expansion."""
+    return all(v == r for col in rl for r, v in col.items()) and \
+        all(rl[k + 1].keys() <= rl[k].keys() for k in range(len(rl) - 1))
 
 
 def _rect_labels(cols: Columns) -> Columns:
@@ -880,7 +959,7 @@ def oracle_yamanouchi_diagrams(d: Diagram) -> list[Diagram]:
     if not is_southwest(d):
         raise ValueError("Yamanouchi analysis requires a southwest diagram")
     return [t for t in generate_kd(d).members
-            if _yamanouchi_core(_rectified_labels(*_label(_columns(t), d)[:2]))]
+            if oracle_yamanouchi_core(_rectified_labels(*_label(_columns(t), d)[:2]))]
 
 
 def oracle_quasi_yamanouchi_diagrams(d: Diagram) -> list[Diagram]:
@@ -1041,7 +1120,7 @@ def oracle_crystal_graph(kset) -> CrystalGraph:
     components = []
     left = set(members)
     while left:
-        comp = {min(left)}
+        comp = {min(left, key=lambda t: t.sorted_cells)}
         frontier = list(comp)
         while frontier:
             fresh = neighbours[frontier.pop()] - comp
@@ -1049,7 +1128,7 @@ def oracle_crystal_graph(kset) -> CrystalGraph:
             frontier.extend(fresh)
         left -= comp
         components.append(frozenset(comp))
-    components.sort(key=lambda comp: (len(comp), min(comp)))
+    components.sort(key=lambda comp: (len(comp), min(t.sorted_cells for t in comp)))
     has_out = {t for t, _, _ in edges}
     highest = []
     for comp in components:

@@ -98,6 +98,20 @@ def test_poly_slide(capsys):
         '{"n": 3, "terms": [{"exps": [1, 1, 0], "coef": 1}]}\n'
 
 
+def test_poly_slide_drops_a_zero_tail_like_the_key(capsys):
+    for flag in ("--slide", "--key"):
+        assert main(["poly", flag, "1,0", "--n", "1"]) == 0
+        assert capsys.readouterr().out == '{"n": 1, "terms": [{"exps": [1], "coef": 1}]}\n'
+
+
+def test_poly_slide_refuses_to_shorten_a_nonzero_tail_like_the_key(capsys):
+    for flag in ("--slide", "--key"):
+        assert main(["poly", flag, "0,1", "--n", "1"]) == 1
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err == "error: cannot shorten (0, 1) to length 1\n"
+
+
 def test_poly_slide_in_more_variables_than_the_recursion_limit(capsys):
     assert main(["poly", "--slide", "0,2", "--n", "5000"]) == 0
     zeros = [0] * 4998

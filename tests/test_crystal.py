@@ -274,7 +274,7 @@ def test_crystal_components_partition_the_closure(d):
     where = {t: k for k, comp in enumerate(graph.components) for t in comp}
     for t, _, u in graph.edges:
         assert where[t] == where[u]
-    keys = [(len(comp), min(comp)) for comp in graph.components]
+    keys = [(len(comp), min(t.sorted_cells for t in comp)) for comp in graph.components]
     assert keys == sorted(keys)
     has_out = {t for t, _, _ in graph.edges}
     for comp, top in zip(graph.components, graph.highest, strict=True):

@@ -31,7 +31,7 @@ def test_check_cell_rejects_bad_input():
 def test_diagram_basics():
     d = Diagram.of((1, 2), (3, 1), (1, 2))
     assert len(d) == 2
-    assert (1, 2) in d and (2, 2) not in d
+    assert (1, 2) in d.cells and (2, 2) not in d.cells
     assert d.sorted_cells == ((1, 2), (3, 1))
     assert d.max_row == 2 and d.max_col == 3
     assert d.col(1) == (2,) and d.col(3) == (1,) and d.col(9) == ()

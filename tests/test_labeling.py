@@ -1,5 +1,6 @@
 """Tests for diagram labelings: membership, Yamanouchi members, expansions."""
 
+from collections import Counter
 from contextlib import contextmanager
 from itertools import islice
 
@@ -19,6 +20,7 @@ from kohnert.diagrams import (
 from kohnert.labeling import (
     _component_key,
     _label,
+    _mask,
     _pair,
     _quasi_yamanouchi_core,
     _rectified_labels,
@@ -35,12 +37,13 @@ from kohnert.labeling import (
     slide_expansion,
 )
 from kohnert.compositions import compositions_up_to
-from kohnert.crystal import crystal_graph
+from kohnert.crystal import _lone, crystal_graph
 from kohnert.moves import ResourceBoundError, generate_kd, kohnert_polynomial
 from kohnert.perms import all_permutations, contains_2143
 from kohnert.polynomials import expand_in_basis
 from kohnert.verify import southwest_in_box
 
+import oracle
 from golden import COMPONENT_LARGE, COMPONENT_SMALL, D5, LETTER, MEMBERS
 from oracle import (Labeling, _column_weight_candidates, _columns_of, _label_by_sweeps,
                     _label_diagram, _labeling_of, _rect_labels, is_composition_diagram,
@@ -48,8 +51,8 @@ from oracle import (Labeling, _column_weight_candidates, _columns_of, _label_by_
                     oracle_component_key, oracle_is_vexillary_diagram, oracle_label_pairing,
                     oracle_labeling_with_reason,
                     oracle_quasi_yamanouchi_diagrams, oracle_rect_labeling,
-                    oracle_relabel_rectify, oracle_walk, oracle_yamanouchi_diagrams,
-                    row, southwest_hull, super_standard)
+                    oracle_relabel_rectify, oracle_walk, oracle_yamanouchi_core,
+                    oracle_yamanouchi_diagrams, row, southwest_hull, super_standard)
 
 southwest_diagrams = st.sets(st.tuples(st.integers(1, 4), st.integers(1, 5)),
                              max_size=6).map(southwest_hull)
@@ -91,18 +94,18 @@ def _rectified(t, d):
     return _labeling_of(_rectified_labels(cols, suffix))
 
 
-def _pairing(lab, c):
-    """_pair on columns c and c+1, as cells."""
+def _pairing(lab, c, pair=_pair):
+    """``pair`` on columns c and c+1, as cells."""
     cols = _columns_of(lab, c + 1)
-    partner, unpaired = _pair(cols[c - 1], cols[c])
+    partner, unpaired = pair(cols[c - 1], cols[c])
     return ({(c + 1, r): (c, s) for r, s in partner.items()},
             [(c + 1, r) for r in unpaired])
 
 
-def _relabeled(lab, c):
-    """_relabel_rectify of column c+1 into column c, as a Labeling."""
+def _relabeled(lab, c, relabel=_relabel_rectify):
+    """``relabel`` of column c+1 into column c, as a Labeling."""
     cols = _columns_of(lab, c + 1)
-    _relabel_rectify(cols, c - 1)
+    relabel(cols, c - 1)
     return _labeling_of(cols)
 
 
@@ -186,9 +189,10 @@ def test_label_pairing_examples():
     partner2, unpaired2 = _pairing(lab2, 1)
     assert partner2 == {}
     assert unpaired2 == [(2, 2)]
-    # equal labels weakly above: the tie goes to the lower cell
+    # equal labels weakly above, which the labeller's strict columns never
+    # hold: the oracle's tie goes to the lower cell
     tied = Labeling.of(Diagram.of((1, 2), (1, 3), (2, 1)), {(1, 2): 1, (1, 3): 1, (2, 1): 2})
-    assert _pairing(tied, 1) == ({(2, 1): (1, 2)}, [])
+    assert _pairing(tied, 1, oracle._pair) == ({(2, 1): (1, 2)}, [])
 
 
 def test_relabel_rectify_moves_cells_with_labels():
@@ -233,6 +237,13 @@ def test_rectified_labels_can_merge_after_cells_settle():
 def test_labeling_with_reason_validation():
     with pytest.raises(ValueError):
         labeling_with_reason(Diagram.of((1, 1)), Diagram.of((1, 1), (2, 1)))
+
+
+def test_labeling_with_reason_refuses_a_source_that_is_not_southwest():
+    not_southwest = Diagram.of((1, 2), (2, 1))
+    for t in (Diagram.of((1, 1)), Diagram.of((1, 1), (2, 1))):
+        with pytest.raises(ValueError, match="southwest"):
+            labeling_with_reason(t, not_southwest)
 
 
 def test_membership_report_strings():
@@ -369,20 +380,42 @@ def test_labelling_the_s8_key_tops_re_runs_no_pair(pair_calls):
     assert len(pair_calls) <= 404
 
 
-@contextmanager
-def _walks_held_to_the_oracle():
-    """Check every ``_walk`` call the labeller makes against ``oracle_walk``
-    on copies of its arguments; yields the list of calls checked."""
-    walk, calls = labeling._walk, []
+def _rows(mask):
+    return [r for r in range(mask.bit_length()) if mask >> r & 1]
 
-    def checked(col, rect):
+
+@contextmanager
+def _labeller_held_to_the_oracles():
+    """Check every ``_walk`` call the labeller makes against ``oracle_walk``,
+    and every ``_relabel_rectify`` call against the copy in ``oracle`` of
+    the operators that paired by the bracket rule and broke label ties,
+    on copies of their arguments.  Each pair call also asserts L1, every
+    column held has distinct labels, and L2, the rows ``_pair`` leaves
+    unpaired are the rows ``_lone`` leaves lone.  Yields the count of
+    walk and pair calls checked."""
+    walk, relabel, calls = labeling._walk, labeling._relabel_rectify, Counter()
+
+    def checked_walk(col, rect):
         expected = oracle_walk(dict(col), [dict(part) for part in rect])
         got = walk(col, rect)
         assert got == expected, (col, rect)
-        calls.append(len(rect))
+        calls["walk"] += 1
         return got
+
+    def checked_relabel(cols, k):
+        assert all(len(set(col.values())) == len(col) for col in cols), cols
+        left, right = cols[k], cols[k + 1]
+        paired = _pair(left, right)
+        assert paired == oracle._pair(left, right), (left, right)
+        assert sorted(paired[1]) == _rows(_lone(_mask(left), _mask(right))), (left, right)
+        expected = [dict(col) for col in cols]
+        changed = oracle._relabel_rectify(expected, k)
+        assert relabel(cols, k) == changed and cols == expected, (expected, k)
+        calls["pair"] += 1
+        return changed
     with pytest.MonkeyPatch.context() as patch:
-        patch.setattr(labeling, "_walk", checked)
+        patch.setattr(labeling, "_walk", checked_walk)
+        patch.setattr(labeling, "_relabel_rectify", checked_relabel)
         yield calls
 
 
@@ -395,20 +428,31 @@ def _label_and_rectify(t, d):
 @settings(deadline=None, max_examples=40)
 @given(southwest_diagrams)
 def test_the_walk_matches_the_stepping_back_walk(d):
-    with _walks_held_to_the_oracle() as calls:
+    with _labeller_held_to_the_oracles() as calls:
         for t in _members_and_outsiders(d):
             _label_and_rectify(t, d)
-    assert calls or len(d) == 0
+    assert (calls["walk"] or len(d) == 0) and (calls["pair"] or d.max_col < 2)
 
 
 def test_the_walk_matches_the_stepping_back_walk_on_every_4x4_box_member():
     members = 0
-    with _walks_held_to_the_oracle() as calls:
+    with _labeller_held_to_the_oracles() as calls:
         for d in southwest_in_box(4, 4):
             for t in generate_kd(d).members:
                 members += 1
                 _label_and_rectify(t, d)
-    assert members == 86886 and calls
+    assert members == 86886 and calls["walk"] and calls["pair"]
+
+
+def test_the_yamanouchi_test_matches_the_two_condition_oracle_on_every_4x4_box_member():
+    members = yamanouchi = 0
+    for d in southwest_in_box(4, 4):
+        for t in generate_kd(d).members:
+            rl = _rectified_labels(*_label(_columns(t), d)[:2])
+            members += 1
+            yamanouchi += oracle_yamanouchi_core(rl)
+            assert _yamanouchi_core(rl) == oracle_yamanouchi_core(rl), (t, d)
+    assert members == 86886 and 0 < yamanouchi < members
 
 
 @settings(deadline=None, max_examples=200)
@@ -436,7 +480,7 @@ def test_the_walk_ends_with_every_pair_settled(mapping):
     suffix = _outcome(_rect_labels, [dict(col) for col in cols[1:]])
     assume(type(suffix) is list)
     walked = oracle_walk(dict(cols[0]), suffix)
-    assert not any(_relabel_rectify([dict(col) for col in walked], k)
+    assert not any(oracle._relabel_rectify([dict(col) for col in walked], k)
                    for k in range(len(walked) - 1))
 
 
@@ -445,11 +489,12 @@ def test_the_walk_ends_with_every_pair_settled(mapping):
                        st.integers(1, 6), min_size=1, max_size=10))
 def test_labeling_operators_match_the_oracle_on_any_labeling(mapping):
     # labels from a short range repeat within columns, so label ties and
-    # non-strict labelings come up
+    # non-strict labelings come up; such labellings break L1 and L2, so
+    # the column-form copies in ``oracle`` are held to the Labeling oracles
     lab = Labeling.of(Diagram.of(*mapping), mapping)
     for c in range(1, lab.base.max_col + 2):
-        assert _pairing(lab, c) == oracle_label_pairing(lab, c)
-        assert _relabeled(lab, c) == oracle_relabel_rectify(lab, c)
+        assert _pairing(lab, c, oracle._pair) == oracle_label_pairing(lab, c)
+        assert _relabeled(lab, c, oracle._relabel_rectify) == oracle_relabel_rectify(lab, c)
     assert _outcome(_rect, lab) == _outcome(oracle_rect_labeling, lab)
 
 
@@ -635,7 +680,8 @@ def test_a_candidate_one_column_short_is_refused():
 def test_component_demazure_data_matches_the_oracle(d):
     components = crystal_graph(generate_kd(d)).components
     cases = list(components)
-    cases += [comp - {max(comp)} for comp in components]     # a member short
+    # a member short
+    cases += [comp - {max(comp, key=lambda t: t.sorted_cells)} for comp in components]
     cases += [a | b for a, b in zip(components, components[1:])]
     for case in cases:
         assert _outcome(component_demazure_data, case, d) == \
