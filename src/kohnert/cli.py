@@ -102,7 +102,9 @@ def _load_diagram(args) -> Diagram:
     if args.input is not None:
         return _read_diagram_file(args.input)
     if args.comp is not None:
-        return composition_diagram(_parse_comp(args.comp))
+        a = _parse_comp(args.comp)
+        _check_budget([sum(a)], "--comp gives", "cells")
+        return composition_diagram(a)
     return rothe_diagram(_parse_perm(args.perm))
 
 

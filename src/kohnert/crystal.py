@@ -18,6 +18,8 @@ holds a row bitmask per column, column 1 in the high field.
   two bits whose flip raises it.  ``_crystal`` builds the raising graph
   of a closure on the positions of its members' states, looking each
   raised state up; a state the scan yields nothing for is a highest member.
+  A raise moves a cell one bit down its field, so it lowers the state:
+  ``_crystal`` groups members by the top their raises end at.
 * Rectification reads columns out of a state: the fields.  With
   ``two`` the mask of two fields, ``state >> shift & two`` holds a pair
   of adjacent columns, the left one in the high field.  ``_rectified``
@@ -189,53 +191,40 @@ def _crystal(states, d: Diagram):
     """The raising graph on packed states of the closure of ``d``, one field
     of ``d.max_row + 1`` bits per column, as ``kohnert.moves`` packs them.
 
-    Returns the edges as (position, i, position), the components as lists
-    of positions ordered by (size, least position), and the position of
-    each component's one member that no operator raises.  Raises
-    AssertionError when a raise leaves the states, or when a component
-    has no unique highest member.
+    Returns the edges as (position, i, position), the components as
+    increasing lists of positions ordered by (size, least position), and
+    the position of each component's one member that no operator raises,
+    the top of its members.  Raises AssertionError when a raise leaves
+    the states, or when an edge joins two tops: no unique highest member.
     """
     width, ncols = d.max_row + 1, d.max_col
     spread = _spread(width, ncols)
     flips: dict[int, int] = {}
     index = {state: n for n, state in enumerate(states)}
     edges = []
+    top = list(range(len(states)))      # itself, its first raise target, its top
     for n, state in enumerate(states):
         for i, flip in _raises(state, spread, width, flips):
             m = index.get(state ^ flip)
             if m is None:
                 raise AssertionError(f"southwest closure not stable under raising "
                                      f"at i={i}: {_cells(state, width, ncols)}")
+            if top[n] == n:
+                top[n] = m
             edges.append((n, i, m))
-    # connected components over the undirected edge relation
-    neighbours: list[list[int]] = [[] for _ in states]
-    for n, _, m in edges:
-        neighbours[n].append(m)
-        neighbours[m].append(n)
-    seen = [False] * len(states)
-    groups = []
-    for seed in range(len(states)):
-        if seen[seed]:
-            continue
-        seen[seed] = True
-        group = [seed]
-        for n in group:                    # grows as the search reaches members
-            for m in neighbours[n]:
-                if not seen[m]:
-                    seen[m] = True
-                    group.append(m)
-        groups.append(group)
-    # seeds come least position first, so a stable sort by size orders
-    # components by (size, least position)
-    groups.sort(key=len)
-    has_out = {n for n, _, _ in edges}
-    highest = []
-    for group in groups:
-        tops = [n for n in group if n not in has_out]
-        if len(tops) != 1:
-            raise AssertionError("component without a unique highest weight")
-        highest.append(tops[0])
-    return edges, groups, highest
+    # a raise lowers the state, so in increasing state order each first
+    # raise target has its top already
+    for n in sorted(range(len(states)), key=states.__getitem__):
+        top[n] = top[top[n]]
+    if any(top[n] != top[m] for n, _, m in edges):
+        raise AssertionError("component without a unique highest weight")
+    groups: dict[int, list[int]] = {}
+    for n, t in enumerate(top):
+        groups.setdefault(t, []).append(n)
+    # groups come least position first, so a stable sort by size orders
+    # them by (size, least position)
+    highest = sorted(groups, key=lambda t: len(groups[t]))
+    return edges, [groups[t] for t in highest], highest
 
 
 def crystal_graph(kset: KohnertSet) -> CrystalGraph:

@@ -13,8 +13,8 @@ The labelling engine works on a column form: a list with one
 diagram given by its column masks in that form, one column at a time by
 ``_label_column``, which the ``membership`` sweep's column search calls
 too; ``_pair`` pairs two columns by their labels,
-``_relabel_rectify`` re-labels one column pair and moves its cells in
-place (the right-hand cells ``_pair`` leaves unpaired), and ``_walk``
+``_relabel_rectify`` re-labels one column pair and moves its cells (the
+right-hand cells ``_pair`` leaves unpaired) into new columns, and ``_walk``
 rectifies one new column onto a rectified suffix, left to right up to
 the first pair left unchanged.  ``_label`` labels
 right to left and walks each labelled column onto the rectified part to
@@ -27,13 +27,15 @@ each member once for both.  The one public labelling output,
 ``labeling_with_reason``, hands the labels back as a plain
 ``{cell: label}`` map, and ``label_grid`` prints such a map.
 
-On the southwest sources it accepts, the labeller relies on three
+On the southwest sources it accepts, the labeller relies on four
 unproven conditions: L1, every column it holds has distinct labels, so
 no label ties; L2, the rows ``_pair`` leaves unpaired are the rows the
 bracket rule ``crystal._lone`` leaves lone on the row masks (not so off
-that domain); and the walk condition of ``_walk``.  Each held on every
-call over the members of the 4x4 and 5x4 boxes (and 4x5, for the walk)
-and of the S7 Rothe closures and on the 4x3 and 4x4 ``membership`` cases.
+that domain); L3, the trade of ``_relabel_rectify`` has one row to take
+at each step beside two or more unpaired cells; and the walk condition
+of ``_walk``.  Each held on every call over the members of the 4x4 and
+5x4 boxes (and 4x5, for the walk) and of the S7 Rothe closures and on
+the 4x3 and 4x4 ``membership`` cases.
 """
 
 from __future__ import annotations
@@ -84,52 +86,56 @@ def _pair(left: dict[int, int], right: dict[int, int]) -> tuple[dict[int, int], 
     return partner, unpaired
 
 
-def _relabel_rectify(cols: Columns, k: int) -> bool:
-    """Rectify the column at index k+1 of a column form into the one at
-    index k, re-labeling first, in place; says whether anything changed.
+def _relabel_rectify(left: dict[int, int], right: dict[int, int]) -> tuple[dict, dict] | None:
+    """Rectify a right column into the left one beside it, re-labeling
+    first: the pair's new columns, or None when nothing changes.  Neither
+    argument is written.
 
-    Unpaired cells repeatedly trade labels upward with paired cells
-    whose partner's label fits below their own; then every paired cell
-    adopts its partner's original label; then the unpaired cells slide
-    left carrying their new labels: the cells the unlabeled bracket rule
-    ``crystal._lone`` leaves lone (L2).
+    Unpaired cells repeatedly trade labels upward with the first paired
+    cell whose partner's label fits below their own; then every paired
+    cell adopts its partner's original label; then the unpaired cells
+    slide left carrying their new labels: the cells the unlabeled
+    bracket rule ``crystal._lone`` leaves lone (L2).  Which cell qualifies
+    first is free beside one unpaired cell, of label v: a row y qualifies
+    while v lies in [its partner's label, its label), and each trade lifts
+    v to the top of such an interval for good, so v ends at the least
+    label from its start that none holds.  Two can qualify there (on S7
+    Rothe closure members); beside more, one at most (L3).
     """
-    left, right = cols[k], cols[k + 1]
     # each right cell beside a left cell of its label pairs with it, keeps
     # its label and stays: nothing changes (an empty column included)
     if right.items() <= left.items():
-        return False
+        return None
     partner, unpaired = _pair(left, right)
     new = dict(right)
     for x in unpaired:
         while True:
-            z = 0
             for y in partner:
-                if y > x and left[partner[y]] <= new[x] < new[y] and (not z or new[y] > new[z]):
-                    z = y
-            if not z:
+                if y > x and left[partner[y]] <= new[x] < new[y]:
+                    new[x], new[y] = new[y], new[x]
+                    break
+            else:
                 break
-            new[x], new[z] = new[z], new[x]
     for z, y in partner.items():
         new[z] = left[y]
+    moved = dict(left)
     for r in unpaired:
-        left[r] = new.pop(r)
-    changed = new != right
-    cols[k + 1] = new
-    return changed
+        moved[r] = new.pop(r)
+    return None if new == right else (moved, new)
 
 
 def _walk(col: dict[int, int], rect: Columns) -> Columns:
     """The rectification of ``[col, *rect]`` for a rectified ``rect``: one
     pass left to right over the column pairs, stopping at the first pair
     left unchanged, since the columns right of it are ``rect``'s, settled.
-    Only a copy of ``col`` and new dicts are written, so neither argument
-    changes.  It relies on the walk condition: no pair needs a re-run
-    after the pair to its right changes, so every pair ends settled."""
-    cols = [dict(col), *rect]
+    It relies on the walk condition: no pair needs a re-run after the pair
+    to its right changes, so every pair ends settled."""
+    cols = [col, *rect]
     for k in range(len(cols) - 1):
-        if not _relabel_rectify(cols, k):
+        pair = _relabel_rectify(cols[k], cols[k + 1])
+        if pair is None:
             break
+        cols[k], cols[k + 1] = pair
     return cols
 
 

@@ -124,6 +124,9 @@ def _difference(f: IntPolynomial, i: int, m: int, max_terms: int | None) -> IntP
         if a == b:
             continue
         lo, hi, sign = (b, a, c) if a > b else (a, b, -c)
+        # the term's own hi - lo monomials are distinct: too many alone
+        if max_terms is not None and hi - lo > max_terms:
+            raise _over_budget(f"divided difference at i={i}", max_terms)
         # (x^hi y^lo - x^lo y^hi)/(x - y) = sum of x^k y^(hi+lo-1-k)
         base = list(e)
         for k in range(lo, hi):
@@ -196,7 +199,11 @@ def fundamental_slide(a, n: int | None = None, max_terms: int | None = None) -> 
                 raise _over_budget("slide polynomial", max_terms)
             continue
         short = floor[i] - total    # what b lacks of a's prefix sum: v makes it up
-        for v in range(left, short - 1 if short > 0 else -1, -1):
+        stop = short - 1 if short > 0 else -1
+        # each pending branch ends in a term of its own
+        if max_terms is not None and len(stack) + left - stop > max_terms:
+            raise _over_budget("slide polynomial", max_terms)
+        for v in range(left, stop, -1):
             if v == left:
                 push((prefix + (v,), j + 1, parts[j + 1], total + v))
             else:

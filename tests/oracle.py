@@ -57,6 +57,10 @@ route that the packed row and column masks in ``kohnert.crystal``
 replaced.  ``oracle_crystal_to_dot`` prints a ``CrystalGraph`` as DOT,
 looking each ``Diagram`` up and sorting the edges, as
 ``crystal_to_dot`` did before it read ``_crystal``'s positions.
+``oracle_crystal`` is ``kohnert.crystal._crystal`` as it was before it
+grouped members by their top: it finds the components by a breadth-first
+search over neighbour lists of the undirected edges, and each one's
+highest member as its one member with no outgoing edge.
 
 ``EMPTY`` is the diagram with no cells, for the edge-case tests.
 ``variable``, ``poly_scale``, ``poly_sub``, ``poly_mul`` and
@@ -104,11 +108,14 @@ from ``kohnert.diagrams._columns``.
 ``_pair`` and ``_relabel_rectify`` are the column-pair operators as
 ``kohnert.labeling`` had them before it accepted only southwest sources:
 label ties break toward the lower row (``_pair``) and the higher row
-(the trade loop), and the cells that move are the ones the unlabeled
-bracket rule ``kohnert.crystal._lone`` leaves lone, not the ones
-``_pair`` leaves unpaired.  They define rectification on any labelling;
-the tests hold the production operators to them on every call the
-labeller makes.  ``oracle_yamanouchi_core`` is the Yamanouchi test as it
+(the trade loop), the trade loop takes the candidate of the largest
+label where ``kohnert.labeling`` takes the one candidate (L3), and the
+cells that move are the ones the unlabeled bracket rule
+``kohnert.crystal._lone`` leaves lone, not the ones ``_pair`` leaves
+unpaired.  ``_relabel_rectify`` edits its column form in place, and
+appends each trade step's candidate count to ``trades`` when given one.
+They define rectification on any labelling; the tests hold the
+production operators to them on every call the labeller makes.  ``oracle_yamanouchi_core`` is the Yamanouchi test as it
 was, which also asks the rows of each column to hold the next column's.
 ``_rect_labels`` rectifies a column form by right-to-left sweeps of
 ``_relabel_rectify`` to a joint fixpoint of cells and labels, and
@@ -151,13 +158,14 @@ from itertools import combinations, product
 
 from kohnert.compositions import (check_composition, compositions_of, flatten,
                                   pad, strip_trailing_zeros)
-from kohnert.crystal import _EDGE_COLORS, CrystalGraph, _lone
+from kohnert.crystal import _EDGE_COLORS, CrystalGraph, _lone, _raises
 from kohnert.diagrams import (Cell, Diagram, GridParseError, _columns,
                               composition_diagram, grid_rows, is_southwest,
                               render_grid, weight)
 from kohnert.labeling import (Columns, _label, _mask, _quasi_yamanouchi_core,
                               _rectified_labels, membership)
-from kohnert.moves import DEFAULT_MAX_DIAGRAMS, ResourceBoundError, generate_kd
+from kohnert.moves import (DEFAULT_MAX_DIAGRAMS, ResourceBoundError, _cells, _spread,
+                           generate_kd)
 from kohnert.perms import Permutation, sort_and_minimal_perm
 from kohnert.polynomials import (_BASES, ExpansionError, IntPolynomial,
                                  divided_difference)
@@ -824,9 +832,10 @@ def _pair(left: dict[int, int], right: dict[int, int]) -> tuple[dict[int, int], 
     return partner, unpaired
 
 
-def _relabel_rectify(cols: Columns, k: int) -> bool:
+def _relabel_rectify(cols: Columns, k: int, trades: list[int] | None = None) -> bool:
     """Rectify the column at index k+1 of a column form into the one at
     index k, re-labeling first, in place; says whether anything changed.
+    Each trade step's count of candidates goes on ``trades``, if given.
 
     Unpaired cells repeatedly trade labels upward with paired cells
     whose partner's label fits below their own; then every paired cell
@@ -843,11 +852,14 @@ def _relabel_rectify(cols: Columns, k: int) -> bool:
     new = dict(right)
     for x in unpaired:
         while True:
-            z = 0
+            z = count = 0
             for y in partner:
-                if y > x and left[partner[y]] <= new[x] < new[y] and \
-                        (not z or new[y] > new[z] or new[y] == new[z] and y > z):
-                    z = y
+                if y > x and left[partner[y]] <= new[x] < new[y]:
+                    count += 1
+                    if not z or new[y] > new[z] or new[y] == new[z] and y > z:
+                        z = y
+            if trades is not None:
+                trades.append(count)
             if not z:
                 break
             new[x], new[z] = new[z], new[x]
@@ -1136,6 +1148,54 @@ def oracle_crystal_graph(kset) -> CrystalGraph:
         highest.append(top)
     return CrystalGraph(source=kset.source, members=members, edges=edges,
                         components=tuple(components), highest=tuple(highest))
+
+
+def oracle_crystal(states, d: Diagram):
+    """``kohnert.crystal._crystal`` by a breadth-first search: the edges as
+    (position, i, position), the components as lists of positions in the
+    order the search reaches them, ordered by (size, least position), and
+    the position of each component's one member with no outgoing edge."""
+    width, ncols = d.max_row + 1, d.max_col
+    spread = _spread(width, ncols)
+    flips: dict[int, int] = {}
+    index = {state: n for n, state in enumerate(states)}
+    edges = []
+    for n, state in enumerate(states):
+        for i, flip in _raises(state, spread, width, flips):
+            m = index.get(state ^ flip)
+            if m is None:
+                raise AssertionError(f"southwest closure not stable under raising "
+                                     f"at i={i}: {_cells(state, width, ncols)}")
+            edges.append((n, i, m))
+    # connected components over the undirected edge relation
+    neighbours: list[list[int]] = [[] for _ in states]
+    for n, _, m in edges:
+        neighbours[n].append(m)
+        neighbours[m].append(n)
+    seen = [False] * len(states)
+    groups = []
+    for seed in range(len(states)):
+        if seen[seed]:
+            continue
+        seen[seed] = True
+        group = [seed]
+        for n in group:                    # grows as the search reaches members
+            for m in neighbours[n]:
+                if not seen[m]:
+                    seen[m] = True
+                    group.append(m)
+        groups.append(group)
+    # seeds come least position first, so a stable sort by size orders
+    # components by (size, least position)
+    groups.sort(key=len)
+    has_out = {n for n, _, _ in edges}
+    highest = []
+    for group in groups:
+        tops = [n for n in group if n not in has_out]
+        if len(tops) != 1:
+            raise AssertionError("component without a unique highest weight")
+        highest.append(tops[0])
+    return edges, groups, highest
 
 
 def oracle_crystal_to_dot(graph: CrystalGraph, component_labels) -> str:

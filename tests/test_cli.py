@@ -280,6 +280,15 @@ def test_expand_check_builds_one_closure(monkeypatch, capsys, basis):
     assert len(calls) == 1
 
 
+def test_expand_of_s9_is_pinned(capsys):
+    start = perf_counter()
+    assert main(["expand", "--perm", "3,1,6,5,2,9,8,7,4"]) == 0
+    assert perf_counter() - start < 5
+    out = capsys.readouterr().out.encode()
+    assert hashlib.sha256(out).hexdigest() == \
+        "00f1379cf740b9abdc8f94a0846e6ea22a56d173b60979fd7648fbede5240e1e"
+
+
 def test_expand_slide_check_of_s9_is_pinned_and_linear(capsys):
     # 2,541 slide polynomials are summed back up: a sum that copies its
     # running total at every term takes seconds here
@@ -400,6 +409,9 @@ def test_verify_all_output_is_pinned(capsys):
         "PASS slide: 230 cases checked\n"
         "PASS vexillary: 254 cases checked\n"
     )
+    # the digest ROADMAP.md records for this output
+    assert hashlib.sha256(out.encode()).hexdigest() == \
+        "3048001d260e52f7d21e14b95063cba508fc2406c08dd2cfcd604297131e221b"
 
 
 def test_verify_refuses_bounds_the_suite_does_not_take(capsys):
@@ -522,6 +534,48 @@ def test_exit_code_for_resource_bounds(capsys):
     assert err.startswith("error:")
     assert "KOHNERT_MAX_DIAGRAMS" in err
     assert "reached 3 members at BFS depth" in err
+
+
+def test_a_composition_past_the_budget_in_cells_exits_3(monkeypatch, capsys):
+    # the cells are counted from the composition, before any is built
+    monkeypatch.setenv("KOHNERT_MAX_DIAGRAMS", "4")
+    for command in ("kd", "expand", "crystal"):
+        assert main([command, "--comp", "0,3,2"]) == 3
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err == "error: --comp gives 5 cells, over the budget of 4 " \
+            "(KOHNERT_MAX_DIAGRAMS)\n"
+    monkeypatch.setenv("KOHNERT_MAX_DIAGRAMS", "5")
+    assert main(["kd", "--comp", "5"]) == 0
+    assert capsys.readouterr().out == "1 diagram\n"
+
+
+# Each input builds gigabytes if its bound fails, so it runs in a child
+# process whose address space is capped at 1 GB before the package loads.
+CAPPED = """
+import resource, sys
+resource.setrlimit(resource.RLIMIT_AS, (1 << 30, 1 << 30))
+from kohnert.cli import main
+sys.exit(main(sys.argv[1:]))
+"""
+
+
+@pytest.mark.parametrize("argv, message", [
+    (["poly", "--key", "0,100000000"], "divided difference at i=1 exceeds 1000000 monomials"),
+    (["poly", "--slide", "0,100000000"], "slide polynomial exceeds 1000000 monomials"),
+    (["kd", "--comp", "300000000"], "--comp gives 300000000 cells, over the budget of 1000000"),
+])
+def test_wide_inputs_exit_3_under_a_memory_cap(argv, message):
+    src = str(Path(kohnert.__file__).resolve().parents[1])
+    env = dict(os.environ)
+    env.pop("KOHNERT_MAX_DIAGRAMS", None)
+    env["PYTHONPATH"] = os.pathsep.join(filter(None, [src, env.get("PYTHONPATH")]))
+    start = perf_counter()
+    proc = subprocess.run([sys.executable, "-c", CAPPED, *argv],
+                          capture_output=True, text=True, env=env, timeout=60)
+    assert perf_counter() - start < 5
+    assert (proc.returncode, proc.stdout) == (3, ""), proc.stderr
+    assert proc.stderr.startswith(f"error: {message}"), proc.stderr
 
 
 def test_verify_box_over_the_budget_exits_3(capsys):

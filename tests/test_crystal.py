@@ -31,6 +31,7 @@ from kohnert.labeling import component_demazure_data
 from kohnert.moves import _cells, _closure, _pack, _spread, generate_kd
 from kohnert.verify import southwest_in_box
 
+import oracle
 from golden import (
     COMPONENT_LARGE,
     COMPONENT_SMALL,
@@ -41,7 +42,7 @@ from golden import (
     RECTIFIED,
 )
 from oracle import (_bracket, crystal_components_json, is_composition_diagram,
-                    oracle_crystal_graph, oracle_crystal_to_dot, oracle_is_rectified,
+                    oracle_crystal, oracle_crystal_graph, oracle_crystal_to_dot, oracle_is_rectified,
                     oracle_raising, oracle_rectify, oracle_rectify_column,
                     oracle_rectify_step, southwest_hull, to_grid)
 
@@ -310,6 +311,65 @@ def test_packed_key_path_matches_the_diagram_path(d):
             assert (u is None) == (flip is None), (t, i)
             if u is not None:
                 assert _cells(state ^ flip, width, ncols) == u.sorted_cells
+
+
+def _held_to_the_search(states, d):
+    """``_crystal`` on ``states`` against the breadth-first search of
+    ``oracle_crystal``: the same edges, the same groups in the same order,
+    each in increasing positions, and the same tops.  Returns the count
+    of states."""
+    edges, groups, highest = _crystal(states, d)
+    searched_edges, searched_groups, searched_highest = oracle_crystal(states, d)
+    assert edges == searched_edges, d
+    assert groups == [sorted(group) for group in searched_groups], d
+    assert highest == searched_highest, d
+    return len(states)
+
+
+@settings(deadline=None, max_examples=60)
+@given(southwest_diagrams)
+def test_grouping_by_top_matches_the_search(d):
+    # the members' sorted states, and the closure's states in set order,
+    # whose positions do not follow the state order
+    kset = generate_kd(d)
+    _held_to_the_search(kset.states, d)
+    _held_to_the_search(list(_closure(d, len(kset.states))[0]), d)
+
+
+def test_grouping_by_top_matches_the_search_on_every_4x4_box_diagram():
+    members = 0
+    for d in southwest_in_box(4, 4):
+        members += _held_to_the_search(generate_kd(d).states, d)
+    assert members == 86886
+
+
+@given(cell_sets)
+def test_every_raise_lowers_the_packed_state(cells):
+    d = Diagram.of(*cells)
+    width = d.max_row + 1
+    state = _pack(_columns(d), width)
+    for _, flip in _raises(state, _spread(width, d.max_col), width, {}):
+        assert state ^ flip < state
+
+
+def test_a_component_with_two_tops_is_refused(monkeypatch):
+    # a member of the first component, below its top, gains a raise into
+    # the second component, whose top it then reaches too
+    states = generate_kd(D5).states
+    _, groups, highest = _crystal(states, D5)
+    n = next(n for n in groups[0] if n != highest[0])
+    jump = states[n] ^ states[groups[1][0]]
+    raises = crystal._raises
+
+    def joined(state, spread, width, flips):
+        yield from raises(state, spread, width, flips)
+        if state == states[n]:
+            yield 1, jump
+    monkeypatch.setattr(crystal, "_raises", joined)
+    monkeypatch.setattr(oracle, "_raises", joined)
+    for build in (_crystal, oracle_crystal):
+        with pytest.raises(AssertionError, match="component without a unique highest weight"):
+            build(states, D5)
 
 
 def _dot_of(d, labels):

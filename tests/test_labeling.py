@@ -102,8 +102,17 @@ def _pairing(lab, c, pair=_pair):
             [(c + 1, r) for r in unpaired])
 
 
-def _relabeled(lab, c, relabel=_relabel_rectify):
-    """``relabel`` of column c+1 into column c, as a Labeling."""
+def _in_place(cols, k):
+    """``_relabel_rectify`` on the columns at k and k+1 of a column form,
+    written back; says whether anything changed."""
+    pair = _relabel_rectify(cols[k], cols[k + 1])
+    if pair is not None:
+        cols[k:k + 2] = pair
+    return pair is not None
+
+
+def _relabeled(lab, c, relabel=_in_place):
+    """``relabel``, in place, of column c+1 into column c, as a Labeling."""
     cols = _columns_of(lab, c + 1)
     relabel(cols, c - 1)
     return _labeling_of(cols)
@@ -354,12 +363,12 @@ def test_the_walk_matches_the_sweeps_on_every_3x3_candidate():
 
 @pytest.fixture
 def pair_calls(monkeypatch):
-    """The pair index of each ``_relabel_rectify`` call the test makes."""
+    """The arguments of each ``_relabel_rectify`` call the test makes."""
     relabel, calls = labeling._relabel_rectify, []
 
-    def counted(cols, k):
-        calls.append(k)
-        return relabel(cols, k)
+    def counted(left, right):
+        calls.append((left, right))
+        return relabel(left, right)
     monkeypatch.setattr(labeling, "_relabel_rectify", counted)
     return calls
 
@@ -388,31 +397,43 @@ def _rows(mask):
 def _labeller_held_to_the_oracles():
     """Check every ``_walk`` call the labeller makes against ``oracle_walk``,
     and every ``_relabel_rectify`` call against the copy in ``oracle`` of
-    the operators that paired by the bracket rule and broke label ties,
-    on copies of their arguments.  Each pair call also asserts L1, every
-    column held has distinct labels, and L2, the rows ``_pair`` leaves
-    unpaired are the rows ``_lone`` leaves lone.  Yields the count of
-    walk and pair calls checked."""
+    the operators that paired by the bracket rule, broke label ties and
+    traded with the largest-label candidate, on copies of their
+    arguments.  Each walk asserts L1, every column held has distinct
+    labels, on the columns it takes and gives; each pair call asserts L1
+    on its columns, L2, the rows ``_pair`` leaves unpaired are the rows
+    ``_lone`` leaves lone, L3, no trade step beside two or more unpaired
+    rows has two candidates, and that it writes neither column.  Yields
+    the count of walk and pair calls checked, of trades made and of
+    trade steps with two candidates or more."""
     walk, relabel, calls = labeling._walk, labeling._relabel_rectify, Counter()
 
+    def strict(cols):
+        return all(len(set(col.values())) == len(col) for col in cols)
+
     def checked_walk(col, rect):
+        assert strict([col, *rect]), (col, rect)
         expected = oracle_walk(dict(col), [dict(part) for part in rect])
         got = walk(col, rect)
-        assert got == expected, (col, rect)
+        assert got == expected and strict(got), (col, rect)
         calls["walk"] += 1
         return got
 
-    def checked_relabel(cols, k):
-        assert all(len(set(col.values())) == len(col) for col in cols), cols
-        left, right = cols[k], cols[k + 1]
+    def checked_relabel(left, right):
+        assert strict([left, right]), (left, right)
         paired = _pair(left, right)
         assert paired == oracle._pair(left, right), (left, right)
         assert sorted(paired[1]) == _rows(_lone(_mask(left), _mask(right))), (left, right)
-        expected = [dict(col) for col in cols]
-        changed = oracle._relabel_rectify(expected, k)
-        assert relabel(cols, k) == changed and cols == expected, (expected, k)
+        before, expected, trades = (dict(left), dict(right)), [dict(left), dict(right)], []
+        changed = oracle._relabel_rectify(expected, 0, trades)
+        assert max(trades, default=0) <= 1 or len(paired[1]) == 1, before    # L3
+        got = relabel(left, right)
+        assert (left, right) == before, before
+        assert got == (tuple(expected) if changed else None), before
         calls["pair"] += 1
-        return changed
+        calls["trade"] += sum(count > 0 for count in trades)
+        calls["choice"] += sum(count > 1 for count in trades)
+        return got
     with pytest.MonkeyPatch.context() as patch:
         patch.setattr(labeling, "_walk", checked_walk)
         patch.setattr(labeling, "_relabel_rectify", checked_relabel)
@@ -441,7 +462,26 @@ def test_the_walk_matches_the_stepping_back_walk_on_every_4x4_box_member():
             for t in generate_kd(d).members:
                 members += 1
                 _label_and_rectify(t, d)
-    assert members == 86886 and calls["walk"] and calls["pair"]
+    assert members == 86886 and calls["walk"] and calls["pair"] and calls["trade"]
+    assert calls["choice"] == 0
+
+
+def test_a_trade_step_with_two_candidates():
+    # the unpaired row 1 of label 3 may trade with row 3 of label 6 or with
+    # row 2 of label 5, whose partners' labels 3 and 2 fit below 3; taking
+    # row 2 first leads on to row 3, so the moved cell ends with 6 either way
+    left, right = {2: 2, 3: 3}, {3: 6, 2: 5, 1: 3}
+    expected, trades = [dict(left), dict(right)], []
+    assert oracle._relabel_rectify(expected, 0, trades)
+    assert trades == [2, 0]
+    assert _relabel_rectify(left, right) == ({2: 2, 3: 3, 1: 6}, {3: 3, 2: 2}) == \
+        tuple(expected)
+    # the pair comes up labelling a member of the closure of an S7 Rothe
+    # diagram, which no 4x4-box or 5x4-box member does
+    d = rothe_diagram((1, 3, 5, 2, 6, 7, 4))
+    with _labeller_held_to_the_oracles() as calls:
+        _label_and_rectify(Diagram.of((2, 2), (2, 3), (4, 1), (4, 2), (4, 3)), d)
+    assert calls["choice"] == 1
 
 
 def test_the_yamanouchi_test_matches_the_two_condition_oracle_on_every_4x4_box_member():
@@ -459,10 +499,13 @@ def test_the_yamanouchi_test_matches_the_two_condition_oracle_on_every_4x4_box_m
 @given(st.dictionaries(st.tuples(st.integers(1, 4), st.integers(1, 5)),
                        st.integers(1, 6), min_size=1, max_size=10))
 def test_the_walk_leaves_its_arguments_unchanged(mapping):
-    # any column before any columns, rectified or not
+    # any column before any columns, rectified or not; nor does the pair
+    # step write either column of any pair
     col, *rect = _columns_of(Labeling.of(Diagram.of(*mapping), mapping))
     before = dict(col), [dict(part) for part in rect]
     _walk(col, rect)
+    for left, right in zip([col, *rect], rect):
+        _relabel_rectify(left, right)
     assert (col, rect) == before
 
 

@@ -1,5 +1,7 @@
 """Tests for sparse polynomials, divided differences, and the named families."""
 
+from itertools import product
+
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
@@ -246,6 +248,21 @@ def test_schubert_matches_key_when_2143_avoiding():
     for w in all_permutations(4):
         if not contains_2143(w):
             assert schubert_polynomial(w).matches(demazure_character(lehmer_code(w)))
+
+
+def test_the_slide_search_holds_no_more_branches_than_terms():
+    # each pending branch ends in a term of its own, so the search, which
+    # stops once its pending branches pass the budget, never stops at the
+    # exact term count, and always stops one below it
+    cases = 0
+    for length in range(6):
+        for a in product(range(4), repeat=length):
+            f = fundamental_slide(a)
+            assert fundamental_slide(a, max_terms=len(f.terms)) == f, a
+            with pytest.raises(ResourceBoundError):
+                fundamental_slide(a, max_terms=len(f.terms) - 1)
+            cases += 1
+    assert cases == 1365
 
 
 def test_fundamental_slide_examples():
